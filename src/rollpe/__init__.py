@@ -28,7 +28,6 @@ from .regularizer import SmoothnessReport, circular_laplacian_loss, lipschitz_ga
 from .roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
 from .rope import (
     FrequencySchedule,
-    RopeState,
     classic_schedule,
     equivalence_residual,
     realified_fourier_basis,
@@ -44,7 +43,6 @@ from .spectral import (
     generator_residuals,
     log_shift_generator,
     roll_continuous,
-    roll_continuous_fft,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +56,6 @@ __all__ = [
     "MultiplexBank",
     "PEConfig",
     "PEKind",
-    "RopeState",
     "ShiftGenerator",
     "SmoothnessReport",
     "SpectralBranch",
@@ -79,7 +76,6 @@ __all__ = [
     "realified_fourier_basis",
     "relative_form_score",
     "roll_continuous",
-    "roll_continuous_fft",
     "roll_discrete",
     "roll_induced_schedule",
     "rollpe_score",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .multiplex import MultiplexBank, mproll
 from .roll_core import roll_discrete
-from .rope import FrequencySchedule, classic_schedule, rope_apply
+from .rope import classic_schedule, rope_apply
 from .spectral import SpectralBranch, roll_continuous
 
 __all__ = [
@@ -55,7 +55,6 @@ class PEConfig:
     kind: PEKind = PEKind.NONE
     lam: float = 1.0
     branch: SpectralBranch = SpectralBranch.CENTERED
-    schedule: FrequencySchedule | None = None
     waves: int = 1
     axial: bool = False
 
@@ -72,7 +71,7 @@ class AttentionBatch:
     """Q/K/V row matrices (t tokens by head dim n) with per-token positions.
 
     ``positions`` has shape (t,) for scalar positions or (t, 2) for axial
-    encodings.
+    encodings.  Every entry must be finite.
     """
 
     q: np.ndarray
@@ -93,6 +92,8 @@ class AttentionBatch:
         if pos.ndim == 2 and pos.shape[1] != 2:
             raise ValueError("axial positions must be (t, 2)")
         for name, arr in (("q", q), ("k", k), ("v", v), ("positions", pos)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds non-finite values")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -134,63 +135,63 @@ def _require_integer(p: float, kind: PEKind) -> int:
     return int(p)
 
 
-def _rope_schedule(pe: PEConfig, n: int) -> FrequencySchedule:
-    if pe.schedule is not None:
-        if pe.schedule.planes != n // 2:
-            raise ValueError(
-                f"schedule has {pe.schedule.planes} planes but sub-vector length is {n}"
-            )
-        return pe.schedule
-    return classic_schedule(n)
-
-
-def _validate_subdim(n: int, pe: PEConfig) -> None:
+def _check_subdim(n: int, pe: PEConfig) -> None:
     if pe.kind in (PEKind.ROPE, PEKind.SINUSOIDAL_APE) and n % 2 != 0:
         raise ValueError(f"{pe.kind.value} requires an even sub-vector length, got {n}")
 
 
-def _encode_1d(v: np.ndarray, p: float, pe: PEConfig) -> np.ndarray:
-    _validate_subdim(v.size, pe)
-    if pe.kind is PEKind.NONE:
-        return v
-    if pe.kind is PEKind.SINUSOIDAL_APE:
-        return v + sinusoidal_ape([_require_integer(p, pe.kind)], v.size)[0]
-    if pe.kind is PEKind.ROLL_DISCRETE:
-        return roll_discrete(v, _require_integer(p, pe.kind))
-    if pe.kind is PEKind.ROLL_CONTINUOUS:
-        return roll_continuous(v, p, pe.lam, pe.branch)
-    if pe.kind is PEKind.ROPE:
-        return rope_apply(v, p, _rope_schedule(pe, v.size))
-    if pe.kind is PEKind.MULTIPLEXED_ROLL:
-        p_int = _require_integer(p, pe.kind)
-        mats = _multiplex_projections(v.size, pe.waves)
-        return mproll(MultiplexBank([m @ v for m in mats]), p_int)
-    raise ValueError(f"unknown encoding kind {pe.kind!r}")
+def _encode_1d(
+    v: np.ndarray, p: float, pe: PEConfig, transpose: bool = False
+) -> np.ndarray:
+    """Encode one (sub-)row at position ``p``, or apply that map's transpose.
 
-
-def _grad_1d(g: np.ndarray, p: float, pe: PEConfig) -> np.ndarray:
-    """Apply the transpose of the encoding's Jacobian to an upstream gradient.
-
-    Rolls and rotations transpose to the same map at -p (the Nyquist cos
-    factor is symmetric); the absolute embedding is an offset, so its
-    Jacobian is the identity.
+    Every encoding is affine in ``v``; ``transpose=True`` applies the
+    transpose of its linear part, which is what a gradient needs.  Rolls
+    and rotations transpose to the same map at -p (the Nyquist cos factor
+    is symmetric); the absolute embedding is an offset, so its linear part
+    is the identity.  Sub-vector lengths are checked by the callers.
     """
-    if pe.kind in (PEKind.NONE, PEKind.SINUSOIDAL_APE):
-        return g
-    if pe.kind is PEKind.ROLL_DISCRETE:
-        return roll_discrete(g, -_require_integer(p, pe.kind))
-    if pe.kind is PEKind.ROLL_CONTINUOUS:
-        return roll_continuous(g, -p, pe.lam, pe.branch)
-    if pe.kind is PEKind.ROPE:
-        return rope_apply(g, -p, _rope_schedule(pe, g.size))
-    if pe.kind is PEKind.MULTIPLEXED_ROLL:
-        p_int = _require_integer(p, pe.kind)
-        mats = _multiplex_projections(g.size, pe.waves)
-        out = np.zeros_like(g)
-        for w, m in enumerate(mats, start=1):
-            out += m.T @ roll_discrete(g, -w * p_int)
-        return out
-    raise ValueError(f"unknown encoding kind {pe.kind!r}")
+    kind = pe.kind
+    if kind is PEKind.NONE:
+        return v
+    if kind is PEKind.SINUSOIDAL_APE:
+        if transpose:
+            return v
+        return v + sinusoidal_ape([_require_integer(p, kind)], v.size)[0]
+    if kind is PEKind.ROLL_CONTINUOUS:
+        return roll_continuous(v, -p if transpose else p, pe.lam, pe.branch)
+    if kind is PEKind.ROPE:
+        return rope_apply(v, -p if transpose else p, classic_schedule(v.size))
+    p_int = _require_integer(p, kind)
+    if kind is PEKind.ROLL_DISCRETE:
+        return roll_discrete(v, -p_int if transpose else p_int)
+    if kind is PEKind.MULTIPLEXED_ROLL:
+        mats = _multiplex_projections(v.size, pe.waves)
+        if transpose:
+            return sum(
+                m.T @ roll_discrete(v, -w * p_int) for w, m in enumerate(mats, start=1)
+            )
+        return mproll(MultiplexBank([m @ v for m in mats]), p_int)
+    raise ValueError(f"unknown encoding kind {kind!r}")
+
+
+def _encode_row(
+    v: np.ndarray, pos, pe: PEConfig, axial: bool, transpose: bool = False
+) -> np.ndarray:
+    """Encode a row at a scalar position, or axially at a 2-D one.
+
+    Axially, the first half of ``v`` is encoded with pos[0] and the
+    second with pos[1].  ``transpose`` is passed on to ``_encode_1d``.
+    """
+    if not axial:
+        return _encode_1d(v, float(pos), pe, transpose)
+    half = v.size // 2
+    return np.concatenate(
+        [
+            _encode_1d(v[:half], float(pos[0]), pe, transpose),
+            _encode_1d(v[half:], float(pos[1]), pe, transpose),
+        ]
+    )
 
 
 def axial_encode(v, pos, pe: PEConfig) -> np.ndarray:
@@ -198,24 +199,8 @@ def axial_encode(v, pos, pe: PEConfig) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size % 2 != 0:
         raise ValueError("axial encoding requires an even-length 1-D vector")
-    p_x, p_y = float(pos[0]), float(pos[1])
-    half = v.size // 2
-    return np.concatenate(
-        [_encode_1d(v[:half], p_x, pe), _encode_1d(v[half:], p_y, pe)]
-    )
-
-
-def _axial_grad(g: np.ndarray, pos, pe: PEConfig) -> np.ndarray:
-    half = g.size // 2
-    return np.concatenate(
-        [_grad_1d(g[:half], float(pos[0]), pe), _grad_1d(g[half:], float(pos[1]), pe)]
-    )
-
-
-def _encode_row(v: np.ndarray, pos, pe: PEConfig) -> np.ndarray:
-    if pe.axial:
-        return axial_encode(v, pos, pe)
-    return _encode_1d(v, float(pos), pe)
+    _check_subdim(v.size // 2, pe)
+    return _encode_row(v, pos, pe, axial=True)
 
 
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
@@ -225,11 +210,10 @@ def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
             raise ValueError("axial encoding requires (t, 2) positions")
         if n % 2 != 0:
             raise ValueError("axial encoding requires an even head dimension")
-        _validate_subdim(n // 2, pe)
-    else:
-        if batch.positions.ndim != 1:
-            raise ValueError("scalar encoding requires (t,) positions")
-        _validate_subdim(n, pe)
+        n //= 2
+    elif batch.positions.ndim != 1:
+        raise ValueError("scalar encoding requires (t,) positions")
+    _check_subdim(n, pe)
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -239,12 +223,10 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _encoded_qk(batch: AttentionBatch, pe: PEConfig):
-    enc_q = np.stack(
-        [_encode_row(batch.q[i], batch.positions[i], pe) for i in range(batch.tokens)]
-    )
-    enc_k = np.stack(
-        [_encode_row(batch.k[i], batch.positions[i], pe) for i in range(batch.tokens)]
-    )
+    rows = range(batch.tokens)
+    pos = batch.positions
+    enc_q = np.stack([_encode_row(batch.q[i], pos[i], pe, pe.axial) for i in rows])
+    enc_k = np.stack([_encode_row(batch.k[i], pos[i], pe, pe.axial) for i in rows])
     return enc_q, enc_k
 
 
@@ -327,10 +309,9 @@ def _loss_grad_wrt_q(batch: AttentionBatch, pe: PEConfig, d: float) -> np.ndarra
     g_logits = scores * (g_scores - dots)
     g_enc_q = g_logits @ enc_k / math.sqrt(d)
 
-    grad = np.empty_like(g_enc_q)
-    for i in range(batch.tokens):
-        if pe.axial:
-            grad[i] = _axial_grad(g_enc_q[i], batch.positions[i], pe)
-        else:
-            grad[i] = _grad_1d(g_enc_q[i], float(batch.positions[i]), pe)
-    return grad
+    return np.stack(
+        [
+            _encode_row(g_enc_q[i], batch.positions[i], pe, pe.axial, transpose=True)
+            for i in range(batch.tokens)
+        ]
+    )

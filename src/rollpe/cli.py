@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import statistics
 import sys
@@ -23,7 +24,7 @@ from .attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
 from .multiplex import equivariance_violation_witness
 from .roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
 from .rope import classic_schedule, equivalence_residual, rope_apply
-from .spectral import SpectralBranch, roll_continuous, roll_continuous_fft
+from .spectral import SpectralBranch, branch_angles, dft_matrix, roll_continuous
 
 __all__ = ["RunConfig", "Report", "run", "main"]
 
@@ -283,14 +284,19 @@ def _cmd_bench(cfg: RunConfig):
     n = cfg.n
     q = rng.standard_normal(n)
     p_int, p_frac = 3, 0.37
+    centered = SpectralBranch.CENTERED
+
+    def dense_roll(x, p):
+        """Fractional roll through dense DFT matrices: the oracle for the FFT path."""
+        fmat = dft_matrix(n)
+        phases = np.exp(1j * branch_angles(n, centered) * (p / cfg.lam))
+        return (fmat.conj().T @ (phases * (fmat @ x))).real
 
     ops = {
         "roll_discrete": lambda: roll_discrete(q, p_int),
         "shift_matmul_oracle": lambda: shift_matrix(n, p_int) @ q,
-        "roll_continuous_dense": lambda: roll_continuous(
-            q, p_frac, cfg.lam, SpectralBranch.CENTERED
-        ),
-        "roll_continuous_fft": lambda: roll_continuous_fft(q, p_frac, cfg.lam),
+        "roll_continuous_dense": lambda: dense_roll(q, p_frac),
+        "roll_continuous_fft": lambda: roll_continuous(q, p_frac, cfg.lam, centered),
     }
     if n % 2 == 0:
         sched = classic_schedule(n)
@@ -311,10 +317,8 @@ def _cmd_bench(cfg: RunConfig):
     for _ in range(32):
         sample = rng.standard_normal(n)
         p = float(rng.uniform(-2 * n, 2 * n))
-        dense = roll_continuous(sample, p, cfg.lam, SpectralBranch.CENTERED)
-        agreement = max(
-            agreement, float(np.abs(roll_continuous_fft(sample, p, cfg.lam) - dense).max())
-        )
+        fft = roll_continuous(sample, p, cfg.lam, centered)
+        agreement = max(agreement, float(np.abs(fft - dense_roll(sample, p)).max()))
 
     summary = {
         "ops_per_sec": throughput,
@@ -358,24 +362,15 @@ def render_csv(report: Report) -> str:
         for key in row:
             if key not in _CSV_BASE_COLUMNS and key not in extras:
                 extras.append(key)
-    out = []
-    writer_target = _StringList(out)
-    writer = csv.writer(writer_target)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
     writer.writerow(list(_CSV_BASE_COLUMNS) + extras)
     for row in report.rows:
         writer.writerow(
             [row.get(col, "") for col in _CSV_BASE_COLUMNS]
             + [row.get(col, "") for col in extras]
         )
-    return "".join(out)
-
-
-class _StringList:
-    def __init__(self, sink: list):
-        self._sink = sink
-
-    def write(self, text: str):
-        self._sink.append(text)
+    return buf.getvalue()
 
 
 def render_json(report: Report) -> str:

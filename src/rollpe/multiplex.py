@@ -9,12 +9,11 @@ position, so translation invariance breaks (generically), which
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .roll_core import roll_discrete
+from .roll_core import _score_scale, roll_discrete
 
 __all__ = [
     "MultiplexBank",
@@ -66,13 +65,8 @@ def mproll_score(
     d: float | None = None,
 ) -> float:
     """Scaled dot product of the two multiplexed encodings."""
-    if bank_q.n != bank_k.n:
-        raise ValueError("query and key banks must share vector length")
-    if d is None:
-        d = float(bank_q.n)
-    if not d > 0:
-        raise ValueError("d must be positive")
-    return float(mproll(bank_q, p_q) @ mproll(bank_k, p_k) / math.sqrt(d))
+    scale = _score_scale(bank_q.n, bank_k.n, d)
+    return float(mproll(bank_q, p_q) @ mproll(bank_k, p_k) / scale)
 
 
 @dataclass(frozen=True)

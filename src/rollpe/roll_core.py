@@ -71,6 +71,21 @@ def shift_matrix(n: int, p: int = 1) -> np.ndarray:
     return mat
 
 
+def _score_scale(n_q: int, n_k: int, d: float | None) -> float:
+    """sqrt(d) for a score between length-``n_q`` and length-``n_k`` encodings.
+
+    The lengths must agree; ``d`` defaults to that length and must be
+    positive.  Shared by every score function in the package.
+    """
+    if n_q != n_k:
+        raise ValueError("query and key must share the same length")
+    if d is None:
+        d = float(n_q)
+    if not d > 0:
+        raise ValueError("d must be positive")
+    return math.sqrt(d)
+
+
 def rollpe_score(q, k, p_q: int, p_k: int, d: float | None = None) -> float:
     """Attention score between ``q`` rolled to ``p_q`` and ``k`` rolled to ``p_k``.
 
@@ -79,13 +94,8 @@ def rollpe_score(q, k, p_q: int, p_k: int, d: float | None = None) -> float:
     """
     q = _as_vector(q, "q")
     k = _as_vector(k, "k")
-    if q.shape != k.shape:
-        raise ValueError("q and k must share the same length")
-    if d is None:
-        d = float(q.size)
-    if not d > 0:
-        raise ValueError("d must be positive")
-    return float(roll_discrete(q, p_q) @ roll_discrete(k, p_k) / math.sqrt(d))
+    scale = _score_scale(q.size, k.size, d)
+    return float(roll_discrete(q, p_q) @ roll_discrete(k, p_k) / scale)
 
 
 def relative_form_score(q, k, delta: int, d: float | None = None) -> float:
@@ -97,10 +107,5 @@ def relative_form_score(q, k, delta: int, d: float | None = None) -> float:
     """
     q = _as_vector(q, "q")
     k = _as_vector(k, "k")
-    if q.shape != k.shape:
-        raise ValueError("q and k must share the same length")
-    if d is None:
-        d = float(q.size)
-    if not d > 0:
-        raise ValueError("d must be positive")
-    return float(q @ shift_matrix(q.size, delta).astype(float) @ k / math.sqrt(d))
+    scale = _score_scale(q.size, k.size, d)
+    return float(q @ shift_matrix(q.size, delta).astype(float) @ k / scale)

@@ -14,7 +14,7 @@ returns the absolute score gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .spectral import SpectralBranch, dft_matrix, roll_continuous
 
 __all__ = [
     "FrequencySchedule",
-    "RopeState",
     "rope_apply",
     "classic_schedule",
     "roll_induced_schedule",
@@ -50,20 +49,6 @@ class FrequencySchedule:
     @property
     def planes(self) -> int:
         return int(self.omegas.size)
-
-
-@dataclass(frozen=True)
-class RopeState:
-    """A rotary instance: schedule plus the (even) vector dimension it acts on."""
-
-    schedule: FrequencySchedule
-    dim: int = field(default=0)
-
-    def __post_init__(self):
-        dim = self.dim if self.dim else 2 * self.schedule.planes
-        if dim != 2 * self.schedule.planes or dim <= 0:
-            raise ValueError("dim must equal twice the number of schedule planes")
-        object.__setattr__(self, "dim", dim)
 
 
 def rope_apply(v, p: float, sched: FrequencySchedule) -> np.ndarray:

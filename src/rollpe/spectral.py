@@ -20,19 +20,22 @@ integer shifts but damps Nyquist energy at fractional ones (the only
 deviation from strict isometry, and it is exactly sin(pi*p/lambda)^2
 times the Nyquist energy of the input).
 
-Dense paths exponentiate through the unitary diagonalization; no
-general-purpose (Pade / scaling-squaring) matrix exponential is used
-anywhere in the library.
+Fractional rolls are computed with an FFT: a roll is a per-frequency
+phase, so no n-by-n matrix is built.  The dense DFT matrix serves the
+generator and its residual diagnostics, which exponentiate through the
+unitary diagonalization; no general-purpose (Pade / scaling-squaring)
+matrix exponential is used anywhere in the library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .roll_core import shift_matrix
+from .roll_core import _as_vector, shift_matrix
 
 __all__ = [
     "SpectralBranch",
@@ -42,7 +45,6 @@ __all__ = [
     "branch_angles",
     "log_shift_generator",
     "roll_continuous",
-    "roll_continuous_fft",
     "generator_residuals",
 ]
 
@@ -81,13 +83,6 @@ class GeneratorResiduals:
     circulant: float
 
 
-def _as_vector(x, name: str = "q") -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D real vector")
-    return arr
-
-
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix F[j, k] = exp(-2*pi*1j*j*k/n) / sqrt(n)."""
     if n < 1:
@@ -119,14 +114,6 @@ def log_shift_generator(n: int, branch: SpectralBranch = SpectralBranch.CENTERED
     return ShiftGenerator(n=n, branch=branch, matrix=matrix)
 
 
-def _phase_multipliers(n: int, p: float, lam: float, branch: SpectralBranch) -> np.ndarray:
-    if not np.isfinite(p):
-        raise ValueError("p must be finite")
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    return np.exp(1j * branch_angles(n, branch) * (p / lam))
-
-
 def roll_continuous(
     q,
     p: float,
@@ -135,37 +122,31 @@ def roll_continuous(
 ) -> np.ndarray:
     """Roll ``q`` by a real amount ``p`` with period stretched by ``lam``.
 
-    Evolves each Fourier coefficient by exp(1j * theta_k * p / lam) and
-    returns the real part.  At integer p/lam this reproduces the discrete
-    roll for both branches.  For the CENTERED branch with odd n the
-    discarded imaginary part must be negligible; a violation raises
-    ``FloatingPointError`` rather than silently corrupting scores.
+    Evolves each Fourier coefficient by exp(1j * theta_k * p / lam) with
+    an FFT and returns the real part.  Both branches have exact period
+    lam * n in p, so p is first reduced modulo that period, which keeps
+    huge positions as accurate as small ones.  At integer p/lam this
+    reproduces the discrete roll for both branches.  For the CENTERED
+    branch with odd n the discarded imaginary part must be negligible; a
+    violation (or a NaN in ``q``) raises ``FloatingPointError`` rather
+    than silently corrupting scores.
     """
     q = _as_vector(q)
+    if not np.isfinite(p):
+        raise ValueError("p must be finite")
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
     n = q.size
-    fmat = dft_matrix(n)
-    evolved = _phase_multipliers(n, p, lam, branch) * (fmat @ q)
-    out = fmat.conj().T @ evolved
+    phases = np.exp(1j * branch_angles(n, branch) * (math.fmod(p, lam * n) / lam))
+    out = np.fft.ifft(np.fft.fft(q) * phases)
     if branch is SpectralBranch.CENTERED and n % 2 == 1:
         leak = float(np.abs(out.imag).max())
         scale = max(1.0, float(np.linalg.norm(q)))
-        if leak > _IMAG_LEAK_TOL * scale:
+        if not leak <= _IMAG_LEAK_TOL * scale:
             raise FloatingPointError(
                 f"imaginary leakage {leak:.3e} exceeds {_IMAG_LEAK_TOL:.0e} * {scale:.3e}"
             )
     return np.ascontiguousarray(out.real)
-
-
-def roll_continuous_fft(q, p: float, lam: float = 1.0) -> np.ndarray:
-    """O(n log n) fractional roll, CENTERED branch.
-
-    Same result as ``roll_continuous(q, p, lam, CENTERED)`` but computed
-    with an FFT instead of dense DFT matrices.
-    """
-    q = _as_vector(q)
-    n = q.size
-    mult = _phase_multipliers(n, p, lam, SpectralBranch.CENTERED)
-    return np.fft.ifft(np.fft.fft(q) * mult).real
 
 
 def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:

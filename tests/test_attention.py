@@ -12,7 +12,7 @@ from rollpe.attention import (
     grad_check,
     sinusoidal_ape,
 )
-from rollpe.attention import _softmax_rows
+from rollpe.attention import _encode_row, _softmax_rows
 from rollpe.roll_core import roll_discrete
 from rollpe.rope import classic_schedule, rope_apply
 from rollpe.spectral import SpectralBranch, roll_continuous
@@ -170,6 +170,51 @@ class TestAttend:
             PEConfig(kind=PEKind.ROLL_CONTINUOUS, lam=0.0)
         with pytest.raises(ValueError):
             PEConfig(kind=PEKind.MULTIPLEXED_ROLL, waves=0)
+
+    @pytest.mark.parametrize("field", ["q", "k", "v", "positions"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs(self, field, bad):
+        rng = np.random.default_rng(12)
+        arrays = dict(zip("qkv", rng.standard_normal((3, 4, 8))), positions=np.arange(4.0))
+        arrays[field][1] = bad
+        with pytest.raises(ValueError, match=field):
+            AttentionBatch(**arrays)
+
+
+class TestEncodeTranspose:
+    """The transpose mode of the row encoder is the adjoint of the encoding."""
+
+    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+    @pytest.mark.parametrize(
+        "pe",
+        [
+            _pe(PEKind.NONE),
+            _pe(PEKind.SINUSOIDAL_APE),
+            _pe(PEKind.ROLL_DISCRETE),
+            _pe(PEKind.ROLL_CONTINUOUS, lam=1.3, branch=SpectralBranch.RAW),
+            _pe(PEKind.ROLL_CONTINUOUS, lam=1.3, branch=SpectralBranch.CENTERED),
+            _pe(PEKind.ROPE),
+            _pe(PEKind.MULTIPLEXED_ROLL, waves=3),
+        ],
+        ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}",
+    )
+    def test_adjoint_identity(self, pe, axial):
+        """<enc(x) - enc(0), y> == <x, enc^T(y)> for the kind's positions."""
+        rng = np.random.default_rng(13)
+        n = 12
+        integer = pe.kind in (
+            PEKind.SINUSOIDAL_APE, PEKind.ROLL_DISCRETE, PEKind.MULTIPLEXED_ROLL
+        )
+        shape = (5, 2) if axial else (5,)
+        if integer:
+            positions = rng.integers(-20, 20, size=shape).astype(float)
+        else:
+            positions = rng.uniform(-20.0, 20.0, size=shape)
+        for pos in positions:
+            x, y = rng.standard_normal((2, n))
+            linear = _encode_row(x, pos, pe, axial) - _encode_row(np.zeros(n), pos, pe, axial)
+            adjoint = _encode_row(y, pos, pe, axial, transpose=True)
+            assert abs(linear @ y - x @ adjoint) <= 1e-12
 
 
 class TestSoftmax:

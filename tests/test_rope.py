@@ -7,7 +7,6 @@ import pytest
 
 from rollpe.rope import (
     FrequencySchedule,
-    RopeState,
     classic_schedule,
     equivalence_residual,
     realified_fourier_basis,
@@ -136,13 +135,6 @@ class TestSchedules:
             roll_induced_schedule(4, lam=0.0)
         with pytest.raises(ValueError):
             FrequencySchedule(np.array([np.inf]))
-
-    def test_rope_state_dimension_contract(self):
-        sched = classic_schedule(8)
-        assert RopeState(sched).dim == 8
-        assert RopeState(sched, 8).dim == 8
-        with pytest.raises(ValueError):
-            RopeState(sched, 6)
 
 
 class TestRealifiedBasis:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rollpe.roll_core import roll_discrete, shift_matrix
 from rollpe.spectral import (
@@ -12,12 +14,26 @@ from rollpe.spectral import (
     generator_residuals,
     log_shift_generator,
     roll_continuous,
-    roll_continuous_fft,
 )
 
 RAW = SpectralBranch.RAW
 CENTERED = SpectralBranch.CENTERED
 BOTH = (RAW, CENTERED)
+
+
+def _dense_roll(q, p, lam, branch):
+    """Oracle: exponentiate the shift logarithm through the dense DFT matrix.
+
+    The eigenvalue angles are written out here rather than taken from
+    ``branch_angles`` so the check does not share code with the FFT path.
+    """
+    n = q.size
+    k = np.arange(n)
+    if branch is CENTERED:
+        k = np.where(2 * k <= n, k, k - n)
+    f = dft_matrix(n)
+    phases = np.exp(2j * np.pi * k * p / (lam * n))
+    return (f.conj().T @ (phases * (f @ q))).real
 
 
 class TestDftMatrix:
@@ -223,32 +239,60 @@ class TestRollContinuous:
 
 
 class TestRollContinuousFft:
+    """The FFT implementation against the dense DFT oracle."""
+
     def test_matches_dense_path(self):
-        """200 random (q, p) pairs across sizes: FFT path == dense path."""
+        """Random (q, p, lam) across odd and even sizes, both branches."""
         rng = np.random.default_rng(99)
         worst = 0.0
-        for _ in range(40):
+        for _ in range(20):
             for n in (4, 5, 16, 17, 64):
-                q = rng.standard_normal(n)
-                p = float(rng.uniform(-2 * n, 2 * n))
-                gap = np.abs(
-                    roll_continuous_fft(q, p) - roll_continuous(q, p, 1.0, CENTERED)
-                ).max()
-                worst = max(worst, float(gap))
+                for branch in BOTH:
+                    q = rng.standard_normal(n)
+                    lam = float(rng.uniform(0.5, 3.0))
+                    p = float(rng.uniform(-2 * lam * n, 2 * lam * n))
+                    gap = np.abs(
+                        roll_continuous(q, p, lam, branch) - _dense_roll(q, p, lam, branch)
+                    ).max()
+                    worst = max(worst, float(gap))
         assert worst <= 1e-9
 
     def test_zero_shift(self):
         q = np.arange(1.0, 7.0)
-        np.testing.assert_allclose(roll_continuous_fft(q, 0.0), q, atol=1e-12)
+        for branch in BOTH:
+            np.testing.assert_allclose(roll_continuous(q, 0.0, 1.0, branch), q, atol=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, 2.5])
     def test_full_period(self, lam):
         rng = np.random.default_rng(21)
         q = rng.standard_normal(12)
-        np.testing.assert_allclose(roll_continuous_fft(q, 12 * lam, lam), q, atol=1e-9)
+        for branch in BOTH:
+            np.testing.assert_allclose(
+                roll_continuous(q, 12 * lam, lam, branch), q, atol=1e-9
+            )
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            roll_continuous_fft(np.ones(4), np.nan)
-        with pytest.raises(ValueError):
-            roll_continuous_fft(np.ones(4), 1.0, lam=0.0)
+        for q in (np.ones((2, 4)), np.ones(0)):
+            with pytest.raises(ValueError):
+                roll_continuous(q, 0.5)
+
+    def test_nan_input_raises_instead_of_returning_nan(self):
+        """The odd-n centered leak guard must not let NaN through."""
+        with pytest.raises(FloatingPointError):
+            roll_continuous(np.array([np.nan, 1.0, 2.0]), 0.5)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        n=st.sampled_from([3, 4, 5, 8, 9, 16]),
+        branch=st.sampled_from(BOTH),
+        lam=st.sampled_from([0.5, 1.0, 2.0]),
+        steps=st.integers(-(10**15), 10**15),
+    )
+    def test_huge_integer_positions_match_discrete(self, n, branch, lam, steps):
+        """Reducing p modulo lam * n keeps |p| up to 1e15 exact to machine precision.
+
+        Power-of-two wavelengths keep steps * lam exact in float64.
+        """
+        q = np.random.default_rng(n).standard_normal(n)
+        got = roll_continuous(q, steps * lam, lam, branch)
+        np.testing.assert_allclose(got, roll_discrete(q, steps), rtol=0, atol=1e-12)
