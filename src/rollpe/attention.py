@@ -7,6 +7,14 @@ or axially, with each half of the row encoded by one coordinate of a 2-D
 position.  Every encoding here is a linear map of the row, which is what
 lets ``grad_check`` compare an analytic input gradient against central
 finite differences.
+
+Each ``attend`` call writes two t x t arrays: the logits, with the
+1/sqrt(d) scale folded into the (t, n) query side, and the scores, built
+from them by one subtraction into a new array followed by an in-place
+exponential and row normalisation.  ``grad_check`` differences the loss
+row by row: bumping Q[i, j] moves only row i of the scores, so it scores
+every bumped query row against the unbumped keys in one softmax call
+instead of running a whole ``attend`` per bump.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .multiplex import MultiplexBank, mproll
-from .roll_core import roll_discrete
+from .roll_core import _score_scale, roll_discrete
 from .rope import classic_schedule, rope_apply
 from .spectral import SpectralBranch, roll_continuous
 
@@ -66,12 +74,17 @@ class PEConfig:
             raise ValueError("waves must be at least 1")
 
 
+# float64 represents every integer of smaller magnitude exactly
+_POSITION_LIMIT = 2.0**53
+
+
 @dataclass(frozen=True)
 class AttentionBatch:
     """Q/K/V row matrices (t tokens by head dim n) with per-token positions.
 
     ``positions`` has shape (t,) for scalar positions or (t, 2) for axial
-    encodings.  Every entry must be finite.
+    encodings.  Every entry must be finite, and every position below 2**53
+    in magnitude, so that integer positions are stored exactly.
     """
 
     q: np.ndarray
@@ -91,9 +104,13 @@ class AttentionBatch:
             raise ValueError("positions must have one row per token")
         if pos.ndim == 2 and pos.shape[1] != 2:
             raise ValueError("axial positions must be (t, 2)")
-        for name, arr in (("q", q), ("k", k), ("v", v), ("positions", pos)):
+        for name, arr in (("q", q), ("k", k), ("v", v)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds non-finite values")
+        # NaN and inf fail this bound too; below it every integer is exact
+        if not (np.abs(pos) < _POSITION_LIMIT).all():
+            raise ValueError("positions must be finite and below 2**53 in magnitude")
+        for name, arr in (("q", q), ("k", k), ("v", v), ("positions", pos)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -217,32 +234,48 @@ def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of ``z`` in one new array; ``z`` is left as it is.
+
+    Raises ``FloatingPointError`` if a row maximum is not finite: the
+    logits overflowed or hold NaN, and the softmax would be NaN.
+    """
+    peak = z.max(axis=1, keepdims=True)
+    if not np.isfinite(peak).all():
+        raise FloatingPointError("attention logits overflowed")
+    e = np.subtract(z, peak)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
-def _encoded_qk(batch: AttentionBatch, pe: PEConfig):
-    rows = range(batch.tokens)
-    pos = batch.positions
-    enc_q = np.stack([_encode_row(batch.q[i], pos[i], pe, pe.axial) for i in rows])
-    enc_k = np.stack([_encode_row(batch.k[i], pos[i], pe, pe.axial) for i in rows])
-    return enc_q, enc_k
+def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
+    """Logits enc_q enc_k^T / scale and their row softmax: two new arrays."""
+    logits = (enc_q / scale) @ enc_k.T
+    return logits, _softmax_rows(logits)
+
+
+def _encode_rows(
+    x: np.ndarray, positions: np.ndarray, pe: PEConfig, transpose: bool = False
+) -> np.ndarray:
+    """Encode row i of ``x`` at positions[i]; the identity returns ``x`` itself."""
+    if pe.kind is PEKind.NONE:
+        return x
+    return np.stack(
+        [_encode_row(row, pos, pe, pe.axial, transpose) for row, pos in zip(x, positions)]
+    )
 
 
 def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> AttentionOutput:
     """softmax(enc(Q) enc(K)^T / sqrt(d)) V with the configured encoding.
 
-    ``d`` defaults to the head dimension.
+    ``d`` defaults to the head dimension and must be finite and positive.
+    Raises ``FloatingPointError`` if the logits overflow.
     """
     _check_batch(batch, pe)
-    if d is None:
-        d = float(batch.dim)
-    if not d > 0:
-        raise ValueError("d must be positive")
-    enc_q, enc_k = _encoded_qk(batch, pe)
-    logits = enc_q @ enc_k.T / math.sqrt(d)
-    scores = _softmax_rows(logits)
+    scale = _score_scale(batch.dim, batch.dim, d)
+    enc_q = _encode_rows(batch.q, batch.positions, pe)
+    enc_k = _encode_rows(batch.k, batch.positions, pe)
+    logits, scores = _attention_weights(enc_q, enc_k, scale)
     return AttentionOutput(output=scores @ batch.v, scores=scores, logits=logits)
 
 
@@ -270,48 +303,48 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
 
     The scalar loss is the sum of all attention outputs; the gradient is
     taken with respect to every entry of Q.  Central differences use the
-    given step.
+    given step and are row-local: bumping Q[i, j] changes only row i of
+    the scores, so each of the 2*t*n bumped query rows is encoded on its
+    own and scored against the unbumped keys, all in one softmax call,
+    and only row i's loss term is differenced.  The other rows' terms
+    cancel exactly, so this is the whole-loss central difference without
+    its cancellation error.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     _check_batch(batch, pe)
-    d = float(batch.dim)
-
-    analytic = _loss_grad_wrt_q(batch, pe, d)
-
-    fd = np.empty_like(analytic)
-    base_q = np.array(batch.q)
-    for i in range(batch.tokens):
-        for j in range(batch.dim):
-            for sign, slot in ((+1.0, 0), (-1.0, 1)):
-                bumped = base_q.copy()
-                bumped[i, j] += sign * eps
-                shifted = AttentionBatch(bumped, batch.k, batch.v, batch.positions)
-                val = float(attend(shifted, pe, d).output.sum())
-                if slot == 0:
-                    f_plus = val
-                else:
-                    fd[i, j] = (f_plus - val) / (2.0 * eps)
-
+    analytic = _loss_grad_wrt_q(batch, pe)
+    fd = _loss_grad_fd(batch, pe, eps)
     if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(fd))):
         raise FloatingPointError("non-finite values encountered in gradient check")
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
     return float((np.abs(analytic - fd) / denom).max())
 
 
-def _loss_grad_wrt_q(batch: AttentionBatch, pe: PEConfig, d: float) -> np.ndarray:
-    enc_q, enc_k = _encoded_qk(batch, pe)
-    scores = _softmax_rows(enc_q @ enc_k.T / math.sqrt(d))
+def _loss_grad_fd(batch: AttentionBatch, pe: PEConfig, eps: float) -> np.ndarray:
+    """Row-local central differences of sum(attend(batch).output) in Q."""
+    t, n = batch.q.shape
+    steps = eps * np.eye(n)
+    # bumped[i, 0, j] = Q[i] + eps e_j and bumped[i, 1, j] = Q[i] - eps e_j
+    bumped = np.stack([batch.q[:, None] + steps, batch.q[:, None] - steps], axis=1)
+    enc = _encode_rows(
+        bumped.reshape(2 * t * n, n), np.repeat(batch.positions, 2 * n, axis=0), pe
+    )
+    enc_k = _encode_rows(batch.k, batch.positions, pe)
+    _, scores = _attention_weights(enc, enc_k, _score_scale(n, n, None))
+    # row i's loss term is scores[i] @ V summed over its columns
+    terms = (scores @ batch.v.sum(axis=1)).reshape(t, 2, n)
+    return (terms[:, 0] - terms[:, 1]) / (2.0 * eps)
+
+
+def _loss_grad_wrt_q(batch: AttentionBatch, pe: PEConfig) -> np.ndarray:
+    scale = _score_scale(batch.dim, batch.dim, None)
+    enc_q = _encode_rows(batch.q, batch.positions, pe)
+    enc_k = _encode_rows(batch.k, batch.positions, pe)
+    _, scores = _attention_weights(enc_q, enc_k, scale)
 
     # loss = sum(scores @ V): d loss / d scores[i, j] = sum_m V[j, m]
-    g_scores = np.broadcast_to(batch.v.sum(axis=1), scores.shape)
-    dots = np.sum(scores * g_scores, axis=1, keepdims=True)
-    g_logits = scores * (g_scores - dots)
-    g_enc_q = g_logits @ enc_k / math.sqrt(d)
-
-    return np.stack(
-        [
-            _encode_row(g_enc_q[i], batch.positions[i], pe, pe.axial, transpose=True)
-            for i in range(batch.tokens)
-        ]
-    )
+    v_sum = batch.v.sum(axis=1)
+    g_logits = scores * (v_sum - (scores @ v_sum)[:, None])
+    g_enc_q = g_logits @ enc_k / scale
+    return _encode_rows(g_enc_q, batch.positions, pe, transpose=True)

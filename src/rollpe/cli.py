@@ -22,7 +22,13 @@ import numpy as np
 
 from .attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
 from .multiplex import equivariance_violation_witness
-from .roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
+from .roll_core import (
+    _score_scale,
+    relative_form_score,
+    roll_discrete,
+    rollpe_score,
+    shift_matrix,
+)
 from .rope import classic_schedule, equivalence_residual, rope_apply
 from .spectral import SpectralBranch, branch_angles, dft_matrix, roll_continuous
 
@@ -80,8 +86,7 @@ class RunConfig:
             raise ValueError("lambda must be positive")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
-        if self.d_override is not None and not self.d_override > 0:
-            raise ValueError("d override must be positive")
+        _score_scale(self.n, self.n, self.d_override)
         if self.bench_repeats < 1 or self.bench_warmup < 0:
             raise ValueError("bench repeats must be >= 1 and warmup >= 0")
         if self.command in ("grad-check", "attention-demo") and self.n % 2 != 0:

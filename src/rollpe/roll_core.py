@@ -75,14 +75,15 @@ def _score_scale(n_q: int, n_k: int, d: float | None) -> float:
     """sqrt(d) for a score between length-``n_q`` and length-``n_k`` encodings.
 
     The lengths must agree; ``d`` defaults to that length and must be
-    positive.  Shared by every score function in the package.
+    finite and positive.  Shared by every score function in the package,
+    ``attend`` and the CLI's ``--d-override`` check.
     """
     if n_q != n_k:
         raise ValueError("query and key must share the same length")
     if d is None:
         d = float(n_q)
-    if not d > 0:
-        raise ValueError("d must be positive")
+    if not 0 < d < math.inf:
+        raise ValueError("d must be finite and positive")
     return math.sqrt(d)
 
 

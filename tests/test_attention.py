@@ -12,7 +12,8 @@ from rollpe.attention import (
     grad_check,
     sinusoidal_ape,
 )
-from rollpe.attention import _encode_row, _softmax_rows
+from rollpe import attention
+from rollpe.attention import _encode_row, _loss_grad_fd, _softmax_rows
 from rollpe.roll_core import roll_discrete
 from rollpe.rope import classic_schedule, rope_apply
 from rollpe.spectral import SpectralBranch, roll_continuous
@@ -112,8 +113,23 @@ class TestAttend:
         cold = attend(batch, _pe(PEKind.NONE), d=1e4)
         # smaller d sharpens the softmax
         assert hot.scores.max() > cold.scores.max()
-        with pytest.raises(ValueError):
-            attend(batch, _pe(PEKind.NONE), d=0.0)
+        for bad in (0.0, np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                attend(batch, _pe(PEKind.NONE), d=bad)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("kind", [PEKind.NONE, PEKind.ROLL_DISCRETE, PEKind.ROPE])
+    def test_overflowing_logits_raise(self, kind):
+        """Finite Q/K whose products overflow must not come back as NaN scores."""
+        big = np.full((4, 8), 1e200)
+        batch = AttentionBatch(big, big, np.ones((4, 8)), np.arange(4))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            attend(batch, _pe(kind))
+        mixed = big.copy()
+        mixed[:, ::2] *= -1
+        with pytest.raises(FloatingPointError, match="overflow"):
+            # +inf and -inf products meet in one sum: NaN logits
+            attend(AttentionBatch(big, mixed, np.ones((4, 8)), np.arange(4)), _pe(PEKind.NONE))
 
     def test_encoding_isometries(self):
         rng = np.random.default_rng(8)
@@ -180,6 +196,25 @@ class TestAttend:
         with pytest.raises(ValueError, match=field):
             AttentionBatch(**arrays)
 
+    def test_position_magnitude_bound(self):
+        """Integer positions from 2**53 on cannot be stored exactly and are refused."""
+        rng = np.random.default_rng(21)
+        q, k, v = rng.standard_normal((3, 2, 8))
+        limit = 2**53
+        for bad in (limit, limit + 1, -limit, 2**70):
+            with pytest.raises(ValueError, match="positions"):
+                AttentionBatch(q, k, v, np.array([0, bad], dtype=object))
+        with pytest.raises(ValueError, match="positions"):
+            AttentionBatch(q, k, v, np.array([0, limit + 1], dtype=np.int64))
+        edge = AttentionBatch(q, k, v, [0, limit - 1])
+        assert edge.positions[1] == limit - 1
+        out = attend(edge, _pe(PEKind.ROLL_DISCRETE))
+        np.testing.assert_allclose(out.scores.sum(axis=1), np.ones(2), atol=1e-12)
+        # fractional positions up to 1e15 stay accepted
+        frac = AttentionBatch(q, k, v, [1e15 + 0.375, -1e15 - 0.5])
+        out = attend(frac, _pe(PEKind.ROLL_CONTINUOUS))
+        assert np.isfinite(out.output).all()
+
 
 class TestEncodeTranspose:
     """The transpose mode of the row encoder is the adjoint of the encoding."""
@@ -215,6 +250,38 @@ class TestEncodeTranspose:
             linear = _encode_row(x, pos, pe, axial) - _encode_row(np.zeros(n), pos, pe, axial)
             adjoint = _encode_row(y, pos, pe, axial, transpose=True)
             assert abs(linear @ y - x @ adjoint) <= 1e-12
+
+
+def _two_pass_reference(batch, pe):
+    """Plain per-row encode, then logits, softmax and values, one array each."""
+    rows = range(batch.tokens)
+    pos = batch.positions
+    enc_q = np.stack([_encode_row(batch.q[i], pos[i], pe, pe.axial) for i in rows])
+    enc_k = np.stack([_encode_row(batch.k[i], pos[i], pe, pe.axial) for i in rows])
+    logits = enc_q @ enc_k.T / np.sqrt(batch.dim)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    scores = e / e.sum(axis=1, keepdims=True)
+    return scores @ batch.v, scores, logits
+
+
+class TestAttentionCore:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_two_pass_reference(self, kind):
+        rng = np.random.default_rng(22)
+        batch = _batch(rng, 256, 16)
+        pe = _pe(kind, waves=2)
+        out = attend(batch, pe)
+        for name, want in zip(("output", "scores", "logits"), _two_pass_reference(batch, pe)):
+            np.testing.assert_allclose(getattr(out, name), want, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_outputs_alias_nothing(self, kind):
+        batch = _batch(np.random.default_rng(23), 6, 8)
+        out = attend(batch, _pe(kind, waves=2))
+        arrays = [out.output, out.scores, out.logits, batch.q, batch.k, batch.v, batch.positions]
+        for i, a in enumerate(arrays[:3]):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestSoftmax:
@@ -312,3 +379,77 @@ class TestGradCheck:
             grad_check(_pe(PEKind.NONE), batch, eps=1e-8)
         with pytest.raises(ValueError):
             grad_check(_pe(PEKind.NONE), batch, eps=1e-2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_raises(self):
+        big = np.full((3, 8), 1e200)
+        batch = AttentionBatch(big, big, np.ones((3, 8)), np.arange(3))
+        with pytest.raises(FloatingPointError):
+            grad_check(_pe(PEKind.ROLL_DISCRETE), batch)
+
+
+def _whole_attend_fd(batch, pe, eps):
+    """The central difference of the summed output, one whole attend per bump."""
+    fd = np.empty(batch.q.shape)
+    for i in range(batch.tokens):
+        for j in range(batch.dim):
+            loss = []
+            for sign in (+1.0, -1.0):
+                bumped = np.array(batch.q)
+                bumped[i, j] += sign * eps
+                shifted = AttentionBatch(bumped, batch.k, batch.v, batch.positions)
+                loss.append(float(attend(shifted, pe).output.sum()))
+            fd[i, j] = (loss[0] - loss[1]) / (2.0 * eps)
+    return fd
+
+
+_GRAD_CONFIGS = [
+    _pe(PEKind.NONE),
+    _pe(PEKind.SINUSOIDAL_APE),
+    _pe(PEKind.ROLL_DISCRETE),
+    _pe(PEKind.ROLL_CONTINUOUS, lam=1.5, branch=SpectralBranch.CENTERED),
+    _pe(PEKind.ROLL_CONTINUOUS, lam=0.8, branch=SpectralBranch.RAW),
+    _pe(PEKind.ROPE),
+    _pe(PEKind.MULTIPLEXED_ROLL, waves=2),
+]
+
+
+class TestRowLocalDifferences:
+    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+    @pytest.mark.parametrize("pe", _GRAD_CONFIGS, ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}")
+    def test_match_whole_attend_differences(self, pe, axial):
+        rng = np.random.default_rng(24)
+        t, n = 4, 8
+        shape = (t, 2) if axial else (t,)
+        if pe.kind in (PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
+            positions = rng.uniform(-5.0, 5.0, size=shape)
+        else:
+            positions = rng.integers(-5, 6, size=shape).astype(float)
+        q, k, v = rng.standard_normal((3, t, n))
+        batch = AttentionBatch(q, k, v, positions)
+        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+        got = _loss_grad_fd(batch, pe, 1e-5)
+        np.testing.assert_allclose(got, _whole_attend_fd(batch, pe, 1e-5), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "pe",
+        [
+            _pe(PEKind.ROLL_DISCRETE),
+            _pe(PEKind.ROLL_CONTINUOUS, lam=1.5),
+            _pe(PEKind.ROPE),
+            _pe(PEKind.MULTIPLEXED_ROLL, waves=2),
+        ],
+        ids=lambda pe: pe.kind.value,
+    )
+    def test_catch_a_wrong_transpose(self, pe, monkeypatch):
+        """With the forward map standing in for its transpose the check must fail."""
+        forward = attention._encode_row
+
+        def wrong(v, pos, pe, axial, transpose=False):
+            return forward(v, pos, pe, axial)
+
+        monkeypatch.setattr(attention, "_encode_row", wrong)
+        rng = np.random.default_rng(25)
+        q, k, v = rng.standard_normal((3, 4, 8))
+        batch = AttentionBatch(q, k, v, np.array([0.0, 1.0, 3.0, 6.0]))
+        assert grad_check(pe, batch) > 1e-2

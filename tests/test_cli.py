@@ -108,6 +108,9 @@ class TestRun:
             run(RunConfig(command="bench", format="xml"))
         with pytest.raises(ValueError):
             run(RunConfig(command="bench", lam=0.0))
+        for d in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                RunConfig(command="attention-demo", d_override=d).validate()
 
 
 class TestReportFiles:

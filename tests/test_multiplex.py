@@ -72,6 +72,11 @@ class TestMprollScore:
         with pytest.raises(ValueError):
             mproll_score(MultiplexBank([np.ones(3)]), MultiplexBank([np.ones(4)]), 0, 0)
 
+    def test_rejects_non_finite_d(self):
+        bank = MultiplexBank([np.ones(3)])
+        with pytest.raises(ValueError, match="finite"):
+            mproll_score(bank, bank, 0, 1, d=np.inf)
+
 
 class TestEquivarianceViolationWitness:
     def test_two_waves_find_witness(self):

@@ -134,6 +134,13 @@ class TestRollpeScore:
         with pytest.raises(ValueError):
             rollpe_score([1.0, 2.0], [1.0, 2.0], 0, 0, d=0.0)
 
+    @pytest.mark.parametrize("d", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_d(self, d):
+        with pytest.raises(ValueError, match="finite"):
+            rollpe_score([1.0, 2.0], [1.0, 2.0], 0, 1, d=d)
+        with pytest.raises(ValueError, match="finite"):
+            relative_form_score([1.0, 2.0], [1.0, 2.0], 1, d=d)
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(
         pair=_unit_vectors(),
