@@ -13,7 +13,6 @@ from .attention import (
     PEConfig,
     PEKind,
     attend,
-    axial_encode,
     grad_check,
     sinusoidal_ape,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SmoothnessReport",
     "SpectralBranch",
     "attend",
-    "axial_encode",
     "branch_angles",
     "circular_laplacian_loss",
     "classic_schedule",

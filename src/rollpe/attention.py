@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .multiplex import MultiplexBank, mproll
-from .roll_core import _score_scale, roll_discrete
+from .roll_core import _as_count, _as_steps, _check_wavelength, _score_scale, roll_discrete
 from .rope import classic_schedule, rope_apply
 from .spectral import SpectralBranch, roll_continuous
 
@@ -38,7 +38,6 @@ __all__ = [
     "AttentionOutput",
     "attend",
     "sinusoidal_ape",
-    "axial_encode",
     "grad_check",
 ]
 
@@ -57,7 +56,9 @@ class PEConfig:
     """Which positional encoding to apply, plus its parameters.
 
     ``axial`` splits the head dimension in half and encodes each half
-    with one coordinate of a 2-D position.
+    with one coordinate of a 2-D position.  ``kind`` and ``branch`` may be
+    given as members or as their string values; ``lam`` must be finite and
+    positive and ``waves`` a positive integer, whatever the kind.
     """
 
     kind: PEKind = PEKind.NONE
@@ -68,10 +69,9 @@ class PEConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", PEKind(self.kind))
-        if self.kind is PEKind.ROLL_CONTINUOUS and not self.lam > 0:
-            raise ValueError("continuous roll requires lambda > 0")
-        if self.waves < 1:
-            raise ValueError("waves must be at least 1")
+        object.__setattr__(self, "branch", SpectralBranch(self.branch))
+        object.__setattr__(self, "waves", _as_count(self.waves, "waves"))
+        _check_wavelength(self.lam)
 
 
 # float64 represents every integer of smaller magnitude exactly
@@ -84,7 +84,8 @@ class AttentionBatch:
 
     ``positions`` has shape (t,) for scalar positions or (t, 2) for axial
     encodings.  Every entry must be finite, and every position below 2**53
-    in magnitude, so that integer positions are stored exactly.
+    in magnitude, so that integer positions are stored exactly.  Neither
+    t nor n may be 0.
     """
 
     q: np.ndarray
@@ -100,6 +101,8 @@ class AttentionBatch:
         pos = np.array(self.positions, dtype=float)
         if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
             raise ValueError("Q, K, V must be 2-D matrices of one shared shape")
+        _as_count(q.shape[0], "t (tokens)")
+        _as_count(q.shape[1], "n (head dimension)")
         if pos.shape[0] != q.shape[0] or pos.ndim not in (1, 2):
             raise ValueError("positions must have one row per token")
         if pos.ndim == 2 and pos.shape[1] != 2:
@@ -146,17 +149,6 @@ def _multiplex_projections(n: int, waves: int) -> tuple:
     return tuple(mats)
 
 
-def _require_integer(p: float, kind: PEKind) -> int:
-    if not float(p).is_integer():
-        raise ValueError(f"{kind.value} requires integer positions, got {p!r}")
-    return int(p)
-
-
-def _check_subdim(n: int, pe: PEConfig) -> None:
-    if pe.kind in (PEKind.ROPE, PEKind.SINUSOIDAL_APE) and n % 2 != 0:
-        raise ValueError(f"{pe.kind.value} requires an even sub-vector length, got {n}")
-
-
 def _encode_1d(
     v: np.ndarray, p: float, pe: PEConfig, transpose: bool = False
 ) -> np.ndarray:
@@ -166,7 +158,7 @@ def _encode_1d(
     transpose of its linear part, which is what a gradient needs.  Rolls
     and rotations transpose to the same map at -p (the Nyquist cos factor
     is symmetric); the absolute embedding is an offset, so its linear part
-    is the identity.  Sub-vector lengths are checked by the callers.
+    is the identity.  Sub-vector lengths are checked by ``_check_batch``.
     """
     kind = pe.kind
     if kind is PEKind.NONE:
@@ -174,12 +166,12 @@ def _encode_1d(
     if kind is PEKind.SINUSOIDAL_APE:
         if transpose:
             return v
-        return v + sinusoidal_ape([_require_integer(p, kind)], v.size)[0]
+        return v + sinusoidal_ape([_as_steps(p, "position")], v.size)[0]
     if kind is PEKind.ROLL_CONTINUOUS:
         return roll_continuous(v, -p if transpose else p, pe.lam, pe.branch)
     if kind is PEKind.ROPE:
         return rope_apply(v, -p if transpose else p, classic_schedule(v.size))
-    p_int = _require_integer(p, kind)
+    p_int = _as_steps(p, "position")
     if kind is PEKind.ROLL_DISCRETE:
         return roll_discrete(v, -p_int if transpose else p_int)
     if kind is PEKind.MULTIPLEXED_ROLL:
@@ -211,15 +203,6 @@ def _encode_row(
     )
 
 
-def axial_encode(v, pos, pe: PEConfig) -> np.ndarray:
-    """Encode the first half of ``v`` with pos[0] and the second with pos[1]."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size % 2 != 0:
-        raise ValueError("axial encoding requires an even-length 1-D vector")
-    _check_subdim(v.size // 2, pe)
-    return _encode_row(v, pos, pe, axial=True)
-
-
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
     n = batch.dim
     if pe.axial:
@@ -230,7 +213,8 @@ def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
         n //= 2
     elif batch.positions.ndim != 1:
         raise ValueError("scalar encoding requires (t,) positions")
-    _check_subdim(n, pe)
+    if pe.kind in (PEKind.ROPE, PEKind.SINUSOIDAL_APE) and n % 2 != 0:
+        raise ValueError(f"{pe.kind.value} requires an even sub-vector length, got {n}")
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -285,7 +269,8 @@ def sinusoidal_ape(positions, n: int) -> np.ndarray:
     Row p holds sin(p * f_i) at even dims and cos(p * f_i) at odd dims,
     with f_i = 10000**(-2i/n).
     """
-    if n < 2 or n % 2 != 0:
+    n = _as_count(n)
+    if n % 2 != 0:
         raise ValueError("n must be a positive even integer")
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 1:

@@ -23,6 +23,8 @@ import numpy as np
 from .attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
 from .multiplex import equivariance_violation_witness
 from .roll_core import (
+    _as_count,
+    _check_wavelength,
     _score_scale,
     relative_form_score,
     roll_discrete,
@@ -78,17 +80,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        if self.n < 1 or self.t < 1 or self.waves < 1:
-            raise ValueError("n, t, and w must all be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not self.lam > 0:
-            raise ValueError("lambda must be positive")
+        for name in ("n", "t", "waves", "trials", "bench_repeats"):
+            _as_count(getattr(self, name), name)
+        _as_count(self.bench_warmup, "bench_warmup", least=0)
+        _check_wavelength(self.lam)
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
         _score_scale(self.n, self.n, self.d_override)
-        if self.bench_repeats < 1 or self.bench_warmup < 0:
-            raise ValueError("bench repeats must be >= 1 and warmup >= 0")
         if self.command in ("grad-check", "attention-demo") and self.n % 2 != 0:
             raise ValueError(f"{self.command} requires an even n (rotary/APE kinds)")
         if self.command == "attention-demo" and self.t > 256:
@@ -201,16 +199,8 @@ def _cmd_multiplex_witness(cfg: RunConfig):
 
 
 def _demo_pe_configs(cfg: RunConfig) -> dict[str, PEConfig]:
-    return {
-        PEKind.NONE.value: PEConfig(kind=PEKind.NONE),
-        PEKind.SINUSOIDAL_APE.value: PEConfig(kind=PEKind.SINUSOIDAL_APE),
-        PEKind.ROLL_DISCRETE.value: PEConfig(kind=PEKind.ROLL_DISCRETE),
-        PEKind.ROLL_CONTINUOUS.value: PEConfig(kind=PEKind.ROLL_CONTINUOUS, lam=cfg.lam),
-        PEKind.ROPE.value: PEConfig(kind=PEKind.ROPE),
-        PEKind.MULTIPLEXED_ROLL.value: PEConfig(
-            kind=PEKind.MULTIPLEXED_ROLL, waves=cfg.waves
-        ),
-    }
+    # lam reaches only roll-continuous and waves only multiplexed-roll
+    return {kind.value: PEConfig(kind=kind, lam=cfg.lam, waves=cfg.waves) for kind in PEKind}
 
 
 def _cmd_grad_check(cfg: RunConfig):
@@ -413,19 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        n=args.n,
-        t=args.t,
-        waves=args.waves,
-        lam=args.lam,
-        seed=args.seed,
-        trials=args.trials,
-        output_path=args.output_path,
-        format=args.format,
-        d_override=args.d_override,
-    )
+    # the parser's dests are RunConfig's field names
+    config = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
         report = run(config)
     except (ValueError, OSError) as exc:

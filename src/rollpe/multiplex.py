@@ -9,11 +9,11 @@ position, so translation invariance breaks (generically), which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .roll_core import _score_scale, roll_discrete
+from .roll_core import _as_count, _as_vector, _score_scale, roll_discrete
 
 __all__ = [
     "MultiplexBank",
@@ -31,13 +31,9 @@ class MultiplexBank:
     components: tuple
 
     def __init__(self, components):
-        comps = tuple(np.asarray(c, dtype=float) for c in components)
-        if not comps:
-            raise ValueError("bank must hold at least one component")
-        n = comps[0].size
-        for c in comps:
-            if c.ndim != 1 or c.size != n or n == 0:
-                raise ValueError("all components must be 1-D vectors of one shared length")
+        comps = tuple(_as_vector(c, "component") for c in components)
+        if len({c.size for c in comps}) != 1:
+            raise ValueError("bank must hold at least one component, all of one length")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -104,12 +100,9 @@ def equivariance_violation_witness(
     A single-wave bank can never produce a witness; the search then
     simply exhausts its budget.
     """
-    if n < 3:
-        raise ValueError("n must be at least 3")
-    if waves < 1:
-        raise ValueError("waves must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    n = _as_count(n, least=3)
+    waves = _as_count(waves, "waves")
+    budget = _as_count(budget, "budget")
     rng = np.random.default_rng(seed)
     best = EquivarianceWitness(found=False, attempts=budget, gap=0.0)
     for attempt in range(budget):
@@ -136,15 +129,4 @@ def equivariance_violation_witness(
             return witness
         if gap > best.gap:
             best = witness
-    return EquivarianceWitness(
-        found=False,
-        attempts=budget,
-        gap=best.gap,
-        bank_q=best.bank_q,
-        bank_k=best.bank_k,
-        p_q=best.p_q,
-        p_k=best.p_k,
-        t=best.t,
-        score_before=best.score_before,
-        score_after=best.score_after,
-    )
+    return replace(best, attempts=budget)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .roll_core import _as_vector
 from .spectral import SpectralBranch, roll_continuous
 
 __all__ = ["SmoothnessReport", "lipschitz_gap", "circular_laplacian_loss"]
@@ -33,9 +34,7 @@ def lipschitz_gap(q, delta_p: float, lam: float = 1.0) -> SmoothnessReport:
     two views satisfy distance^2 = 2 ||q||^2 (1 - correlation); that
     identity is verified internally before reporting.
     """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 1 or q.size == 0:
-        raise ValueError("q must be a non-empty 1-D vector")
+    q = _as_vector(q)
     norm_sq = float(q @ q)
     if norm_sq == 0.0:
         raise ValueError("q must be a nonzero vector")
@@ -60,8 +59,8 @@ def circular_laplacian_loss(q) -> float:
     Summed with ``math.fsum`` so the value is exactly invariant under
     cyclic relabeling of the coordinates.
     """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 1 or q.size < 2:
-        raise ValueError("q must be a 1-D vector with at least two entries")
+    q = _as_vector(q)
+    if q.size < 2:
+        raise ValueError("q must have at least two entries")
     diff = q - np.roll(q, -1)
     return math.fsum((diff * diff).tolist())

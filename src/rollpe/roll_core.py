@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+# One check per argument kind, shared by every public entry point.  The
+# per-row attention loop calls these 2*t (axially 4*t) times per call, so
+# each stays a scalar test.
+
+
 def _as_vector(x, name: str = "q") -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -31,11 +36,32 @@ def _as_vector(x, name: str = "q") -> np.ndarray:
     return arr
 
 
-def _as_steps(p) -> int:
-    steps = int(p)
-    if steps != p:
-        raise ValueError(f"shift count must be an integer, got {p!r}")
+def _as_steps(p, name: str = "shift count") -> int:
+    """``p`` as an int; fractions, NaN and +-inf raise ``ValueError``."""
+    try:
+        steps = int(p)
+    except (OverflowError, ValueError):
+        steps = None
+    if steps is None or steps != p:
+        raise ValueError(f"{name} must be an integer, got {p!r}")
     return steps
+
+
+def _as_count(n, name: str = "n", least: int = 1) -> int:
+    """``n`` as an int >= ``least``; fractions, NaN, inf and less raise ``ValueError``."""
+    if not n >= least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
+    return _as_steps(n, name)
+
+
+def _check_wavelength(lam) -> None:
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+
+
+def _check_position(p) -> None:
+    if not math.isfinite(p):
+        raise ValueError(f"position must be finite, got {p!r}")
 
 
 def roll_discrete(q, p: int) -> np.ndarray:
@@ -63,8 +89,7 @@ def shift_matrix(n: int, p: int = 1) -> np.ndarray:
     ``shift_matrix(n, p) @ q`` equals ``roll_discrete(q, p)``.  Kept as an
     explicit oracle; production paths always roll by indexing.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _as_count(n)
     mat = np.zeros((n, n), dtype=np.int64)
     idx = np.arange(n)
     mat[idx, (idx + _as_steps(p)) % n] = 1

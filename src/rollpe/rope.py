@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .roll_core import _as_count, _as_vector, _check_position, _check_wavelength
 from .spectral import SpectralBranch, dft_matrix, roll_continuous
 
 __all__ = [
@@ -35,7 +36,6 @@ class FrequencySchedule:
     """Per-plane rotation frequencies omega_k (one entry per 2-D plane)."""
 
     omegas: np.ndarray
-    source: str = "custom"
 
     def __post_init__(self):
         omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
@@ -53,9 +53,8 @@ class FrequencySchedule:
 
 def rope_apply(v, p: float, sched: FrequencySchedule) -> np.ndarray:
     """Rotate each pair (v[2k], v[2k+1]) by angle p * omega_k (counterclockwise)."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("v must be a 1-D vector")
+    v = _as_vector(v, "v")
+    _check_position(p)
     if v.size % 2 != 0:
         raise ValueError("v must have even length")
     if v.size != 2 * sched.planes:
@@ -73,10 +72,11 @@ def rope_apply(v, p: float, sched: FrequencySchedule) -> np.ndarray:
 
 def classic_schedule(n: int) -> FrequencySchedule:
     """Standard rotary frequencies omega_k = 10000**(-2k/n), k = 0..n/2-1."""
-    if n < 2 or n % 2 != 0:
+    n = _as_count(n)
+    if n % 2 != 0:
         raise ValueError("n must be a positive even integer")
     k = np.arange(n // 2)
-    return FrequencySchedule(omegas=10000.0 ** (-2.0 * k / n), source="classic")
+    return FrequencySchedule(omegas=10000.0 ** (-2.0 * k / n))
 
 
 def roll_induced_schedule(n: int, lam: float = 1.0) -> FrequencySchedule:
@@ -86,12 +86,10 @@ def roll_induced_schedule(n: int, lam: float = 1.0) -> FrequencySchedule:
     logarithm: omega_k = 2*pi*k / (lam*n) for k = 1..ceil(n/2)-1.  The DC
     coordinate (and, for even n, the Nyquist coordinate) carry no plane.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    n = _as_count(n)
+    _check_wavelength(lam)
     k = np.arange(1, (n + 1) // 2)
-    return FrequencySchedule(omegas=2.0 * np.pi * k / (lam * n), source="roll-induced")
+    return FrequencySchedule(omegas=2.0 * np.pi * k / (lam * n))
 
 
 def realified_fourier_basis(n: int) -> np.ndarray:
@@ -102,6 +100,7 @@ def realified_fourier_basis(n: int) -> np.ndarray:
     (real) Nyquist row.  In these coordinates a fractional roll acts as
     identity (+) 2-D rotations (+) a cos-scaled Nyquist coordinate.
     """
+    n = _as_count(n)
     fmat = dft_matrix(n)
     rows = [fmat[0].real]
     for k in range(1, (n + 1) // 2):
@@ -121,10 +120,10 @@ def equivalence_residual(q, k, p_q: float, p_k: float, lam: float = 1.0) -> floa
     scales Nyquist by cos(pi*p/lam), and takes the dot product.  Returns
     |score_A - score_B|.
     """
-    q = np.asarray(q, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if q.ndim != 1 or k.ndim != 1 or q.size != k.size or q.size == 0:
-        raise ValueError("q and k must be non-empty 1-D vectors of equal length")
+    q = _as_vector(q, "q")
+    k = _as_vector(k, "k")
+    if q.size != k.size:
+        raise ValueError("query and key must share the same length")
     n = q.size
 
     score_a = float(

@@ -35,7 +35,13 @@ from enum import Enum
 
 import numpy as np
 
-from .roll_core import _as_vector, shift_matrix
+from .roll_core import (
+    _as_count,
+    _as_vector,
+    _check_position,
+    _check_wavelength,
+    shift_matrix,
+)
 
 __all__ = [
     "SpectralBranch",
@@ -85,8 +91,7 @@ class GeneratorResiduals:
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix F[j, k] = exp(-2*pi*1j*j*k/n) / sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _as_count(n)
     j = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
@@ -95,18 +100,21 @@ def branch_angles(n: int, branch: SpectralBranch) -> np.ndarray:
     """Eigenvalue angles theta_k of the chosen logarithm branch.
 
     RAW gives 2*pi*k/n; CENTERED wraps each angle into (-pi, pi], which
-    for even n leaves the Nyquist angle at +pi.
+    for even n leaves the Nyquist angle at +pi.  ``branch`` must be a
+    member of :class:`SpectralBranch`; its string value is not accepted.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _as_count(n)
     k = np.arange(n)
     if branch is SpectralBranch.CENTERED:
         k = np.where(k <= n // 2, k, k - n)
+    elif branch is not SpectralBranch.RAW:
+        raise ValueError(f"branch must be a SpectralBranch member, got {branch!r}")
     return 2.0 * np.pi * k / n
 
 
 def log_shift_generator(n: int, branch: SpectralBranch = SpectralBranch.CENTERED) -> ShiftGenerator:
     """Build the generator A = F^H diag(1j * theta_k) F for the branch."""
+    n = _as_count(n)
     fmat = dft_matrix(n)
     theta = branch_angles(n, branch)
     matrix = fmat.conj().T @ (1j * theta[:, None] * fmat)
@@ -132,10 +140,8 @@ def roll_continuous(
     than silently corrupting scores.
     """
     q = _as_vector(q)
-    if not np.isfinite(p):
-        raise ValueError("p must be finite")
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    _check_position(p)
+    _check_wavelength(lam)
     n = q.size
     phases = np.exp(1j * branch_angles(n, branch) * (math.fmod(p, lam * n) / lam))
     out = np.fft.ifft(np.fft.fft(q) * phases)

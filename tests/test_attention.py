@@ -8,7 +8,6 @@ from rollpe.attention import (
     PEConfig,
     PEKind,
     attend,
-    axial_encode,
     grad_check,
     sinusoidal_ape,
 )
@@ -196,6 +195,14 @@ class TestAttend:
         with pytest.raises(ValueError, match=field):
             AttentionBatch(**arrays)
 
+    @pytest.mark.parametrize(
+        "shape, axis", [((0, 8), "tokens"), ((4, 0), "head dimension")], ids=["t=0", "n=0"]
+    )
+    def test_rejects_empty_axis(self, shape, axis):
+        empty = np.zeros(shape)
+        with pytest.raises(ValueError, match=axis):
+            AttentionBatch(empty, empty, empty, np.arange(shape[0]))
+
     def test_position_magnitude_bound(self):
         """Integer positions from 2**53 on cannot be stored exactly and are refused."""
         rng = np.random.default_rng(21)
@@ -323,23 +330,26 @@ class TestSinusoidalApe:
 
 
 class TestAxialEncode:
+    """Axial encoding through the row encoder and an axial ``attend``."""
+
     def test_zero_positions_identity_for_linear_kinds(self):
         rng = np.random.default_rng(14)
         v = rng.standard_normal(8)
         for kind in (PEKind.ROLL_DISCRETE, PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
-            got = axial_encode(v, (0, 0), _pe(kind, axial=True))
+            got = _encode_row(v, (0, 0), _pe(kind, axial=True), axial=True)
             np.testing.assert_allclose(got, v, atol=1e-12)
 
     def test_manual_split_oracle(self):
         rng = np.random.default_rng(15)
         v = rng.standard_normal(10)
-        got = axial_encode(v, (3, 1), _pe(PEKind.ROLL_DISCRETE, axial=True))
+        got = _encode_row(v, (3, 1), _pe(PEKind.ROLL_DISCRETE, axial=True), axial=True)
         want = np.concatenate([roll_discrete(v[:5], 3), roll_discrete(v[5:], 1)])
         np.testing.assert_array_equal(got, want)
 
     def test_rejects_odd_length(self):
-        with pytest.raises(ValueError):
-            axial_encode(np.ones(5), (0, 0), _pe(PEKind.ROLL_DISCRETE, axial=True))
+        batch = AttentionBatch(np.ones((2, 5)), np.ones((2, 5)), np.ones((2, 5)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="even head dimension"):
+            attend(batch, _pe(PEKind.ROLL_DISCRETE, axial=True))
 
 
 class TestGradCheck:

@@ -1,0 +1,120 @@
+"""Bad scalar arguments are refused with ``ValueError`` at every public entry point.
+
+Each argument kind (branch, wavelength, positive integer, position,
+integer shift) has one shared check in ``roll_core`` or ``spectral``, and
+one table here: a row names an entry point and makes a call that hands it
+a bad value of that kind.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, sinusoidal_ape
+from rollpe.cli import RunConfig
+from rollpe.multiplex import MultiplexBank, equivariance_violation_witness, mproll
+from rollpe.regularizer import lipschitz_gap
+from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
+from rollpe.rope import (
+    classic_schedule,
+    equivalence_residual,
+    realified_fourier_basis,
+    roll_induced_schedule,
+    rope_apply,
+)
+from rollpe.spectral import (
+    SpectralBranch,
+    branch_angles,
+    dft_matrix,
+    log_shift_generator,
+    roll_continuous,
+)
+
+# odd length, so the centered branch's leak guard is in play
+Q = np.array([0.3, -1.2, 2.0, 0.7, -0.4])
+INF = math.inf
+
+
+def _table(rows):
+    return pytest.mark.parametrize("call", list(rows.values()), ids=list(rows))
+
+
+@pytest.mark.parametrize("branch", list(SpectralBranch), ids=lambda b: b.value)
+def test_string_branch_equals_member(branch):
+    """A branch given by its string value runs that branch, guard included."""
+    named = PEConfig(kind="roll-continuous", branch=branch.value)
+    assert named.branch is branch
+    rng = np.random.default_rng(30)
+    q, k, v = rng.standard_normal((3, 6, 5))
+    batch = AttentionBatch(q, k, v, rng.uniform(-4.0, 4.0, size=6))
+    want = attend(batch, PEConfig(kind=PEKind.ROLL_CONTINUOUS, branch=branch)).scores
+    np.testing.assert_array_equal(attend(batch, named).scores, want)
+
+
+@_table({
+    "PEConfig": lambda: PEConfig(kind=PEKind.ROLL_CONTINUOUS, branch="principal"),
+    "branch_angles": lambda: branch_angles(5, "centered"),
+    "roll_continuous": lambda: roll_continuous(Q, 0.5, 1.0, "centered"),
+    "log_shift_generator": lambda: log_shift_generator(5, "raw"),
+})
+def test_non_member_branch_raises(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@_table({
+    "PEConfig": lambda: PEConfig(kind=PEKind.ROLL_CONTINUOUS, lam=INF),
+    "roll_continuous": lambda: roll_continuous(Q, 0.5, INF),
+    "roll_induced_schedule": lambda: roll_induced_schedule(5, INF),
+    "RunConfig": lambda: RunConfig(command="rope-equivalence", lam=INF).validate(),
+    "lipschitz_gap": lambda: lipschitz_gap(Q, 0.5, INF),
+    "equivalence_residual": lambda: equivalence_residual(Q, Q, 0.5, 1.5, INF),
+})
+def test_infinite_wavelength_raises(call):
+    """lambda = inf would make every roll the identity."""
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        call()
+
+
+@_table({
+    "shift_matrix": lambda: shift_matrix(2.5),
+    "dft_matrix": lambda: dft_matrix(2.5),
+    "branch_angles": lambda: branch_angles(2.5, SpectralBranch.CENTERED),
+    "log_shift_generator": lambda: log_shift_generator(2.5),
+    "realified_fourier_basis": lambda: realified_fourier_basis(2.5),
+    "roll_induced_schedule": lambda: roll_induced_schedule(2.5),
+    "classic_schedule": lambda: classic_schedule(2.5),
+    "sinusoidal_ape": lambda: sinusoidal_ape([0, 1], 2.5),
+    "equivariance_violation_witness/n": lambda: equivariance_violation_witness(3.5, 2, seed=0),
+    "equivariance_violation_witness/waves": lambda: equivariance_violation_witness(8, 2.5, seed=0),
+    "PEConfig/waves": lambda: PEConfig(kind=PEKind.MULTIPLEXED_ROLL, waves=2.5),
+    "RunConfig/n": lambda: RunConfig(command="bench", n=2.5).validate(),
+    "RunConfig/t": lambda: RunConfig(command="bench", t=2.5).validate(),
+    "RunConfig/waves": lambda: RunConfig(command="multiplex-witness", waves=2.5).validate(),
+    "RunConfig/trials": lambda: RunConfig(command="bench", trials=2.5).validate(),
+})
+def test_fractional_count_raises(call):
+    """Dimensions and counts must be integers, not just at least 1."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("p", [INF, -INF, math.nan])
+def test_non_finite_rope_position_raises(p):
+    with pytest.raises(ValueError, match="position must be finite"):
+        rope_apply(np.ones(4), p, classic_schedule(4))
+
+
+@pytest.mark.parametrize("p", [INF, -INF], ids=["inf", "-inf"])
+@_table({
+    "roll_discrete": lambda p: roll_discrete(Q, p),
+    "shift_matrix": lambda p: shift_matrix(5, p),
+    "rollpe_score": lambda p: rollpe_score(Q, Q, p, 0),
+    "relative_form_score": lambda p: relative_form_score(Q, Q, p),
+    "mproll": lambda p: mproll(MultiplexBank([Q]), p),
+})
+def test_infinite_shift_raises_value_error(call, p):
+    """An infinite shift is a bad argument, not an arithmetic overflow."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(p)

@@ -95,11 +95,16 @@ class TestEquivarianceViolationWitness:
         assert w.found and w.gap > 1e-3
 
     def test_single_wave_always_exhausts_budget(self):
+        """An exhausted search reports its budget and keeps its best attempt, which replays."""
         for seed in (0, 1, 7):
             w = equivariance_violation_witness(8, 1, seed=seed, budget=300)
             assert not w.found
             assert w.attempts == 300
             assert w.gap <= 1e-3
+            before = mproll_score(w.bank_q, w.bank_k, w.p_q, w.p_k)
+            after = mproll_score(w.bank_q, w.bank_k, w.p_q + w.t, w.p_k + w.t)
+            assert (before, after) == (w.score_before, w.score_after)
+            assert abs(after - before) == w.gap > 0.0
 
     def test_deterministic_in_seed(self):
         a = equivariance_violation_witness(8, 2, seed=5)
