@@ -58,7 +58,9 @@ class PEConfig:
     ``axial`` splits the head dimension in half and encodes each half
     with one coordinate of a 2-D position.  ``kind`` and ``branch`` may be
     given as members or as their string values; ``lam`` must be finite and
-    positive and ``waves`` a positive integer, whatever the kind.
+    positive and ``waves`` a positive integer, whatever the kind.  The RAW
+    branch keeps each vector's mean and damps the rest by |cos(pi*p/lam)|,
+    so at half-integer p/lam a RAW-encoded row is only its mean.
     """
 
     kind: PEKind = PEKind.NONE

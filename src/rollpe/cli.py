@@ -80,9 +80,9 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        for name in ("n", "t", "waves", "trials", "bench_repeats"):
-            _as_count(getattr(self, name), name)
-        _as_count(self.bench_warmup, "bench_warmup", least=0)
+        for name in ("n", "t", "waves", "trials", "bench_repeats", "bench_warmup"):
+            least = 0 if name == "bench_warmup" else 1
+            setattr(self, name, _as_count(getattr(self, name), name, least))
         _check_wavelength(self.lam)
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")

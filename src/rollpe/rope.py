@@ -55,8 +55,6 @@ def rope_apply(v, p: float, sched: FrequencySchedule) -> np.ndarray:
     """Rotate each pair (v[2k], v[2k+1]) by angle p * omega_k (counterclockwise)."""
     v = _as_vector(v, "v")
     _check_position(p)
-    if v.size % 2 != 0:
-        raise ValueError("v must have even length")
     if v.size != 2 * sched.planes:
         raise ValueError(
             f"schedule has {sched.planes} planes but v has length {v.size}"

@@ -8,6 +8,10 @@ angle per eigenvalue.  Two branches are provided:
                   is the textbook diagonalization, but not the principal
                   logarithm: fractional shifts of real vectors become
                   genuinely complex and only their real part is returned.
+                  That real part keeps the mean of q and scales the rest
+                  by exactly |cos(pi*p/lambda)|, so
+                  ||RAW(q, p) - mean|| = |cos(pi*p/lambda)| ||q - mean||
+                  and at half-integer p/lambda only the mean survives.
 * ``CENTERED`` -- the same angles wrapped into (-pi, pi].  The spectrum
                   is conjugate-symmetric, the generator is (for odd n)
                   real and skew-symmetric, and fractional shifts act as
@@ -20,11 +24,12 @@ integer shifts but damps Nyquist energy at fractional ones (the only
 deviation from strict isometry, and it is exactly sin(pi*p/lambda)^2
 times the Nyquist energy of the input).
 
-Fractional rolls are computed with an FFT: a roll is a per-frequency
-phase, so no n-by-n matrix is built.  The dense DFT matrix serves the
-generator and its residual diagnostics, which exponentiate through the
-unitary diagonalization; no general-purpose (Pade / scaling-squaring)
-matrix exponential is used anywhere in the library.
+Fractional rolls are computed with a real FFT: a roll is a per-frequency
+phase on bins 0..n/2 (RAW adds one per-bin factor), so no n-by-n matrix
+is built and the output is real by construction.  The dense DFT matrix
+serves the generator and its residual diagnostics, which exponentiate
+through the unitary diagonalization; no general-purpose (Pade /
+scaling-squaring) matrix exponential is used anywhere in the library.
 """
 
 from __future__ import annotations
@@ -53,11 +58,6 @@ __all__ = [
     "roll_continuous",
     "generator_residuals",
 ]
-
-# Imaginary leakage above this (relative) level means the conjugate
-# symmetry of the centered spectrum has been violated.
-_IMAG_LEAK_TOL = 1e-10
-
 
 class SpectralBranch(Enum):
     """Choice of eigenvalue angles for the shift-matrix logarithm."""
@@ -89,6 +89,11 @@ class GeneratorResiduals:
     circulant: float
 
 
+def _check_branch(branch) -> None:
+    if not isinstance(branch, SpectralBranch):
+        raise ValueError(f"branch must be a SpectralBranch member, got {branch!r}")
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary DFT matrix F[j, k] = exp(-2*pi*1j*j*k/n) / sqrt(n)."""
     n = _as_count(n)
@@ -104,11 +109,10 @@ def branch_angles(n: int, branch: SpectralBranch) -> np.ndarray:
     member of :class:`SpectralBranch`; its string value is not accepted.
     """
     n = _as_count(n)
+    _check_branch(branch)
     k = np.arange(n)
     if branch is SpectralBranch.CENTERED:
         k = np.where(k <= n // 2, k, k - n)
-    elif branch is not SpectralBranch.RAW:
-        raise ValueError(f"branch must be a SpectralBranch member, got {branch!r}")
     return 2.0 * np.pi * k / n
 
 
@@ -130,29 +134,30 @@ def roll_continuous(
 ) -> np.ndarray:
     """Roll ``q`` by a real amount ``p`` with period stretched by ``lam``.
 
-    Evolves each Fourier coefficient by exp(1j * theta_k * p / lam) with
-    an FFT and returns the real part.  Both branches have exact period
-    lam * n in p, so p is first reduced modulo that period, which keeps
-    huge positions as accurate as small ones.  At integer p/lam this
-    reproduces the discrete roll for both branches.  For the CENTERED
-    branch with odd n the discarded imaginary part must be negligible; a
-    violation (or a NaN in ``q``) raises ``FloatingPointError`` rather
-    than silently corrupting scores.
+    Scales each bin k = 0..n/2 of the real spectrum of ``q`` by
+    exp(2*pi*1j*k*r/n), r = p/lam, and transforms back, so the output is
+    real by construction.  The RAW branch, whose complex output is
+    reduced to its real part, is the same map with every non-DC bin
+    further scaled by exp(-1j*pi*r) * cos(pi*r): it keeps the mean and
+    damps the rest by exactly |cos(pi*p/lam)|, which leaves only the mean
+    at half-integer p/lam.  Both branches have exact period lam * n in p,
+    so p is first reduced modulo that period, which keeps huge positions
+    as accurate as small ones.  At integer p/lam this reproduces the
+    discrete roll for both branches.  A NaN or +-inf in ``q`` raises
+    ``FloatingPointError`` rather than silently corrupting scores.
     """
     q = _as_vector(q)
     _check_position(p)
     _check_wavelength(lam)
+    _check_branch(branch)
+    if not np.isfinite(q).all():
+        raise FloatingPointError("q must be finite")
     n = q.size
-    phases = np.exp(1j * branch_angles(n, branch) * (math.fmod(p, lam * n) / lam))
-    out = np.fft.ifft(np.fft.fft(q) * phases)
-    if branch is SpectralBranch.CENTERED and n % 2 == 1:
-        leak = float(np.abs(out.imag).max())
-        scale = max(1.0, float(np.linalg.norm(q)))
-        if not leak <= _IMAG_LEAK_TOL * scale:
-            raise FloatingPointError(
-                f"imaginary leakage {leak:.3e} exceeds {_IMAG_LEAK_TOL:.0e} * {scale:.3e}"
-            )
-    return np.ascontiguousarray(out.real)
+    r = math.fmod(p, lam * n) / lam
+    spec = np.fft.rfft(q) * np.exp(2j * np.pi / n * r * np.arange(n // 2 + 1))
+    if branch is SpectralBranch.RAW:
+        spec[1:] *= np.exp(-1j * np.pi * r) * math.cos(math.pi * r)
+    return np.fft.irfft(spec, n)
 
 
 def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:

@@ -31,7 +31,7 @@ from rollpe.spectral import (
     roll_continuous,
 )
 
-# odd length, so the centered branch's leak guard is in play
+# odd length: a real spectrum with no Nyquist bin
 Q = np.array([0.3, -1.2, 2.0, 0.7, -0.4])
 INF = math.inf
 
@@ -42,7 +42,7 @@ def _table(rows):
 
 @pytest.mark.parametrize("branch", list(SpectralBranch), ids=lambda b: b.value)
 def test_string_branch_equals_member(branch):
-    """A branch given by its string value runs that branch, guard included."""
+    """A branch given by its string value runs that branch."""
     named = PEConfig(kind="roll-continuous", branch=branch.value)
     assert named.branch is branch
     rng = np.random.default_rng(30)

@@ -112,6 +112,12 @@ class TestRun:
             with pytest.raises(ValueError, match="finite and positive"):
                 RunConfig(command="attention-demo", d_override=d).validate()
 
+    def test_integral_float_counts_are_stored_as_ints(self):
+        rep = run(RunConfig(command="rope-equivalence", n=8.0, trials=2))
+        assert rep.summary["passed"]
+        assert type(rep.config["n"]) is int and rep.config["n"] == 8
+        assert type(rep.config["trials"]) is int and len(rep.rows) == 2
+
 
 class TestReportFiles:
     def test_json_roundtrip(self, tmp_path):

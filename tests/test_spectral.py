@@ -1,12 +1,16 @@
 """Tests for the spectral (continuous roll) module."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rollpe.regularizer import lipschitz_gap
 from rollpe.roll_core import roll_discrete, shift_matrix
+from rollpe.rope import equivalence_residual
 from rollpe.spectral import (
     SpectralBranch,
     branch_angles,
@@ -205,6 +209,31 @@ class TestRollContinuous:
         out = roll_continuous(q, 0.3, 1.0, CENTERED)
         assert abs(np.linalg.norm(out) - np.linalg.norm(q)) <= 1e-10
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 33),
+        lam=st.floats(0.25, 4.0),
+        p=st.floats(-50.0, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_raw_keeps_the_mean_and_damps_the_rest_by_cos(self, n, lam, p, seed):
+        """RAW(q, p) - mean has norm |cos(pi p / lam)| ||q - mean||, odd and even n."""
+        q = np.random.default_rng(seed).standard_normal(n)
+        out = roll_continuous(q, p, lam, RAW)
+        mean = q.mean()
+        rest = float(np.linalg.norm(q - mean))
+        assert abs(out.mean() - mean) <= 1e-12 * float(np.linalg.norm(q))
+        damped = abs(math.cos(math.pi * p / lam)) * rest
+        assert abs(float(np.linalg.norm(out - mean)) - damped) <= 1e-12 * rest
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("p", [0.5, 1.5, -2.5])
+    def test_raw_at_half_integer_shift_is_only_the_mean(self, n, p):
+        q = np.arange(1.0, n + 1.0)
+        np.testing.assert_allclose(
+            roll_continuous(q, 2.0 * p, 2.0, RAW), np.full(n, q.mean()), atol=1e-12
+        )
+
     @pytest.mark.parametrize("lam", [0.5, 1.0, 3.7])
     @pytest.mark.parametrize("branch", BOTH)
     def test_periodicity_with_wavelength(self, lam, branch):
@@ -246,7 +275,7 @@ class TestRollContinuousFft:
         rng = np.random.default_rng(99)
         worst = 0.0
         for _ in range(20):
-            for n in (4, 5, 16, 17, 64):
+            for n in (1, 2, 3, 4, 5, 16, 17, 64):
                 for branch in BOTH:
                     q = rng.standard_normal(n)
                     lam = float(rng.uniform(0.5, 3.0))
@@ -296,3 +325,30 @@ class TestRollContinuousFft:
         q = np.random.default_rng(n).standard_normal(n)
         got = roll_continuous(q, steps * lam, lam, branch)
         np.testing.assert_allclose(got, roll_discrete(q, steps), rtol=0, atol=1e-12)
+
+
+def _with_entry(bad, n):
+    q = np.arange(1.0, n + 1.0)
+    q[1] = bad
+    return q
+
+
+_NON_FINITE = {
+    f"roll_continuous-n{n}-{branch.value}-{bad}": (
+        lambda n=n, branch=branch, bad=bad: roll_continuous(_with_entry(bad, n), 0.5, 1.0, branch)
+    )
+    for n in (4, 5)
+    for branch in BOTH
+    for bad in (math.nan, math.inf, -math.inf)
+}
+_NON_FINITE["lipschitz_gap"] = lambda: lipschitz_gap(_with_entry(math.nan, 4), 0.5)
+_NON_FINITE["equivalence_residual"] = lambda: equivalence_residual(
+    _with_entry(math.nan, 4), np.ones(4), 0.5, 1.5
+)
+
+
+@pytest.mark.parametrize("call", list(_NON_FINITE.values()), ids=list(_NON_FINITE))
+def test_non_finite_input_raises(call):
+    """NaN or +-inf in q raises for every size and branch instead of returning NaN."""
+    with pytest.raises(FloatingPointError):
+        call()
