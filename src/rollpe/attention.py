@@ -4,9 +4,12 @@ The layer owns no learned parameters: callers pass Q/K/V directly and a
 ``PEConfig`` naming the encoding.  Encodings are applied to query and key
 rows only (never values), either on the whole row with a scalar position
 or axially, with each half of the row encoded by one coordinate of a 2-D
-position.  Every encoding here is a linear map of the row, which is what
+position.  Every encoding here is an affine map of the row, which is what
 lets ``grad_check`` compare an analytic input gradient against central
-finite differences.
+finite differences.  The continuous roll and rope are one phase per
+frequency, so each side of a batch is encoded in one ``roll_continuous``
+or ``rope_apply`` call (one per half axially); the absolute embedding and
+the discrete and multiplexed rolls are still encoded row by row.
 
 Each ``attend`` call writes two t x t arrays: the logits, with the
 1/sqrt(d) scale folded into the (t, n) query side, and the scores, built
@@ -156,23 +159,18 @@ def _encode_1d(
 ) -> np.ndarray:
     """Encode one (sub-)row at position ``p``, or apply that map's transpose.
 
-    Every encoding is affine in ``v``; ``transpose=True`` applies the
-    transpose of its linear part, which is what a gradient needs.  Rolls
-    and rotations transpose to the same map at -p (the Nyquist cos factor
-    is symmetric); the absolute embedding is an offset, so its linear part
-    is the identity.  Sub-vector lengths are checked by ``_check_batch``.
+    Covers the kinds encoded row by row: the absolute embedding and the
+    discrete and multiplexed rolls.  ``transpose=True`` applies the
+    transpose of the linear part, which is what a gradient needs.  The
+    discrete roll transposes to the roll at -p; the absolute embedding is
+    an offset, so its linear part is the identity.  Sub-vector lengths
+    are checked by ``_check_batch``.
     """
     kind = pe.kind
-    if kind is PEKind.NONE:
-        return v
     if kind is PEKind.SINUSOIDAL_APE:
         if transpose:
             return v
-        return v + sinusoidal_ape([_as_steps(p, "position")], v.size)[0]
-    if kind is PEKind.ROLL_CONTINUOUS:
-        return roll_continuous(v, -p if transpose else p, pe.lam, pe.branch)
-    if kind is PEKind.ROPE:
-        return rope_apply(v, -p if transpose else p, classic_schedule(v.size))
+        return v + _ape_table([_as_steps(p, "position")], v.size)[0]
     p_int = _as_steps(p, "position")
     if kind is PEKind.ROLL_DISCRETE:
         return roll_discrete(v, -p_int if transpose else p_int)
@@ -240,12 +238,37 @@ def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
     return logits, _softmax_rows(logits)
 
 
+def _encode_phase(x: np.ndarray, p: np.ndarray, pe: PEConfig) -> np.ndarray:
+    """Continuous roll or rope of every row of ``x`` at p[i], in one kernel call."""
+    if pe.kind is PEKind.ROLL_CONTINUOUS:
+        return roll_continuous(x, p, pe.lam, pe.branch)
+    return rope_apply(x, p, classic_schedule(x.shape[1]))
+
+
 def _encode_rows(
     x: np.ndarray, positions: np.ndarray, pe: PEConfig, transpose: bool = False
 ) -> np.ndarray:
-    """Encode row i of ``x`` at positions[i]; the identity returns ``x`` itself."""
+    """Encode row i of ``x`` at positions[i], or apply that map's transpose.
+
+    The identity returns ``x`` itself.  The continuous roll and rope
+    encode the whole batch in one kernel call (one per half axially),
+    transposed at -positions; the other kinds encode row by row.
+    """
     if pe.kind is PEKind.NONE:
         return x
+    if pe.kind in (PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
+        if transpose:
+            positions = -positions
+        if not pe.axial:
+            return _encode_phase(x, positions, pe)
+        half = x.shape[1] // 2
+        return np.concatenate(
+            [
+                _encode_phase(x[:, :half], positions[:, 0], pe),
+                _encode_phase(x[:, half:], positions[:, 1], pe),
+            ],
+            axis=1,
+        )
     return np.stack(
         [_encode_row(row, pos, pe, pe.axial, transpose) for row, pos in zip(x, positions)]
     )
@@ -269,7 +292,19 @@ def sinusoidal_ape(positions, n: int) -> np.ndarray:
     """Fixed sin/cos absolute position table, one row per position.
 
     Row p holds sin(p * f_i) at even dims and cos(p * f_i) at odd dims,
-    with f_i = 10000**(-2i/n).
+    with f_i = 10000**(-2i/n).  NaN or +-inf positions raise ``ValueError``.
+    """
+    positions = np.asarray(positions, dtype=float)
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
+    return _ape_table(positions, n)
+
+
+def _ape_table(positions, n: int) -> np.ndarray:
+    """``sinusoidal_ape`` for positions known to be finite.
+
+    ``attend`` encodes the absolute embedding row by row at positions
+    ``AttentionBatch`` has already bounded, so it skips that check here.
     """
     n = _as_count(n)
     if n % 2 != 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roll_core import _as_vector
+from .roll_core import _as_vector, _check_finite
 from .spectral import SpectralBranch, roll_continuous
 
 __all__ = ["SmoothnessReport", "lipschitz_gap", "circular_laplacian_loss"]
@@ -57,9 +57,11 @@ def circular_laplacian_loss(q) -> float:
     """Cycle-graph Laplacian quadratic form: sum_i (q[i] - q[(i+1) % n])^2.
 
     Summed with ``math.fsum`` so the value is exactly invariant under
-    cyclic relabeling of the coordinates.
+    cyclic relabeling of the coordinates.  A NaN or +-inf in ``q`` raises
+    ``FloatingPointError``.
     """
     q = _as_vector(q)
+    _check_finite(q, "q")
     if q.size < 2:
         raise ValueError("q must have at least two entries")
     diff = q - np.roll(q, -1)

@@ -25,8 +25,11 @@ __all__ = [
 
 
 # One check per argument kind, shared by every public entry point.  The
-# per-row attention loop calls these 2*t (axially 4*t) times per call, so
-# each stays a scalar test.
+# continuous roll and rope encode a whole attention batch in one call, so
+# ``_as_rows`` runs once per batch; the per-row loop that the absolute
+# embedding, the discrete roll and the multiplexed roll still use calls the
+# others 2*t (axially 4*t) times per call, so each of those stays a scalar
+# test.
 
 
 def _as_vector(x, name: str = "q") -> np.ndarray:
@@ -59,9 +62,34 @@ def _check_wavelength(lam) -> None:
         raise ValueError(f"lambda must be finite and positive, got {lam!r}")
 
 
-def _check_position(p) -> None:
-    if not math.isfinite(p):
-        raise ValueError(f"position must be finite, got {p!r}")
+def _check_finite(x: np.ndarray, name: str) -> None:
+    """``FloatingPointError`` unless every entry of ``x`` is finite."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"{name} must be finite")
+
+
+def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``x`` as (t, n) rows with (t,) positions ``p``, plus the shape of ``x``.
+
+    A vector takes a scalar position and is the one-row case; a (t, n)
+    stack takes one position per row.  A wrong shape or a non-finite
+    position raises ``ValueError``, a non-finite entry of ``x``
+    ``FloatingPointError``: one reduction each per call, whatever t is.
+    """
+    arr = np.asarray(x, dtype=float)
+    pos = np.asarray(p, dtype=float)
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D vector or (t, n) stack of rows")
+    if pos.shape != arr.shape[:-1]:
+        raise ValueError(
+            f"{name} of shape {arr.shape} needs positions of shape {arr.shape[:-1]}, "
+            f"got {pos.shape}"
+        )
+    finite = np.isfinite(pos)
+    if not finite.all():
+        raise ValueError(f"position must be finite, got {float(pos[~finite][0])!r}")
+    _check_finite(arr, name)
+    return arr.reshape(-1, arr.shape[-1]), pos.reshape(-1), arr.shape
 
 
 def roll_discrete(q, p: int) -> np.ndarray:

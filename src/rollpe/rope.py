@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roll_core import _as_count, _as_vector, _check_position, _check_wavelength
+from .roll_core import _as_count, _as_rows, _as_vector, _check_wavelength
 from .spectral import SpectralBranch, dft_matrix, roll_continuous
 
 __all__ = [
@@ -51,21 +51,27 @@ class FrequencySchedule:
         return int(self.omegas.size)
 
 
-def rope_apply(v, p: float, sched: FrequencySchedule) -> np.ndarray:
-    """Rotate each pair (v[2k], v[2k+1]) by angle p * omega_k (counterclockwise)."""
-    v = _as_vector(v, "v")
-    _check_position(p)
-    if v.size != 2 * sched.planes:
+def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
+    """Rotate each pair (v[2k], v[2k+1]) by angle p * omega_k (counterclockwise).
+
+    ``v`` is one vector with a scalar ``p``, or a (t, 2m) stack of rows
+    with (t,) positions, row i rotated at p[i] through one (t, m) cos/sin
+    table; a vector is the one-row case.  The schedule needs one plane
+    per coordinate pair.  A non-finite or misshapen position raises
+    ``ValueError``, a NaN or +-inf in ``v`` ``FloatingPointError``.
+    """
+    rows, pos, shape = _as_rows(v, p, "v")
+    if rows.shape[1] != 2 * sched.planes:
         raise ValueError(
-            f"schedule has {sched.planes} planes but v has length {v.size}"
+            f"schedule has {sched.planes} planes but v has length {rows.shape[1]}"
         )
-    ang = p * sched.omegas
+    ang = pos[:, None] * sched.omegas
     c, s = np.cos(ang), np.sin(ang)
-    x, y = v[0::2], v[1::2]
-    out = np.empty_like(v)
-    out[0::2] = c * x - s * y
-    out[1::2] = s * x + c * y
-    return out
+    x, y = rows[:, 0::2], rows[:, 1::2]
+    out = np.empty_like(rows)
+    out[:, 0::2] = c * x - s * y
+    out[:, 1::2] = s * x + c * y
+    return out.reshape(shape)
 
 
 def classic_schedule(n: int) -> FrequencySchedule:
@@ -123,11 +129,12 @@ def equivalence_residual(q, k, p_q: float, p_k: float, lam: float = 1.0) -> floa
     if q.size != k.size:
         raise ValueError("query and key must share the same length")
     n = q.size
+    positions = [p_q, p_k]
 
-    score_a = float(
-        roll_continuous(q, p_q, lam, SpectralBranch.CENTERED)
-        @ roll_continuous(k, p_k, lam, SpectralBranch.CENTERED)
+    rolled_q, rolled_k = roll_continuous(
+        np.stack([q, k]), positions, lam, SpectralBranch.CENTERED
     )
+    score_a = float(rolled_q @ rolled_k)
 
     basis = realified_fourier_basis(n)
     cq, ck = basis @ q, basis @ k
@@ -136,10 +143,10 @@ def equivalence_residual(q, k, p_q: float, p_k: float, lam: float = 1.0) -> floa
 
     score_b = cq[0] * ck[0]
     if m:
-        score_b += float(
-            rope_apply(cq[1 : 1 + 2 * m], p_q, sched)
-            @ rope_apply(ck[1 : 1 + 2 * m], p_k, sched)
+        planes_q, planes_k = rope_apply(
+            np.stack([cq[1 : 1 + 2 * m], ck[1 : 1 + 2 * m]]), positions, sched
         )
+        score_b += float(planes_q @ planes_k)
     if n % 2 == 0:
         score_b += (
             math.cos(math.pi * p_q / lam)

@@ -26,27 +26,22 @@ times the Nyquist energy of the input).
 
 Fractional rolls are computed with a real FFT: a roll is a per-frequency
 phase on bins 0..n/2 (RAW adds one per-bin factor), so no n-by-n matrix
-is built and the output is real by construction.  The dense DFT matrix
-serves the generator and its residual diagnostics, which exponentiate
-through the unitary diagonalization; no general-purpose (Pade /
-scaling-squaring) matrix exponential is used anywhere in the library.
+is built and the output is real by construction.  A (t, n) stack of rows
+with one position each is rolled in one pass over a (t, n/2+1) phase
+table.  The dense DFT matrix serves the generator and its residual
+diagnostics, which exponentiate through the unitary diagonalization; no
+general-purpose (Pade / scaling-squaring) matrix exponential is used
+anywhere in the library.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .roll_core import (
-    _as_count,
-    _as_vector,
-    _check_position,
-    _check_wavelength,
-    shift_matrix,
-)
+from .roll_core import _as_count, _as_rows, _check_wavelength, shift_matrix
 
 __all__ = [
     "SpectralBranch",
@@ -128,36 +123,38 @@ def log_shift_generator(n: int, branch: SpectralBranch = SpectralBranch.CENTERED
 
 def roll_continuous(
     q,
-    p: float,
+    p,
     lam: float = 1.0,
     branch: SpectralBranch = SpectralBranch.CENTERED,
 ) -> np.ndarray:
     """Roll ``q`` by a real amount ``p`` with period stretched by ``lam``.
 
-    Scales each bin k = 0..n/2 of the real spectrum of ``q`` by
-    exp(2*pi*1j*k*r/n), r = p/lam, and transforms back, so the output is
-    real by construction.  The RAW branch, whose complex output is
-    reduced to its real part, is the same map with every non-DC bin
-    further scaled by exp(-1j*pi*r) * cos(pi*r): it keeps the mean and
-    damps the rest by exactly |cos(pi*p/lam)|, which leaves only the mean
-    at half-integer p/lam.  Both branches have exact period lam * n in p,
-    so p is first reduced modulo that period, which keeps huge positions
-    as accurate as small ones.  At integer p/lam this reproduces the
-    discrete roll for both branches.  A NaN or +-inf in ``q`` raises
-    ``FloatingPointError`` rather than silently corrupting scores.
+    ``q`` is one vector with a scalar ``p``, or a (t, n) stack of rows
+    with (t,) positions, row i rolled by p[i]; a vector is the one-row
+    case of the same computation.  Scales each bin k = 0..n/2 of the real
+    spectrum of each row by exp(2*pi*1j*k*r/n), r = p/lam, and transforms
+    back, so the output is real by construction.  The RAW branch, whose
+    complex output is reduced to its real part, is the same map with
+    every non-DC bin further scaled by exp(-1j*pi*r) * cos(pi*r): it keeps
+    the mean and damps the rest by exactly |cos(pi*p/lam)|, which leaves
+    only the mean at half-integer p/lam.  Both branches have exact period
+    lam * n in p, so p is first reduced modulo that period, which keeps
+    huge positions as accurate as small ones.  At integer p/lam this
+    reproduces the discrete roll for both branches.  A non-finite or
+    misshapen position raises ``ValueError``; a NaN or +-inf in ``q``
+    raises ``FloatingPointError`` rather than silently corrupting scores.
     """
-    q = _as_vector(q)
-    _check_position(p)
     _check_wavelength(lam)
     _check_branch(branch)
-    if not np.isfinite(q).all():
-        raise FloatingPointError("q must be finite")
-    n = q.size
-    r = math.fmod(p, lam * n) / lam
-    spec = np.fft.rfft(q) * np.exp(2j * np.pi / n * r * np.arange(n // 2 + 1))
+    rows, pos, shape = _as_rows(q, p)
+    n = rows.shape[1]
+    r = np.fmod(pos, lam * n) / lam
+    spec = np.fft.rfft(rows, axis=1) * np.exp(
+        (2j * np.pi / n * r)[:, None] * np.arange(n // 2 + 1)
+    )
     if branch is SpectralBranch.RAW:
-        spec[1:] *= np.exp(-1j * np.pi * r) * math.cos(math.pi * r)
-    return np.fft.irfft(spec, n)
+        spec[:, 1:] *= (np.exp(-1j * np.pi * r) * np.cos(np.pi * r))[:, None]
+    return np.fft.irfft(spec, n, axis=1).reshape(shape)
 
 
 def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:

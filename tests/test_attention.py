@@ -12,10 +12,10 @@ from rollpe.attention import (
     sinusoidal_ape,
 )
 from rollpe import attention
-from rollpe.attention import _encode_row, _loss_grad_fd, _softmax_rows
+from rollpe.attention import _encode_row, _encode_rows, _loss_grad_fd, _softmax_rows
 from rollpe.roll_core import roll_discrete
 from rollpe.rope import classic_schedule, rope_apply
-from rollpe.spectral import SpectralBranch, roll_continuous
+from rollpe.spectral import SpectralBranch, branch_angles, dft_matrix, roll_continuous
 
 ALL_KINDS = list(PEKind)
 
@@ -223,8 +223,46 @@ class TestAttend:
         assert np.isfinite(out.output).all()
 
 
+class TestPhaseKindsEncodeOncePerBatch:
+    """The continuous roll and rope encode each side of a batch in one kernel call."""
+
+    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+    @pytest.mark.parametrize(
+        "pe, kernel",
+        [
+            (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.CENTERED), "roll_continuous"),
+            (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.RAW), "roll_continuous"),
+            (_pe(PEKind.ROPE), "rope_apply"),
+        ],
+        ids=["roll-continuous/centered", "roll-continuous/raw", "rope"],
+    )
+    def test_kernel_calls_per_attend(self, pe, kernel, axial, monkeypatch):
+        calls = {"roll_continuous": 0, "rope_apply": 0, "classic_schedule": 0}
+
+        def counted(name):
+            original = getattr(attention, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(attention, name, counted(name))
+        rng = np.random.default_rng(26)
+        t = 64
+        positions = rng.uniform(-50.0, 50.0, size=(t, 2) if axial else t)
+        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+        attend(AttentionBatch(*rng.standard_normal((3, t, 8)), positions), pe)
+        kernel_calls = calls.pop(kernel)
+        assert kernel_calls == (4 if axial else 2)
+        assert calls.pop("classic_schedule") <= kernel_calls
+        assert set(calls.values()) == {0}
+
+
 class TestEncodeTranspose:
-    """The transpose mode of the row encoder is the adjoint of the encoding."""
+    """The transpose mode of the batch encoder is the adjoint of the encoding."""
 
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize(
@@ -241,30 +279,66 @@ class TestEncodeTranspose:
         ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}",
     )
     def test_adjoint_identity(self, pe, axial):
-        """<enc(x) - enc(0), y> == <x, enc^T(y)> for the kind's positions."""
+        """<enc(x) - enc(0), y> == <x, enc^T(y)> row by row at the kind's positions."""
         rng = np.random.default_rng(13)
-        n = 12
+        t, n = 5, 12
+        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
         integer = pe.kind in (
             PEKind.SINUSOIDAL_APE, PEKind.ROLL_DISCRETE, PEKind.MULTIPLEXED_ROLL
         )
-        shape = (5, 2) if axial else (5,)
+        shape = (t, 2) if axial else (t,)
         if integer:
             positions = rng.integers(-20, 20, size=shape).astype(float)
         else:
             positions = rng.uniform(-20.0, 20.0, size=shape)
-        for pos in positions:
-            x, y = rng.standard_normal((2, n))
-            linear = _encode_row(x, pos, pe, axial) - _encode_row(np.zeros(n), pos, pe, axial)
-            adjoint = _encode_row(y, pos, pe, axial, transpose=True)
-            assert abs(linear @ y - x @ adjoint) <= 1e-12
+        x, y = rng.standard_normal((2, t, n))
+        linear = _encode_rows(x, positions, pe) - _encode_rows(np.zeros((t, n)), positions, pe)
+        adjoint = _encode_rows(y, positions, pe, transpose=True)
+        gap = np.abs((linear * y).sum(axis=1) - (x * adjoint).sum(axis=1))
+        assert gap.max() <= 1e-12
+
+
+def _dense_roll(v, p, pe):
+    """Fractional roll through dense DFT phases, as the CLI's bench oracle builds it."""
+    n = v.size
+    fmat = dft_matrix(n)
+    phases = np.exp(1j * branch_angles(n, pe.branch) * (p / pe.lam))
+    return (fmat.conj().T @ (phases * (fmat @ v))).real
+
+
+def _rotate_pairs(v, p):
+    """Rotate each pair (v[2k], v[2k+1]) by p * 10000**(-2k/n) with an explicit 2x2 matrix."""
+    out = np.empty_like(v)
+    for k in range(v.size // 2):
+        a = p * 10000.0 ** (-2.0 * k / v.size)
+        rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        out[2 * k : 2 * k + 2] = rot @ v[2 * k : 2 * k + 2]
+    return out
+
+
+def _reference_row(v, pos, pe):
+    """One row encoded on its own, without the batched kernels of the phase kinds."""
+    if pe.axial:
+        half = v.size // 2
+        flat = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves)
+        return np.concatenate(
+            [_reference_row(v[:half], pos[0], flat), _reference_row(v[half:], pos[1], flat)]
+        )
+    if pe.kind is PEKind.NONE:
+        return v
+    if pe.kind is PEKind.ROLL_CONTINUOUS:
+        return _dense_roll(v, float(pos), pe)
+    if pe.kind is PEKind.ROPE:
+        return _rotate_pairs(v, float(pos))
+    return _encode_row(v, pos, pe, axial=False)
 
 
 def _two_pass_reference(batch, pe):
     """Plain per-row encode, then logits, softmax and values, one array each."""
     rows = range(batch.tokens)
     pos = batch.positions
-    enc_q = np.stack([_encode_row(batch.q[i], pos[i], pe, pe.axial) for i in rows])
-    enc_k = np.stack([_encode_row(batch.k[i], pos[i], pe, pe.axial) for i in rows])
+    enc_q = np.stack([_reference_row(batch.q[i], pos[i], pe) for i in rows])
+    enc_k = np.stack([_reference_row(batch.k[i], pos[i], pe) for i in rows])
     logits = enc_q @ enc_k.T / np.sqrt(batch.dim)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     scores = e / e.sum(axis=1, keepdims=True)
@@ -277,6 +351,17 @@ class TestAttentionCore:
         rng = np.random.default_rng(22)
         batch = _batch(rng, 256, 16)
         pe = _pe(kind, waves=2)
+        out = attend(batch, pe)
+        for name, want in zip(("output", "scores", "logits"), _two_pass_reference(batch, pe)):
+            np.testing.assert_allclose(getattr(out, name), want, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_axial_matches_two_pass_reference(self, kind):
+        """Each half of a row is encoded at its own coordinate."""
+        rng = np.random.default_rng(27)
+        positions = rng.integers(-40, 40, size=(64, 2)).astype(float)
+        batch = _batch(rng, 64, 16, positions=positions)
+        pe = _pe(kind, waves=2, axial=True)
         out = attend(batch, pe)
         for name, want in zip(("output", "scores", "logits"), _two_pass_reference(batch, pe)):
             np.testing.assert_allclose(getattr(out, name), want, rtol=0, atol=1e-12, err_msg=name)
@@ -328,16 +413,21 @@ class TestSinusoidalApe:
         with pytest.raises(ValueError):
             sinusoidal_ape([0, 1], 7)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_positions(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sinusoidal_ape([0.0, bad], 4)
+
 
 class TestAxialEncode:
     """Axial encoding through the row encoder and an axial ``attend``."""
 
     def test_zero_positions_identity_for_linear_kinds(self):
         rng = np.random.default_rng(14)
-        v = rng.standard_normal(8)
+        x = rng.standard_normal((3, 8))
         for kind in (PEKind.ROLL_DISCRETE, PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
-            got = _encode_row(v, (0, 0), _pe(kind, axial=True), axial=True)
-            np.testing.assert_allclose(got, v, atol=1e-12)
+            got = _encode_rows(x, np.zeros((3, 2)), _pe(kind, axial=True))
+            np.testing.assert_allclose(got, x, atol=1e-12)
 
     def test_manual_split_oracle(self):
         rng = np.random.default_rng(15)
@@ -453,12 +543,12 @@ class TestRowLocalDifferences:
     )
     def test_catch_a_wrong_transpose(self, pe, monkeypatch):
         """With the forward map standing in for its transpose the check must fail."""
-        forward = attention._encode_row
+        forward = attention._encode_rows
 
-        def wrong(v, pos, pe, axial, transpose=False):
-            return forward(v, pos, pe, axial)
+        def wrong(x, positions, pe, transpose=False):
+            return forward(x, positions, pe)
 
-        monkeypatch.setattr(attention, "_encode_row", wrong)
+        monkeypatch.setattr(attention, "_encode_rows", wrong)
         rng = np.random.default_rng(25)
         q, k, v = rng.standard_normal((3, 4, 8))
         batch = AttentionBatch(q, k, v, np.array([0.0, 1.0, 3.0, 6.0]))

@@ -3,7 +3,9 @@
 Each argument kind (branch, wavelength, positive integer, position,
 integer shift) has one shared check in ``roll_core`` or ``spectral``, and
 one table here: a row names an entry point and makes a call that hands it
-a bad value of that kind.
+a bad value of that kind.  The two stacked kernels, ``roll_continuous``
+and ``rope_apply``, also get one table each for misshapen positions,
+non-finite positions and non-finite rows.
 """
 
 import math
@@ -118,3 +120,54 @@ def test_infinite_shift_raises_value_error(call, p):
     """An infinite shift is a bad argument, not an arithmetic overflow."""
     with pytest.raises(ValueError, match="must be an integer"):
         call(p)
+
+
+_SCHED4 = classic_schedule(4)
+_STACKED_KERNELS = {
+    "roll_continuous": roll_continuous,
+    "rope_apply": lambda x, p: rope_apply(x, p, _SCHED4),
+}
+_kernels = pytest.mark.parametrize(
+    "kernel", list(_STACKED_KERNELS.values()), ids=list(_STACKED_KERNELS)
+)
+_ROWS = np.arange(12.0).reshape(3, 4)
+
+
+@_kernels
+@pytest.mark.parametrize(
+    "x, p",
+    [
+        (_ROWS, 0.5),
+        (_ROWS, np.zeros(2)),
+        (_ROWS, np.zeros(4)),
+        (_ROWS, np.zeros((3, 1))),
+        (_ROWS[0], np.zeros(1)),
+        (_ROWS[0], np.zeros(4)),
+        (np.zeros((3, 0)), np.zeros(3)),
+        (np.zeros((2, 3, 4)), np.zeros((2, 3))),
+    ],
+    ids=[
+        "stack-scalar", "stack-short", "stack-long", "stack-column",
+        "vector-one", "vector-many", "empty-rows", "three-d",
+    ],
+)
+def test_misshapen_positions_raise(kernel, x, p):
+    """A stack takes one position per row, a vector one scalar."""
+    with pytest.raises(ValueError):
+        kernel(x, p)
+
+
+@_kernels
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_stack_position_raises(kernel, bad):
+    with pytest.raises(ValueError, match="position must be finite"):
+        kernel(_ROWS, np.array([0.0, bad, 1.0]))
+
+
+@_kernels
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_row_raises(kernel, bad):
+    rows = _ROWS.copy()
+    rows[2, 1] = bad
+    with pytest.raises(FloatingPointError):
+        kernel(rows, np.zeros(3))

@@ -1,5 +1,7 @@
 """Tests for the smoothness diagnostics and the cycle Laplacian loss."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,8 @@ class TestCircularLaplacianLoss:
     def test_rejects_short_vectors(self):
         with pytest.raises(ValueError):
             circular_laplacian_loss([1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(FloatingPointError):
+            circular_laplacian_loss([bad, 1.0, 2.0])

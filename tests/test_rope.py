@@ -49,6 +49,26 @@ class TestRopeApply:
             want = _rotation(p * omega) @ v[2 * i : 2 * i + 2]
             np.testing.assert_allclose(got[2 * i : 2 * i + 2], want, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_stack_matches_explicit_rotations(self, m):
+        """Row i of a (t, 2m) stack is rotated at p[i], pair by pair."""
+        rng = np.random.default_rng(50 + m)
+        sched = FrequencySchedule(rng.uniform(0.0, 3.0, size=m))
+        x = rng.standard_normal((6, 2 * m))
+        positions = rng.uniform(-1e3, 1e3, size=6)
+        got = rope_apply(x, positions, sched)
+        assert got.shape == x.shape
+        for out, row, p in zip(got, x, positions):
+            for i, omega in enumerate(sched.omegas):
+                want = _rotation(p * omega) @ row[2 * i : 2 * i + 2]
+                np.testing.assert_allclose(out[2 * i : 2 * i + 2], want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_raises(self, bad):
+        """NaN or +-inf in v raises instead of coming back rotated into other slots."""
+        with pytest.raises(FloatingPointError):
+            rope_apply([bad, 1.0, 2.0, 3.0], 0.5, classic_schedule(4))
+
     def test_isometry(self):
         rng = np.random.default_rng(6)
         sched = classic_schedule(10)

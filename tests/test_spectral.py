@@ -306,7 +306,7 @@ class TestRollContinuousFft:
                 roll_continuous(q, 0.5)
 
     def test_nan_input_raises_instead_of_returning_nan(self):
-        """The odd-n centered leak guard must not let NaN through."""
+        """A NaN in q raises FloatingPointError instead of coming back in the roll."""
         with pytest.raises(FloatingPointError):
             roll_continuous(np.array([np.nan, 1.0, 2.0]), 0.5)
 
@@ -325,6 +325,36 @@ class TestRollContinuousFft:
         q = np.random.default_rng(n).standard_normal(n)
         got = roll_continuous(q, steps * lam, lam, branch)
         np.testing.assert_allclose(got, roll_discrete(q, steps), rtol=0, atol=1e-12)
+
+
+class TestRollContinuousStack:
+    """A (t, n) stack rolls row i by p[i] in one call."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 33),
+        branch=st.sampled_from(BOTH),
+        lam=st.floats(0.25, 4.0),
+        positions=st.lists(
+            st.floats(-1e15, 1e15, allow_nan=False), min_size=1, max_size=6, unique=True
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_dense_oracle(self, n, branch, lam, positions, seed):
+        """Row by row against the dense DFT oracle, at p reduced by the exact period lam * n."""
+        q = np.random.default_rng(seed).standard_normal((len(positions), n))
+        got = roll_continuous(q, np.array(positions), lam, branch)
+        assert got.shape == q.shape
+        for row, p, out in zip(q, positions, got):
+            want = _dense_roll(row, math.fmod(p, lam * n), lam, branch)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("branch", BOTH)
+    def test_one_row_stack_is_the_vector_call(self, branch):
+        q = np.random.default_rng(8).standard_normal(7)
+        np.testing.assert_array_equal(
+            roll_continuous(q[None], [2.3], 1.5, branch)[0], roll_continuous(q, 2.3, 1.5, branch)
+        )
 
 
 def _with_entry(bad, n):
