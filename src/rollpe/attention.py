@@ -6,10 +6,9 @@ rows only (never values), either on the whole row with a scalar position
 or axially, with each half of the row encoded by one coordinate of a 2-D
 position.  Every encoding here is an affine map of the row, which is what
 lets ``grad_check`` compare an analytic input gradient against central
-finite differences.  The continuous roll and rope are one phase per
-frequency, so each side of a batch is encoded in one ``roll_continuous``
-or ``rope_apply`` call (one per half axially); the absolute embedding and
-the discrete and multiplexed rolls are still encoded row by row.
+finite differences.  Every kind encodes each side of a batch in one
+kernel call on its (t, n) rows: one per half axially, and one
+``roll_discrete`` per wave for the multiplexed roll.
 
 Each ``attend`` call writes two t x t arrays: the logits, with the
 1/sqrt(d) scale folded into the (t, n) query side, and the scores, built
@@ -29,8 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multiplex import MultiplexBank, mproll
-from .roll_core import _as_count, _as_steps, _check_wavelength, _score_scale, roll_discrete
+from .roll_core import _as_count, _check_wavelength, _score_scale, roll_discrete
 from .rope import classic_schedule, rope_apply
 from .spectral import SpectralBranch, roll_continuous
 
@@ -154,55 +152,6 @@ def _multiplex_projections(n: int, waves: int) -> tuple:
     return tuple(mats)
 
 
-def _encode_1d(
-    v: np.ndarray, p: float, pe: PEConfig, transpose: bool = False
-) -> np.ndarray:
-    """Encode one (sub-)row at position ``p``, or apply that map's transpose.
-
-    Covers the kinds encoded row by row: the absolute embedding and the
-    discrete and multiplexed rolls.  ``transpose=True`` applies the
-    transpose of the linear part, which is what a gradient needs.  The
-    discrete roll transposes to the roll at -p; the absolute embedding is
-    an offset, so its linear part is the identity.  Sub-vector lengths
-    are checked by ``_check_batch``.
-    """
-    kind = pe.kind
-    if kind is PEKind.SINUSOIDAL_APE:
-        if transpose:
-            return v
-        return v + _ape_table([_as_steps(p, "position")], v.size)[0]
-    p_int = _as_steps(p, "position")
-    if kind is PEKind.ROLL_DISCRETE:
-        return roll_discrete(v, -p_int if transpose else p_int)
-    if kind is PEKind.MULTIPLEXED_ROLL:
-        mats = _multiplex_projections(v.size, pe.waves)
-        if transpose:
-            return sum(
-                m.T @ roll_discrete(v, -w * p_int) for w, m in enumerate(mats, start=1)
-            )
-        return mproll(MultiplexBank([m @ v for m in mats]), p_int)
-    raise ValueError(f"unknown encoding kind {kind!r}")
-
-
-def _encode_row(
-    v: np.ndarray, pos, pe: PEConfig, axial: bool, transpose: bool = False
-) -> np.ndarray:
-    """Encode a row at a scalar position, or axially at a 2-D one.
-
-    Axially, the first half of ``v`` is encoded with pos[0] and the
-    second with pos[1].  ``transpose`` is passed on to ``_encode_1d``.
-    """
-    if not axial:
-        return _encode_1d(v, float(pos), pe, transpose)
-    half = v.size // 2
-    return np.concatenate(
-        [
-            _encode_1d(v[:half], float(pos[0]), pe, transpose),
-            _encode_1d(v[half:], float(pos[1]), pe, transpose),
-        ]
-    )
-
-
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
     n = batch.dim
     if pe.axial:
@@ -238,40 +187,53 @@ def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
     return logits, _softmax_rows(logits)
 
 
-def _encode_phase(x: np.ndarray, p: np.ndarray, pe: PEConfig) -> np.ndarray:
-    """Continuous roll or rope of every row of ``x`` at p[i], in one kernel call."""
-    if pe.kind is PEKind.ROLL_CONTINUOUS:
-        return roll_continuous(x, p, pe.lam, pe.branch)
-    return rope_apply(x, p, classic_schedule(x.shape[1]))
-
-
 def _encode_rows(
     x: np.ndarray, positions: np.ndarray, pe: PEConfig, transpose: bool = False
 ) -> np.ndarray:
     """Encode row i of ``x`` at positions[i], or apply that map's transpose.
 
-    The identity returns ``x`` itself.  The continuous roll and rope
-    encode the whole batch in one kernel call (one per half axially),
-    transposed at -positions; the other kinds encode row by row.
+    The identity returns ``x`` itself; axially each half of the rows is
+    encoded at its own coordinate.
     """
     if pe.kind is PEKind.NONE:
         return x
-    if pe.kind in (PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
-        if transpose:
-            positions = -positions
-        if not pe.axial:
-            return _encode_phase(x, positions, pe)
-        half = x.shape[1] // 2
-        return np.concatenate(
-            [
-                _encode_phase(x[:, :half], positions[:, 0], pe),
-                _encode_phase(x[:, half:], positions[:, 1], pe),
-            ],
-            axis=1,
-        )
-    return np.stack(
-        [_encode_row(row, pos, pe, pe.axial, transpose) for row, pos in zip(x, positions)]
+    if not pe.axial:
+        return _encode(x, positions, pe, transpose)
+    half = x.shape[1] // 2
+    return np.concatenate(
+        [
+            _encode(x[:, :half], positions[:, 0], pe, transpose),
+            _encode(x[:, half:], positions[:, 1], pe, transpose),
+        ],
+        axis=1,
     )
+
+
+def _encode(x: np.ndarray, p: np.ndarray, pe: PEConfig, transpose: bool) -> np.ndarray:
+    """Row i of ``x`` encoded at p[i], in one kernel call (one per wave).
+
+    ``transpose=True`` applies the transpose of the linear part, as a
+    gradient needs: the identity for the absolute embedding, an offset;
+    each roll and rope at -p; sum_w M_w^T S^(-w*p) for the multiplexed
+    roll sum_w S^(w*p) M_w.
+    """
+    n = x.shape[1]
+    if pe.kind is PEKind.SINUSOIDAL_APE:
+        return x if transpose else x + sinusoidal_ape(p, n)
+    if transpose:
+        p = -p
+    if pe.kind is PEKind.ROLL_DISCRETE:
+        return roll_discrete(x, p)
+    if pe.kind is PEKind.ROLL_CONTINUOUS:
+        return roll_continuous(x, p, pe.lam, pe.branch)
+    if pe.kind is PEKind.ROPE:
+        return rope_apply(x, p, classic_schedule(n))
+    # reduced first, so that w * p stays an exact integer beyond 2**53 / w
+    p = np.fmod(p, n)
+    mats = enumerate(_multiplex_projections(n, pe.waves), start=1)
+    if transpose:
+        return sum(roll_discrete(x, w * p) @ m for w, m in mats)
+    return sum(roll_discrete(x @ m.T, w * p) for w, m in mats)
 
 
 def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> AttentionOutput:
@@ -292,19 +254,8 @@ def sinusoidal_ape(positions, n: int) -> np.ndarray:
     """Fixed sin/cos absolute position table, one row per position.
 
     Row p holds sin(p * f_i) at even dims and cos(p * f_i) at odd dims,
-    with f_i = 10000**(-2i/n).  NaN or +-inf positions raise ``ValueError``.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if not np.isfinite(positions).all():
-        raise ValueError("positions must be finite")
-    return _ape_table(positions, n)
-
-
-def _ape_table(positions, n: int) -> np.ndarray:
-    """``sinusoidal_ape`` for positions known to be finite.
-
-    ``attend`` encodes the absolute embedding row by row at positions
-    ``AttentionBatch`` has already bounded, so it skips that check here.
+    with f_i = 10000**(-2i/n).  Any finite position is accepted; NaN or
+    +-inf positions raise ``ValueError``.
     """
     n = _as_count(n)
     if n % 2 != 0:
@@ -312,6 +263,8 @@ def _ape_table(positions, n: int) -> np.ndarray:
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 1:
         raise ValueError("positions must be a 1-D vector")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite")
     freqs = 10000.0 ** (-2.0 * np.arange(n // 2) / n)
     ang = positions[:, None] * freqs[None, :]
     table = np.empty((positions.size, n))
@@ -326,9 +279,9 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     The scalar loss is the sum of all attention outputs; the gradient is
     taken with respect to every entry of Q.  Central differences use the
     given step and are row-local: bumping Q[i, j] changes only row i of
-    the scores, so each of the 2*t*n bumped query rows is encoded on its
-    own and scored against the unbumped keys, all in one softmax call,
-    and only row i's loss term is differenced.  The other rows' terms
+    the scores, so the 2*t*n bumped query rows are encoded as one batch
+    and scored against the unbumped keys in one softmax call, and only
+    row i's loss term is differenced.  The other rows' terms
     cancel exactly, so this is the whole-loss central difference without
     its cancellation error.
     """

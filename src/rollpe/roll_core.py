@@ -25,11 +25,9 @@ __all__ = [
 
 
 # One check per argument kind, shared by every public entry point.  The
-# continuous roll and rope encode a whole attention batch in one call, so
-# ``_as_rows`` runs once per batch; the per-row loop that the absolute
-# embedding, the discrete roll and the multiplexed roll still use calls the
-# others 2*t (axially 4*t) times per call, so each of those stays a scalar
-# test.
+# single-vector kernels are called about a thousand times per pass of the
+# invariant checks, so the vector checks stay scalar tests; ``_as_rows``
+# checks a whole (t, n) stack with one reduction per argument.
 
 
 def _as_vector(x, name: str = "q") -> np.ndarray:
@@ -40,10 +38,10 @@ def _as_vector(x, name: str = "q") -> np.ndarray:
 
 
 def _as_steps(p, name: str = "shift count") -> int:
-    """``p`` as an int; fractions, NaN and +-inf raise ``ValueError``."""
+    """``p`` as an int; fractions, NaN, +-inf and arrays raise ``ValueError``."""
     try:
         steps = int(p)
-    except (OverflowError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         steps = None
     if steps is None or steps != p:
         raise ValueError(f"{name} must be an integer, got {p!r}")
@@ -73,8 +71,8 @@ def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
 
     A vector takes a scalar position and is the one-row case; a (t, n)
     stack takes one position per row.  A wrong shape or a non-finite
-    position raises ``ValueError``, a non-finite entry of ``x``
-    ``FloatingPointError``: one reduction each per call, whatever t is.
+    position raises ``ValueError``, in one reduction whatever t is.  The
+    entries of ``x`` are left to the caller to check.
     """
     arr = np.asarray(x, dtype=float)
     pos = np.asarray(p, dtype=float)
@@ -88,26 +86,39 @@ def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
     finite = np.isfinite(pos)
     if not finite.all():
         raise ValueError(f"position must be finite, got {float(pos[~finite][0])!r}")
-    _check_finite(arr, name)
     return arr.reshape(-1, arr.shape[-1]), pos.reshape(-1), arr.shape
 
 
-def roll_discrete(q, p: int) -> np.ndarray:
+def roll_discrete(q, p) -> np.ndarray:
     """Roll ``q`` by ``p`` steps: output[i] = q[(i + p) % n].
 
-    Pure index permutation, exact in floating point.  Any integer ``p``
-    is accepted; it is reduced with a non-negative modulus.  Always
-    returns a fresh array.
+    ``q`` is one vector with an integer ``p``, rolled by two slice
+    copies, or a (t, n) stack of rows with (t,) integer positions, row i
+    rolled by p[i] in one gather; stack positions are read as float64.
+    Pure index permutation, exact in floating point, so NaN and +-inf
+    entries move like any other.  Any integer ``p`` is accepted; it is
+    reduced with a non-negative modulus.  A fractional, non-finite or
+    misshapen position raises ``ValueError``.  Always returns a fresh
+    array.
     """
-    q = _as_vector(q)
-    n = q.shape[0]
-    s = _as_steps(p) % n
-    if s == 0:
-        return q.copy()
-    out = np.empty_like(q)
-    out[: n - s] = q[s:]
-    out[n - s :] = q[:s]
-    return out
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        n = _as_vector(q).size
+        s = _as_steps(p) % n
+        if s == 0:
+            return q.copy()
+        out = np.empty_like(q)
+        out[: n - s] = q[s:]
+        out[n - s :] = q[:s]
+        return out
+    rows, pos, _ = _as_rows(q, p)
+    fractional = pos != np.floor(pos)
+    if fractional.any():
+        raise ValueError(f"shift count must be an integer, got {float(pos[fractional][0])!r}")
+    n = rows.shape[1]
+    # fmod is exact, so every integer-valued float reduces to the right step
+    steps = np.fmod(pos, n).astype(np.intp)
+    return np.take_along_axis(rows, (np.arange(n) + steps[:, None]) % n, axis=1)
 
 
 def shift_matrix(n: int, p: int = 1) -> np.ndarray:

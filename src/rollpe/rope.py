@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roll_core import _as_count, _as_rows, _as_vector, _check_wavelength
+from .roll_core import _as_count, _as_rows, _as_vector, _check_finite, _check_wavelength
 from .spectral import SpectralBranch, dft_matrix, roll_continuous
 
 __all__ = [
@@ -61,6 +61,7 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
     ``ValueError``, a NaN or +-inf in ``v`` ``FloatingPointError``.
     """
     rows, pos, shape = _as_rows(v, p, "v")
+    _check_finite(rows, "v")
     if rows.shape[1] != 2 * sched.planes:
         raise ValueError(
             f"schedule has {sched.planes} planes but v has length {rows.shape[1]}"

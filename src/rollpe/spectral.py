@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .roll_core import _as_count, _as_rows, _check_wavelength, shift_matrix
+from .roll_core import _as_count, _as_rows, _check_finite, _check_wavelength, shift_matrix
 
 __all__ = [
     "SpectralBranch",
@@ -147,6 +147,7 @@ def roll_continuous(
     _check_wavelength(lam)
     _check_branch(branch)
     rows, pos, shape = _as_rows(q, p)
+    _check_finite(rows, "q")
     n = rows.shape[1]
     r = np.fmod(pos, lam * n) / lam
     spec = np.fft.rfft(rows, axis=1) * np.exp(

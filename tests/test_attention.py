@@ -1,7 +1,11 @@
 """Tests for the attention layer and its pluggable encodings."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rollpe.attention import (
     AttentionBatch,
@@ -11,9 +15,15 @@ from rollpe.attention import (
     grad_check,
     sinusoidal_ape,
 )
-from rollpe import attention
-from rollpe.attention import _encode_row, _encode_rows, _loss_grad_fd, _softmax_rows
-from rollpe.roll_core import roll_discrete
+from rollpe import attention, multiplex
+from rollpe.attention import (
+    _encode_rows,
+    _loss_grad_fd,
+    _multiplex_projections,
+    _softmax_rows,
+)
+from rollpe.multiplex import MultiplexBank, mproll
+from rollpe.roll_core import roll_discrete, shift_matrix
 from rollpe.rope import classic_schedule, rope_apply
 from rollpe.spectral import SpectralBranch, branch_angles, dft_matrix, roll_continuous
 
@@ -177,8 +187,9 @@ class TestAttend:
     def test_integer_position_enforcement(self):
         rng = np.random.default_rng(11)
         batch = _batch(rng, 3, 8, positions=np.array([0.0, 1.5, 2.0]))
-        with pytest.raises(ValueError):
-            attend(batch, _pe(PEKind.ROLL_DISCRETE))
+        for kind in (PEKind.ROLL_DISCRETE, PEKind.MULTIPLEXED_ROLL):
+            with pytest.raises(ValueError, match="must be an integer"):
+                attend(batch, _pe(kind, waves=2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -224,7 +235,7 @@ class TestAttend:
 
 
 class TestPhaseKindsEncodeOncePerBatch:
-    """The continuous roll and rope encode each side of a batch in one kernel call."""
+    """Every kind encodes each side of a batch in one kernel call per wave."""
 
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize(
@@ -233,15 +244,25 @@ class TestPhaseKindsEncodeOncePerBatch:
             (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.CENTERED), "roll_continuous"),
             (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.RAW), "roll_continuous"),
             (_pe(PEKind.ROPE), "rope_apply"),
+            (_pe(PEKind.ROLL_DISCRETE), "roll_discrete"),
+            (_pe(PEKind.SINUSOIDAL_APE), "sinusoidal_ape"),
+            (_pe(PEKind.MULTIPLEXED_ROLL, waves=1), "roll_discrete"),
+            (_pe(PEKind.MULTIPLEXED_ROLL, waves=3), "roll_discrete"),
         ],
-        ids=["roll-continuous/centered", "roll-continuous/raw", "rope"],
+        ids=[
+            "roll-continuous/centered", "roll-continuous/raw", "rope", "roll-discrete",
+            "sinusoidal-ape", "multiplexed-roll/W=1", "multiplexed-roll/W=3",
+        ],
     )
     def test_kernel_calls_per_attend(self, pe, kernel, axial, monkeypatch):
-        calls = {"roll_continuous": 0, "rope_apply": 0, "classic_schedule": 0}
+        """A per-row fallback would call a kernel t = 64 times per side."""
+        calls = dict.fromkeys(
+            ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
+             "sinusoidal_ape", "mproll", "MultiplexBank"],
+            0,
+        )
 
-        def counted(name):
-            original = getattr(attention, name)
-
+        def counted(name, original):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
@@ -249,14 +270,19 @@ class TestPhaseKindsEncodeOncePerBatch:
             return wrapper
 
         for name in calls:
-            monkeypatch.setattr(attention, name, counted(name))
+            original = getattr(attention, name, None) or getattr(multiplex, name)
+            monkeypatch.setattr(attention, name, counted(name, original), raising=False)
+        # count the multiplex bank also where it lives, should attention reach it there
+        for name in ("mproll", "MultiplexBank"):
+            monkeypatch.setattr(multiplex, name, counted(name, getattr(multiplex, name)))
         rng = np.random.default_rng(26)
         t = 64
-        positions = rng.uniform(-50.0, 50.0, size=(t, 2) if axial else t)
+        positions = rng.integers(-50, 50, size=(t, 2) if axial else t).astype(float)
         pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
         attend(AttentionBatch(*rng.standard_normal((3, t, 8)), positions), pe)
+        per_side = pe.waves if pe.kind is PEKind.MULTIPLEXED_ROLL else 1
         kernel_calls = calls.pop(kernel)
-        assert kernel_calls == (4 if axial else 2)
+        assert kernel_calls == (4 if axial else 2) * per_side
         assert calls.pop("classic_schedule") <= kernel_calls
         assert set(calls.values()) == {0}
 
@@ -298,6 +324,82 @@ class TestEncodeTranspose:
         assert gap.max() <= 1e-12
 
 
+def _vector_encode(v, p, pe, transpose):
+    """One (sub-)row at the scalar position p through the per-vector kernel of its kind."""
+    n = v.size
+    if pe.kind is PEKind.NONE:
+        return v
+    if pe.kind is PEKind.SINUSOIDAL_APE:
+        return v if transpose else v + sinusoidal_ape([p], n)[0]
+    sign = -1 if transpose else 1
+    if pe.kind is PEKind.ROLL_DISCRETE:
+        return roll_discrete(v, sign * int(p))
+    if pe.kind is PEKind.ROLL_CONTINUOUS:
+        return roll_continuous(v, sign * p, pe.lam, pe.branch)
+    if pe.kind is PEKind.ROPE:
+        return rope_apply(v, sign * p, classic_schedule(n))
+    maps = _multiplex_projections(n, pe.waves)
+    if transpose:
+        return sum(m.T @ roll_discrete(v, -w * int(p)) for w, m in enumerate(maps, start=1))
+    return mproll(MultiplexBank([m @ v for m in maps]), int(p))
+
+
+class TestEncodeRowsMatchVectorKernels:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        branch=st.sampled_from(list(SpectralBranch)),
+        lam=st.sampled_from([0.5, 1.0, 1.7]),
+        waves=st.integers(1, 3),
+        half=st.integers(1, 12),
+        axial=st.booleans(),
+        transpose=st.booleans(),
+        t=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_rows_match_vector_kernels(
+        self, kind, branch, lam, waves, half, axial, transpose, t, data
+    ):
+        """Row i of the batched encoding is the per-vector kernel at positions[i]."""
+        if kind in (PEKind.ROPE, PEKind.SINUSOIDAL_APE):
+            half += half % 2
+        if kind in (PEKind.ROLL_DISCRETE, PEKind.MULTIPLEXED_ROLL):
+            coord = st.integers(-(2**53 - 1), 2**53 - 1)
+        else:
+            coord = st.floats(-1e15, 1e15, allow_nan=False)
+        shape = (t, 2) if axial else (t,)
+        positions = np.array(
+            data.draw(st.lists(coord, min_size=math.prod(shape), max_size=math.prod(shape))),
+            dtype=float,
+        ).reshape(shape)
+        n = 2 * half if axial else half
+        x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((t, n))
+        pe = PEConfig(kind, lam, branch, waves, axial)
+        flat = PEConfig(kind, lam, branch, waves)
+        got = _encode_rows(x, positions, pe, transpose)
+        assert got.shape == (t, n)
+        for row, pos, out in zip(x, positions, got):
+            if axial:
+                want = np.concatenate([
+                    _vector_encode(row[:half], pos[0], flat, transpose),
+                    _vector_encode(row[half:], pos[1], flat, transpose),
+                ])
+            else:
+                want = _vector_encode(row, pos, flat, transpose)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_multiplexed_roll_beyond_2_53_over_w(self, transpose):
+        """Speeds w * p stay exact where the float 3 * p would round."""
+        x = np.random.default_rng(29).standard_normal((3, 7))
+        positions = np.array([2**53 - 1, -(2**53 - 3), 2**52 + 1], dtype=float)
+        pe = _pe(PEKind.MULTIPLEXED_ROLL, waves=3)
+        got = _encode_rows(x, positions, pe, transpose)
+        for row, p, out in zip(x, positions, got):
+            want = _vector_encode(row, p, pe, transpose)
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
+
 def _dense_roll(v, p, pe):
     """Fractional roll through dense DFT phases, as the CLI's bench oracle builds it."""
     n = v.size
@@ -316,8 +418,23 @@ def _rotate_pairs(v, p):
     return out
 
 
+def _ape_row(p, n):
+    """The sin/cos table row at p from its formula, one entry at a time."""
+    row = np.empty(n)
+    for i in range(n // 2):
+        freq = 10000.0 ** (-2.0 * i / n)
+        row[2 * i], row[2 * i + 1] = math.sin(p * freq), math.cos(p * freq)
+    return row
+
+
+def _multiplex_maps(n, waves):
+    """The component maps, rebuilt from their seed: the identity, then seeded dense maps."""
+    rng = np.random.default_rng([n, waves, 0x5157])
+    return [np.eye(n)] + [rng.standard_normal((n, n)) / math.sqrt(n) for _ in range(waves - 1)]
+
+
 def _reference_row(v, pos, pe):
-    """One row encoded on its own, without the batched kernels of the phase kinds."""
+    """One row encoded on its own through dense matrices, none of the library's kernels."""
     if pe.axial:
         half = v.size // 2
         flat = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves)
@@ -326,11 +443,16 @@ def _reference_row(v, pos, pe):
         )
     if pe.kind is PEKind.NONE:
         return v
+    if pe.kind is PEKind.SINUSOIDAL_APE:
+        return v + _ape_row(float(pos), v.size)
+    if pe.kind is PEKind.ROLL_DISCRETE:
+        return shift_matrix(v.size, int(pos)) @ v
     if pe.kind is PEKind.ROLL_CONTINUOUS:
         return _dense_roll(v, float(pos), pe)
     if pe.kind is PEKind.ROPE:
         return _rotate_pairs(v, float(pos))
-    return _encode_row(v, pos, pe, axial=False)
+    maps = _multiplex_maps(v.size, pe.waves)
+    return sum(shift_matrix(v.size, w * int(pos)) @ m @ v for w, m in enumerate(maps, start=1))
 
 
 def _two_pass_reference(batch, pe):
@@ -418,6 +540,28 @@ class TestSinusoidalApe:
         with pytest.raises(ValueError, match="finite"):
             sinusoidal_ape([0.0, bad], 4)
 
+    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+    def test_attend_at_fractional_positions(self, axial):
+        """The embedding is added at any finite position, as the public table gives it."""
+        rng = np.random.default_rng(28)
+        t, n = 5, 8
+        positions = rng.uniform(-30.0, 30.0, size=(t, 2) if axial else t)
+        batch = _batch(rng, t, n, positions=positions)
+        if axial:
+            table = np.concatenate(
+                [sinusoidal_ape(positions[:, 0], n // 2), sinusoidal_ape(positions[:, 1], n // 2)],
+                axis=1,
+            )
+        else:
+            table = sinusoidal_ape(positions, n)
+        out = attend(batch, _pe(PEKind.SINUSOIDAL_APE, axial=axial))
+        want = attend(
+            AttentionBatch(batch.q + table, batch.k + table, batch.v, positions),
+            _pe(PEKind.NONE, axial=axial),
+        )
+        for name in ("output", "scores", "logits"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(want, name), err_msg=name)
+
 
 class TestAxialEncode:
     """Axial encoding through the row encoder and an axial ``attend``."""
@@ -432,9 +576,9 @@ class TestAxialEncode:
     def test_manual_split_oracle(self):
         rng = np.random.default_rng(15)
         v = rng.standard_normal(10)
-        got = _encode_row(v, (3, 1), _pe(PEKind.ROLL_DISCRETE, axial=True), axial=True)
+        got = _encode_rows(v[None], np.array([[3.0, 1.0]]), _pe(PEKind.ROLL_DISCRETE, axial=True))
         want = np.concatenate([roll_discrete(v[:5], 3), roll_discrete(v[5:], 1)])
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[0], want)
 
     def test_rejects_odd_length(self):
         batch = AttentionBatch(np.ones((2, 5)), np.ones((2, 5)), np.ones((2, 5)), np.zeros((2, 2)))

@@ -3,9 +3,10 @@
 Each argument kind (branch, wavelength, positive integer, position,
 integer shift) has one shared check in ``roll_core`` or ``spectral``, and
 one table here: a row names an entry point and makes a call that hands it
-a bad value of that kind.  The two stacked kernels, ``roll_continuous``
-and ``rope_apply``, also get one table each for misshapen positions,
-non-finite positions and non-finite rows.
+a bad value of that kind.  The three stacked kernels, ``roll_discrete``,
+``roll_continuous`` and ``rope_apply``, also get one table each for
+misshapen and non-finite positions; the two that are not permutations
+one more for non-finite rows.
 """
 
 import math
@@ -130,10 +131,16 @@ _STACKED_KERNELS = {
 _kernels = pytest.mark.parametrize(
     "kernel", list(_STACKED_KERNELS.values()), ids=list(_STACKED_KERNELS)
 )
+# the discrete roll is a permutation: it passes non-finite rows through
+_position_kernels = pytest.mark.parametrize(
+    "kernel",
+    [*_STACKED_KERNELS.values(), roll_discrete],
+    ids=[*_STACKED_KERNELS, "roll_discrete"],
+)
 _ROWS = np.arange(12.0).reshape(3, 4)
 
 
-@_kernels
+@_position_kernels
 @pytest.mark.parametrize(
     "x, p",
     [
@@ -157,7 +164,7 @@ def test_misshapen_positions_raise(kernel, x, p):
         kernel(x, p)
 
 
-@_kernels
+@_position_kernels
 @pytest.mark.parametrize("bad", [math.nan, INF, -INF], ids=["nan", "inf", "-inf"])
 def test_non_finite_stack_position_raises(kernel, bad):
     with pytest.raises(ValueError, match="position must be finite"):

@@ -55,6 +55,7 @@ class TestRollDiscrete:
         with pytest.raises(ValueError):
             roll_discrete([], 1)
         with pytest.raises(ValueError):
+            # a stack takes one position per row, not a scalar
             roll_discrete(np.ones((2, 2)), 1)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -81,6 +82,49 @@ class TestRollDiscrete:
         np.testing.assert_array_equal(
             roll_discrete(roll_discrete(q, a), b), roll_discrete(q, a + b)
         )
+
+
+class TestRollDiscreteStack:
+    """A (t, n) stack rolls row i by p[i] in one gather."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        positions=st.lists(st.integers(-(2**53 - 1), 2**53 - 1), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_vector_roll(self, n, positions, seed):
+        """Bit for bit, also at positions near 2**53 and below zero."""
+        q = np.random.default_rng(seed).standard_normal((len(positions), n))
+        got = roll_discrete(q, np.array(positions, dtype=float))
+        assert got.shape == q.shape
+        for row, p, out in zip(q, positions, got):
+            np.testing.assert_array_equal(out, roll_discrete(row, int(p)))
+
+    def test_positions_beyond_int64_reduce_exactly(self):
+        q = np.random.default_rng(3).standard_normal((3, 7))
+        positions = [2.0**80, -1e300, 2.0**63]
+        got = roll_discrete(q, positions)
+        for row, p, out in zip(q, positions, got):
+            np.testing.assert_array_equal(out, roll_discrete(row, int(p)))
+
+    def test_fractional_position_raises(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            roll_discrete(np.ones((3, 4)), [0.0, 2.5, 1.0])
+
+    def test_non_finite_entries_move_like_any_other(self):
+        """A permutation neither creates nor hides a NaN or +-inf, in a stack or a vector."""
+        q = np.arange(15.0).reshape(3, 5)
+        q[0, 1], q[1, 4], q[2, 0] = np.nan, np.inf, -np.inf
+        positions = [1, -2, 7]
+        got = roll_discrete(q, positions)
+        for row, p, out in zip(q, positions, got):
+            np.testing.assert_array_equal(out, roll_discrete(row, p))
+        assert np.isnan(got).sum() == 1 and np.isinf(got).sum() == 2
+
+    def test_returns_a_fresh_array(self):
+        q = np.ones((2, 3))
+        assert not np.shares_memory(roll_discrete(q, [0, 0]), q)
 
 
 class TestShiftMatrix:

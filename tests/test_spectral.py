@@ -306,7 +306,7 @@ class TestRollContinuousFft:
                 roll_continuous(q, 0.5)
 
     def test_nan_input_raises_instead_of_returning_nan(self):
-        """A NaN in q raises FloatingPointError instead of coming back in the roll."""
+        """roll_continuous checks its own rows: a NaN in q raises FloatingPointError."""
         with pytest.raises(FloatingPointError):
             roll_continuous(np.array([np.nan, 1.0, 2.0]), 0.5)
 
