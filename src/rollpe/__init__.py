@@ -18,7 +18,6 @@ from .attention import (
 )
 from .multiplex import (
     EquivarianceWitness,
-    MultiplexBank,
     equivariance_violation_witness,
     mproll,
     mproll_score,
@@ -52,7 +51,6 @@ __all__ = [
     "EquivarianceWitness",
     "FrequencySchedule",
     "GeneratorResiduals",
-    "MultiplexBank",
     "PEConfig",
     "PEKind",
     "ShiftGenerator",

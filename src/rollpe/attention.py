@@ -7,8 +7,8 @@ or axially, with each half of the row encoded by one coordinate of a 2-D
 position.  Every encoding here is an affine map of the row, which is what
 lets ``grad_check`` compare an analytic input gradient against central
 finite differences.  Every kind encodes each side of a batch in one
-kernel call on its (t, n) rows: one per half axially, and one
-``roll_discrete`` per wave for the multiplexed roll.
+kernel call on its (t, n) rows, one per half axially; the multiplexed
+roll is one ``mproll`` call on the (W, t, n) stack of its components.
 
 Each ``attend`` call writes two t x t arrays: the logits, with the
 1/sqrt(d) scale folded into the (t, n) query side, and the scores, built
@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .roll_core import _as_count, _check_wavelength, _score_scale, roll_discrete
+from .multiplex import mproll
+from .roll_core import _as_count, _as_shifts, _check_wavelength, _score_scale, roll_discrete
 from .rope import classic_schedule, rope_apply
 from .spectral import SpectralBranch, roll_continuous
 
@@ -137,19 +138,18 @@ class AttentionOutput:
 
 
 @lru_cache(maxsize=32)
-def _multiplex_projections(n: int, waves: int) -> tuple:
-    """Fixed deterministic component maps for the multiplexed encoding.
+def _multiplex_projections(n: int, waves: int) -> np.ndarray:
+    """Fixed deterministic (W, n, n) component maps for the multiplexed encoding.
 
     The speed-1 map is the identity so a single wave reduces exactly to
-    the discrete roll; higher speeds use seeded dense maps.
+    the discrete roll; higher speeds use seeded dense maps.  Read-only.
     """
     rng = np.random.default_rng([n, waves, 0x5157])
-    mats = [np.eye(n)]
-    for _ in range(waves - 1):
-        mats.append(rng.standard_normal((n, n)) / math.sqrt(n))
-    for m in mats:
-        m.setflags(write=False)
-    return tuple(mats)
+    mats = np.empty((waves, n, n))
+    mats[0] = np.eye(n)
+    mats[1:] = rng.standard_normal((waves - 1, n, n)) / math.sqrt(n)
+    mats.setflags(write=False)
+    return mats
 
 
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
@@ -210,7 +210,7 @@ def _encode_rows(
 
 
 def _encode(x: np.ndarray, p: np.ndarray, pe: PEConfig, transpose: bool) -> np.ndarray:
-    """Row i of ``x`` encoded at p[i], in one kernel call (one per wave).
+    """Row i of ``x`` encoded at p[i], in one kernel call.
 
     ``transpose=True`` applies the transpose of the linear part, as a
     gradient needs: the identity for the absolute embedding, an offset;
@@ -228,12 +228,12 @@ def _encode(x: np.ndarray, p: np.ndarray, pe: PEConfig, transpose: bool) -> np.n
         return roll_continuous(x, p, pe.lam, pe.branch)
     if pe.kind is PEKind.ROPE:
         return rope_apply(x, p, classic_schedule(n))
+    mats = _multiplex_projections(n, pe.waves)
+    if not transpose:
+        return mproll(x @ mats.swapaxes(1, 2), p)
     # reduced first, so that w * p stays an exact integer beyond 2**53 / w
-    p = np.fmod(p, n)
-    mats = enumerate(_multiplex_projections(n, pe.waves), start=1)
-    if transpose:
-        return sum(roll_discrete(x, w * p) @ m for w, m in mats)
-    return sum(roll_discrete(x @ m.T, w * p) for w, m in mats)
+    p = _as_shifts(x, p)
+    return sum(roll_discrete(x, w * p) @ m for w, m in enumerate(mats, start=1))
 
 
 def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> AttentionOutput:

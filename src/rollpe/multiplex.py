@@ -1,10 +1,11 @@
 """Multiplexed rolls: superpositions of components traveling at speeds w*p.
 
-A bank of W component vectors is rolled at speeds 1*p, 2*p, ..., W*p and
-summed.  With a single component this reduces exactly to the plain roll;
-with two or more the cross-speed terms make scores depend on absolute
-position, so translation invariance breaks (generically), which
-``equivariance_violation_witness`` demonstrates by seeded search.
+A bank of W component vectors, one (W, n) array, is rolled at speeds
+1*p, 2*p, ..., W*p and summed.  With a single component this reduces
+exactly to the plain roll; with two or more the cross-speed terms make
+scores depend on absolute position, so translation invariance breaks
+(generically), which ``equivariance_violation_witness`` demonstrates by
+seeded search.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .roll_core import _as_count, _as_vector, _score_scale, roll_discrete
+from .roll_core import _as_count, _as_shifts, _score_scale, roll_discrete
 
 __all__ = [
-    "MultiplexBank",
     "EquivarianceWitness",
     "mproll",
     "mproll_score",
@@ -24,45 +24,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MultiplexBank:
-    """W precomputed component vectors; components[w-1] travels at speed w."""
+def mproll(components, p) -> np.ndarray:
+    """Sum of components[w-1] rolled by w*p, w = 1..W.
 
-    components: tuple
-
-    def __init__(self, components):
-        comps = tuple(_as_vector(c, "component") for c in components)
-        if len({c.size for c in comps}) != 1:
-            raise ValueError("bank must hold at least one component, all of one length")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def waves(self) -> int:
-        return len(self.components)
-
-    @property
-    def n(self) -> int:
-        return self.components[0].size
+    ``components`` is a (W, n) bank with an integer ``p``, or a (W, t, n)
+    stack with (t,) integer positions, row i of every component rolled
+    by w*p[i].  ``p`` is checked as ``roll_discrete`` checks it, then
+    reduced mod n once, so w*p stays an exact integer at any magnitude.
+    Any other shape raises ``ValueError``.
+    """
+    comps = np.asarray(components, dtype=float)
+    if comps.ndim not in (2, 3) or comps.size == 0:
+        raise ValueError("components must be a non-empty (W, n) bank or (W, t, n) stack")
+    p = _as_shifts(comps[0], p)
+    return sum(roll_discrete(c, w * p) for w, c in enumerate(comps, start=1))
 
 
-def mproll(bank: MultiplexBank, p: int) -> np.ndarray:
-    """Sum of components[w-1] rolled by w*p, w = 1..W."""
-    out = np.zeros(bank.n)
-    for w, comp in enumerate(bank.components, start=1):
-        out += roll_discrete(comp, w * p)
-    return out
-
-
-def mproll_score(
-    bank_q: MultiplexBank,
-    bank_k: MultiplexBank,
-    p_q: int,
-    p_k: int,
-    d: float | None = None,
-) -> float:
-    """Scaled dot product of the two multiplexed encodings."""
-    scale = _score_scale(bank_q.n, bank_k.n, d)
-    return float(mproll(bank_q, p_q) @ mproll(bank_k, p_k) / scale)
+def mproll_score(bank_q, bank_k, p_q: int, p_k: int, d: float | None = None) -> float:
+    """Scaled dot product of the two multiplexed encodings of (W, n) banks."""
+    enc_q, enc_k = mproll(bank_q, p_q), mproll(bank_k, p_k)
+    if enc_q.ndim != 1 or enc_k.ndim != 1:
+        raise ValueError("mproll_score takes two (W, n) banks")
+    return float(enc_q @ enc_k / _score_scale(enc_q.size, enc_k.size, d))
 
 
 @dataclass(frozen=True)
@@ -77,8 +60,8 @@ class EquivarianceWitness:
     found: bool
     attempts: int
     gap: float
-    bank_q: MultiplexBank | None = None
-    bank_k: MultiplexBank | None = None
+    bank_q: np.ndarray | None = None   # the (W, n) query bank
+    bank_k: np.ndarray | None = None   # the (W, n) key bank
     p_q: int = 0
     p_k: int = 0
     t: int = 0
@@ -106,8 +89,8 @@ def equivariance_violation_witness(
     rng = np.random.default_rng(seed)
     best = EquivarianceWitness(found=False, attempts=budget, gap=0.0)
     for attempt in range(budget):
-        bank_q = MultiplexBank(rng.standard_normal((waves, n)))
-        bank_k = MultiplexBank(rng.standard_normal((waves, n)))
+        bank_q = rng.standard_normal((waves, n))
+        bank_k = rng.standard_normal((waves, n))
         p_q, p_k = (int(x) for x in rng.integers(0, n, size=2))
         t = int(rng.integers(1, n))
         before = mproll_score(bank_q, bank_k, p_q, p_k)

@@ -89,36 +89,52 @@ def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
     return arr.reshape(-1, arr.shape[-1]), pos.reshape(-1), arr.shape
 
 
+def _as_shifts(q: np.ndarray, p):
+    """The shift of vector ``q``, or the (t,) shifts of a (t, n) stack, reduced mod n.
+
+    A vector takes any integer ``p`` and gets an int.  A stack gets an
+    integer array: positions of an integer dtype are reduced with an
+    integer modulus, exactly at any magnitude; others are read as
+    float64.  A fractional, non-finite or misshapen position raises
+    ``ValueError`` before any reduction.
+    """
+    if q.ndim == 1:
+        return _as_steps(p) % _as_vector(q).size
+    _, pos, _ = _as_rows(q, p)
+    n = q.shape[1]
+    ints = np.asarray(p)
+    if ints.dtype.kind in "iu":
+        # widened first, so that a narrow dtype cannot overflow at n
+        return (ints.astype(ints.dtype.kind + "8") % n).astype(np.intp)
+    fractional = pos != np.floor(pos)
+    if fractional.any():
+        raise ValueError(f"shift count must be an integer, got {float(pos[fractional][0])!r}")
+    # fmod is exact, so every integer-valued float reduces to the right step
+    return np.fmod(pos, n).astype(np.intp)
+
+
 def roll_discrete(q, p) -> np.ndarray:
     """Roll ``q`` by ``p`` steps: output[i] = q[(i + p) % n].
 
     ``q`` is one vector with an integer ``p``, rolled by two slice
     copies, or a (t, n) stack of rows with (t,) integer positions, row i
-    rolled by p[i] in one gather; stack positions are read as float64.
-    Pure index permutation, exact in floating point, so NaN and +-inf
-    entries move like any other.  Any integer ``p`` is accepted; it is
-    reduced with a non-negative modulus.  A fractional, non-finite or
+    rolled by p[i] in one gather (see ``_as_shifts`` for how positions
+    are read).  Pure index permutation, exact in floating point, so NaN
+    and +-inf entries move like any other.  A fractional, non-finite or
     misshapen position raises ``ValueError``.  Always returns a fresh
     array.
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        n = _as_vector(q).size
-        s = _as_steps(p) % n
-        if s == 0:
-            return q.copy()
-        out = np.empty_like(q)
-        out[: n - s] = q[s:]
-        out[n - s :] = q[:s]
-        return out
-    rows, pos, _ = _as_rows(q, p)
-    fractional = pos != np.floor(pos)
-    if fractional.any():
-        raise ValueError(f"shift count must be an integer, got {float(pos[fractional][0])!r}")
-    n = rows.shape[1]
-    # fmod is exact, so every integer-valued float reduces to the right step
-    steps = np.fmod(pos, n).astype(np.intp)
-    return np.take_along_axis(rows, (np.arange(n) + steps[:, None]) % n, axis=1)
+    s = _as_shifts(q, p)
+    n = q.shape[-1]
+    if q.ndim == 2:
+        return q[np.arange(len(q))[:, None], (np.arange(n) + s[:, None]) % n]
+    if s == 0:
+        return q.copy()
+    out = np.empty_like(q)
+    out[: n - s] = q[s:]
+    out[n - s :] = q[:s]
+    return out
 
 
 def shift_matrix(n: int, p: int = 1) -> np.ndarray:

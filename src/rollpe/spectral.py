@@ -176,6 +176,7 @@ def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:
     exp_a = fmat.conj().T @ (np.exp(eigs)[:, None] * fmat)
     exp_vs_shift = float(np.linalg.norm(exp_a - shift_matrix(n, 1)))
 
-    rebuilt = np.stack([np.roll(a[0], j) for j in range(n)])
+    j = np.arange(n)
+    rebuilt = a[0][(j[None, :] - j[:, None]) % n]
     circulant = float(np.linalg.norm(a - rebuilt))
     return GeneratorResiduals(skew=skew, exp_vs_shift=exp_vs_shift, circulant=circulant)

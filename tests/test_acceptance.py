@@ -10,7 +10,7 @@ import numpy as np
 
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
 from rollpe.cli import RunConfig, run
-from rollpe.multiplex import MultiplexBank, equivariance_violation_witness, mproll
+from rollpe.multiplex import equivariance_violation_witness, mproll
 from rollpe.regularizer import circular_laplacian_loss, lipschitz_gap
 from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score
 from rollpe.rope import equivalence_residual
@@ -150,7 +150,7 @@ def test_06_multiplexed_behavior():
         c = rng.standard_normal(8)
         p = int(rng.integers(-16, 16))
         reduction_exact &= bool(
-            np.array_equal(mproll(MultiplexBank([c]), p), roll_discrete(c, p))
+            np.array_equal(mproll(c[None], p), roll_discrete(c, p))
         )
     witness = equivariance_violation_witness(8, 2, seed=0, budget=10_000)
     ok = reduction_exact and witness.found and witness.gap > 1e-3

@@ -15,14 +15,14 @@ from rollpe.attention import (
     grad_check,
     sinusoidal_ape,
 )
-from rollpe import attention, multiplex
+from rollpe import attention
 from rollpe.attention import (
     _encode_rows,
     _loss_grad_fd,
     _multiplex_projections,
     _softmax_rows,
 )
-from rollpe.multiplex import MultiplexBank, mproll
+from rollpe.multiplex import mproll
 from rollpe.roll_core import roll_discrete, shift_matrix
 from rollpe.rope import classic_schedule, rope_apply
 from rollpe.spectral import SpectralBranch, branch_angles, dft_matrix, roll_continuous
@@ -246,8 +246,8 @@ class TestPhaseKindsEncodeOncePerBatch:
             (_pe(PEKind.ROPE), "rope_apply"),
             (_pe(PEKind.ROLL_DISCRETE), "roll_discrete"),
             (_pe(PEKind.SINUSOIDAL_APE), "sinusoidal_ape"),
-            (_pe(PEKind.MULTIPLEXED_ROLL, waves=1), "roll_discrete"),
-            (_pe(PEKind.MULTIPLEXED_ROLL, waves=3), "roll_discrete"),
+            (_pe(PEKind.MULTIPLEXED_ROLL, waves=1), "mproll"),
+            (_pe(PEKind.MULTIPLEXED_ROLL, waves=3), "mproll"),
         ],
         ids=[
             "roll-continuous/centered", "roll-continuous/raw", "rope", "roll-discrete",
@@ -258,7 +258,7 @@ class TestPhaseKindsEncodeOncePerBatch:
         """A per-row fallback would call a kernel t = 64 times per side."""
         calls = dict.fromkeys(
             ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
-             "sinusoidal_ape", "mproll", "MultiplexBank"],
+             "sinusoidal_ape", "mproll"],
             0,
         )
 
@@ -270,19 +270,14 @@ class TestPhaseKindsEncodeOncePerBatch:
             return wrapper
 
         for name in calls:
-            original = getattr(attention, name, None) or getattr(multiplex, name)
-            monkeypatch.setattr(attention, name, counted(name, original), raising=False)
-        # count the multiplex bank also where it lives, should attention reach it there
-        for name in ("mproll", "MultiplexBank"):
-            monkeypatch.setattr(multiplex, name, counted(name, getattr(multiplex, name)))
+            monkeypatch.setattr(attention, name, counted(name, getattr(attention, name)))
         rng = np.random.default_rng(26)
         t = 64
         positions = rng.integers(-50, 50, size=(t, 2) if axial else t).astype(float)
         pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
         attend(AttentionBatch(*rng.standard_normal((3, t, 8)), positions), pe)
-        per_side = pe.waves if pe.kind is PEKind.MULTIPLEXED_ROLL else 1
         kernel_calls = calls.pop(kernel)
-        assert kernel_calls == (4 if axial else 2) * per_side
+        assert kernel_calls == (4 if axial else 2)
         assert calls.pop("classic_schedule") <= kernel_calls
         assert set(calls.values()) == {0}
 
@@ -341,7 +336,7 @@ def _vector_encode(v, p, pe, transpose):
     maps = _multiplex_projections(n, pe.waves)
     if transpose:
         return sum(m.T @ roll_discrete(v, -w * int(p)) for w, m in enumerate(maps, start=1))
-    return mproll(MultiplexBank([m @ v for m in maps]), int(p))
+    return mproll(maps @ v, int(p))
 
 
 class TestEncodeRowsMatchVectorKernels:

@@ -3,10 +3,10 @@
 Each argument kind (branch, wavelength, positive integer, position,
 integer shift) has one shared check in ``roll_core`` or ``spectral``, and
 one table here: a row names an entry point and makes a call that hands it
-a bad value of that kind.  The three stacked kernels, ``roll_discrete``,
-``roll_continuous`` and ``rope_apply``, also get one table each for
-misshapen and non-finite positions; the two that are not permutations
-one more for non-finite rows.
+a bad value of that kind.  The stacked kernels, ``roll_discrete``,
+``roll_continuous``, ``rope_apply`` and ``mproll`` (here on a two-wave
+stack), also get one table each for misshapen and non-finite positions;
+the two kernels that are not permutations one more for non-finite rows.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, sinusoidal_ape
 from rollpe.cli import RunConfig
-from rollpe.multiplex import MultiplexBank, equivariance_violation_witness, mproll
+from rollpe.multiplex import equivariance_violation_witness, mproll
 from rollpe.regularizer import lipschitz_gap
 from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
 from rollpe.rope import (
@@ -115,7 +115,7 @@ def test_non_finite_rope_position_raises(p):
     "shift_matrix": lambda p: shift_matrix(5, p),
     "rollpe_score": lambda p: rollpe_score(Q, Q, p, 0),
     "relative_form_score": lambda p: relative_form_score(Q, Q, p),
-    "mproll": lambda p: mproll(MultiplexBank([Q]), p),
+    "mproll": lambda p: mproll(Q[None], p),
 })
 def test_infinite_shift_raises_value_error(call, p):
     """An infinite shift is a bad argument, not an arithmetic overflow."""
@@ -131,11 +131,15 @@ _STACKED_KERNELS = {
 _kernels = pytest.mark.parametrize(
     "kernel", list(_STACKED_KERNELS.values()), ids=list(_STACKED_KERNELS)
 )
-# the discrete roll is a permutation: it passes non-finite rows through
+# the discrete rolls are permutations: they pass non-finite rows through
+_INTEGER_KERNELS = {
+    "roll_discrete": roll_discrete,
+    "mproll": lambda x, p: mproll([x, x], p),
+}
 _position_kernels = pytest.mark.parametrize(
     "kernel",
-    [*_STACKED_KERNELS.values(), roll_discrete],
-    ids=[*_STACKED_KERNELS, "roll_discrete"],
+    [*_STACKED_KERNELS.values(), *_INTEGER_KERNELS.values()],
+    ids=[*_STACKED_KERNELS, *_INTEGER_KERNELS],
 )
 _ROWS = np.arange(12.0).reshape(3, 4)
 
@@ -169,6 +173,11 @@ def test_misshapen_positions_raise(kernel, x, p):
 def test_non_finite_stack_position_raises(kernel, bad):
     with pytest.raises(ValueError, match="position must be finite"):
         kernel(_ROWS, np.array([0.0, bad, 1.0]))
+
+
+def test_fractional_mproll_stack_position_raises():
+    with pytest.raises(ValueError, match="must be an integer"):
+        mproll([_ROWS, _ROWS], np.array([0.0, 2.5, 1.0]))
 
 
 @_kernels

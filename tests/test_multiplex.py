@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rollpe.multiplex import (
-    MultiplexBank,
     equivariance_violation_witness,
     mproll,
     mproll_score,
@@ -12,22 +13,25 @@ from rollpe.multiplex import (
 from rollpe.roll_core import roll_discrete, rollpe_score
 
 
+def _summed_rolls(bank, p):
+    """Oracle: sum_w roll_discrete(bank[w-1], w * p) with exact integer w * p."""
+    return sum(roll_discrete(c, w * p) for w, c in enumerate(bank, start=1))
+
+
 class TestMproll:
     def test_single_wave_reduces_to_plain_roll(self):
         rng = np.random.default_rng(0)
         c = rng.standard_normal(6)
         for p in (-3, 0, 2, 11):
-            np.testing.assert_array_equal(
-                mproll(MultiplexBank([c]), p), roll_discrete(c, p)
-            )
+            np.testing.assert_array_equal(mproll(c[None], p), roll_discrete(c, p))
 
     def test_zero_shift_sums_components(self):
         a, b = np.arange(4.0), np.ones(4)
-        np.testing.assert_array_equal(mproll(MultiplexBank([a, b]), 0), a + b)
+        np.testing.assert_array_equal(mproll([a, b], 0), a + b)
 
     def test_two_speed_index_arithmetic(self):
         # speed 1 moves c1 by 1, speed 2 moves c2 by 2
-        bank = MultiplexBank([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
+        bank = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
         want = roll_discrete([1.0, 0, 0, 0], 1) + roll_discrete([0, 1.0, 0, 0], 2)
         got = mproll(bank, 1)
         np.testing.assert_array_equal(got, want)
@@ -35,45 +39,76 @@ class TestMproll:
 
     def test_linearity_in_the_bank(self):
         rng = np.random.default_rng(1)
-        a1, a2, b1, b2 = rng.standard_normal((4, 5))
-        summed = mproll(MultiplexBank([a1 + b1, a2 + b2]), 3)
-        parts = mproll(MultiplexBank([a1, a2]), 3) + mproll(MultiplexBank([b1, b2]), 3)
-        np.testing.assert_allclose(summed, parts, atol=1e-12)
+        a, b = rng.standard_normal((2, 2, 5))
+        np.testing.assert_allclose(mproll(a + b, 3), mproll(a, 3) + mproll(b, 3), atol=1e-12)
 
-    def test_rejects_bad_banks(self):
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        waves=st.integers(1, 3),
+        n=st.sampled_from([1, 2, 5, 6, 7, 8]),
+        positions=st.lists(st.integers(-(2**53 - 1), 2**53 - 1), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_rows_match_banks(self, waves, n, positions, seed):
+        """Row i of a (W, t, n) stack is the (W, n) bank of its rows at p[i], bit for bit."""
+        stack = np.random.default_rng(seed).standard_normal((waves, len(positions), n))
+        got = mproll(stack, np.array(positions, dtype=float))
+        assert got.shape == stack.shape[1:]
+        for i, p in enumerate(positions):
+            np.testing.assert_array_equal(got[i], mproll(stack[:, i], p))
+
+    @pytest.mark.parametrize("p", [2**60 + 1, -(2**62 + 3), 3**50])
+    def test_bank_beyond_2_53_is_exact(self, p):
+        bank = np.random.default_rng(4).standard_normal((3, 7))
+        np.testing.assert_array_equal(mproll(bank, p), _summed_rolls(bank, p))
+
+    @pytest.mark.parametrize(
+        "bank",
+        [np.ones(4), np.ones((1, 2, 3, 4)), np.zeros((0, 4)), np.zeros((2, 0)), []],
+        ids=["one-d", "four-d", "no-waves", "empty-components", "empty"],
+    )
+    def test_rejects_bad_banks(self, bank):
+        with pytest.raises(ValueError, match="components must be"):
+            mproll(bank, 0)
+
+    def test_rejects_ragged_banks(self):
         with pytest.raises(ValueError):
-            MultiplexBank([])
-        with pytest.raises(ValueError):
-            MultiplexBank([[1.0, 2.0], [1.0, 2.0, 3.0]])
+            mproll([[1.0, 2.0], [1.0, 2.0, 3.0]], 0)
 
 
 class TestMprollScore:
     def test_single_wave_equals_rollpe_score(self):
         rng = np.random.default_rng(2)
         q, k = rng.standard_normal((2, 8))
-        got = mproll_score(MultiplexBank([q]), MultiplexBank([k]), 3, 7)
+        got = mproll_score(q[None], k[None], 3, 7)
         assert got == pytest.approx(rollpe_score(q, k, 3, 7), abs=1e-12)
 
     def test_zero_positions_plain_dot(self):
         q1, q2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         k1, k2 = np.array([1.0, 1.0]), np.array([0.0, 0.0])
-        got = mproll_score(MultiplexBank([q1, q2]), MultiplexBank([k1, k2]), 0, 0, d=1.0)
+        got = mproll_score([q1, q2], [k1, k2], 0, 0, d=1.0)
         assert got == pytest.approx((q1 + q2) @ (k1 + k2))
 
     def test_single_shared_speed_is_translation_invariant(self):
         rng = np.random.default_rng(3)
-        q, k = rng.standard_normal((2, 9))
-        base = mproll_score(MultiplexBank([q]), MultiplexBank([k]), 2, 5)
+        q, k = rng.standard_normal((2, 1, 9))
+        base = mproll_score(q, k, 2, 5)
         for t in (-7, 1, 13):
-            moved = mproll_score(MultiplexBank([q]), MultiplexBank([k]), 2 + t, 5 + t)
+            moved = mproll_score(q, k, 2 + t, 5 + t)
             assert abs(moved - base) <= 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            mproll_score(MultiplexBank([np.ones(3)]), MultiplexBank([np.ones(4)]), 0, 0)
+            mproll_score(np.ones((1, 3)), np.ones((1, 4)), 0, 0)
+
+    def test_rejects_stacks(self):
+        # square rows: enc_q @ enc_k would be a (3, 3) matrix, not a score
+        stack = np.ones((1, 3, 3))
+        with pytest.raises(ValueError, match="two \\(W, n\\) banks"):
+            mproll_score(stack, stack, np.zeros(3), np.zeros(3))
 
     def test_rejects_non_finite_d(self):
-        bank = MultiplexBank([np.ones(3)])
+        bank = np.ones((1, 3))
         with pytest.raises(ValueError, match="finite"):
             mproll_score(bank, bank, 0, 1, d=np.inf)
 
@@ -82,6 +117,7 @@ class TestEquivarianceViolationWitness:
     def test_two_waves_find_witness(self):
         w = equivariance_violation_witness(8, 2, seed=0)
         assert w.found
+        assert w.bank_q.shape == w.bank_k.shape == (2, 8)
         assert w.gap > 1e-3
         # the witness must replay: shifting both positions moves the score
         before = mproll_score(w.bank_q, w.bank_k, w.p_q, w.p_k)

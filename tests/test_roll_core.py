@@ -108,6 +108,21 @@ class TestRollDiscreteStack:
         for row, p, out in zip(q, positions, got):
             np.testing.assert_array_equal(out, roll_discrete(row, int(p)))
 
+    @pytest.mark.parametrize("p", [2**60 + 1, -(2**62 + 3)])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64"])
+    def test_integer_positions_beyond_2_53_match_vector_roll(self, p, as_array):
+        """Integer positions reduce exactly; read as float64 they would land on p - 1 or p + 3."""
+        for n in (3, 5, 7):
+            q = np.arange(float(n))
+            positions = np.array([p], dtype=np.int64) if as_array else [p]
+            np.testing.assert_array_equal(roll_discrete(q[None], positions)[0], roll_discrete(q, p))
+
+    def test_narrow_integer_positions_do_not_overflow(self):
+        q = np.arange(300.0)
+        for dtype in (np.int8, np.uint8, np.int16, np.uint64):
+            got = roll_discrete(q[None], np.array([100], dtype=dtype))[0]
+            np.testing.assert_array_equal(got, roll_discrete(q, 100))
+
     def test_fractional_position_raises(self):
         with pytest.raises(ValueError, match="must be an integer"):
             roll_discrete(np.ones((3, 4)), [0.0, 2.5, 1.0])

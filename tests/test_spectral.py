@@ -12,6 +12,7 @@ from rollpe.regularizer import lipschitz_gap
 from rollpe.roll_core import roll_discrete, shift_matrix
 from rollpe.rope import equivalence_residual
 from rollpe.spectral import (
+    ShiftGenerator,
     SpectralBranch,
     branch_angles,
     dft_matrix,
@@ -101,6 +102,16 @@ class TestLogShiftGenerator:
         assert res.skew <= 1e-10
         assert res.exp_vs_shift <= 1e-9
         assert res.circulant <= 1e-10
+
+    @pytest.mark.parametrize("delta", [1e-3, -0.25])
+    @pytest.mark.parametrize("branch", BOTH)
+    def test_circulant_residual_catches_a_moved_entry(self, branch, delta):
+        """One entry off row 0 moved by delta leaves a matrix |delta| from circulant."""
+        gen = log_shift_generator(6, branch)
+        matrix = gen.matrix.copy()
+        matrix[3, 1] += delta
+        res = generator_residuals(ShiftGenerator(gen.n, gen.branch, matrix))
+        assert res.circulant == pytest.approx(abs(delta), abs=1e-12)
 
     def test_n1_residuals_exactly_zero(self):
         res = generator_residuals(log_shift_generator(1, RAW))
