@@ -6,9 +6,13 @@ rows only (never values), either on the whole row with a scalar position
 or axially, with each half of the row encoded by one coordinate of a 2-D
 position.  Every encoding here is an affine map of the row, which is what
 lets ``grad_check`` compare an analytic input gradient against central
-finite differences.  Every kind encodes each side of a batch in one
-kernel call on its (t, n) rows, one per half axially; the multiplexed
-roll is one ``mproll`` call on the (W, t, n) stack of its components.
+finite differences.  ``attend`` makes one kernel call per batch: Q and K
+are encoded together as the (2, t, n) stack [Q, K], whose two row-sets
+share the (t,) positions, so the kernel builds its position table once.
+Axially the two halves of row i are rows 2i and 2i + 1 of the stack
+reshaped to (2, 2t, n/2), at the flattened (t, 2) positions, so both
+halves share that one call too.  The multiplexed roll is one ``mproll``
+call on the (W, 2t, n) stack of the projected components of Q and K.
 
 Each ``attend`` call writes two t x t arrays: the logits, with the
 1/sqrt(d) scale folded into the (t, n) query side, and the scores, built
@@ -192,32 +196,36 @@ def _encode_rows(
 ) -> np.ndarray:
     """Encode row i of ``x`` at positions[i], or apply that map's transpose.
 
-    The identity returns ``x`` itself; axially each half of the rows is
-    encoded at its own coordinate.
+    ``x`` is (t, n) rows or an (s, t, n) stack of row-sets that share the
+    positions.  The identity returns ``x`` itself; axially each half of the
+    rows is encoded at its own coordinate, in the same kernel call.
     """
     if pe.kind is PEKind.NONE:
         return x
     if not pe.axial:
         return _encode(x, positions, pe, transpose)
-    half = x.shape[1] // 2
-    return np.concatenate(
-        [
-            _encode(x[:, :half], positions[:, 0], pe, transpose),
-            _encode(x[:, half:], positions[:, 1], pe, transpose),
-        ],
-        axis=1,
-    )
+    *lead, t, n = x.shape
+    halves = x.reshape(*lead, 2 * t, n // 2)
+    return _encode(halves, positions.reshape(-1), pe, transpose).reshape(x.shape)
+
+
+def _encode_qk(batch: AttentionBatch, pe: PEConfig) -> tuple[np.ndarray, np.ndarray]:
+    """enc(Q) and enc(K), from one kernel call on the stack [Q, K]."""
+    if pe.kind is PEKind.NONE:
+        return batch.q, batch.k
+    enc_q, enc_k = _encode_rows(np.stack([batch.q, batch.k]), batch.positions, pe)
+    return enc_q, enc_k
 
 
 def _encode(x: np.ndarray, p: np.ndarray, pe: PEConfig, transpose: bool) -> np.ndarray:
-    """Row i of ``x`` encoded at p[i], in one kernel call.
+    """Row i of ``x`` (of each row-set of a stack) encoded at p[i], in one kernel call.
 
     ``transpose=True`` applies the transpose of the linear part, as a
     gradient needs: the identity for the absolute embedding, an offset;
     each roll and rope at -p; sum_w M_w^T S^(-w*p) for the multiplexed
     roll sum_w S^(w*p) M_w.
     """
-    n = x.shape[1]
+    n = x.shape[-1]
     if pe.kind is PEKind.SINUSOIDAL_APE:
         return x if transpose else x + sinusoidal_ape(p, n)
     if transpose:
@@ -230,7 +238,10 @@ def _encode(x: np.ndarray, p: np.ndarray, pe: PEConfig, transpose: bool) -> np.n
         return rope_apply(x, p, classic_schedule(n))
     mats = _multiplex_projections(n, pe.waves)
     if not transpose:
-        return mproll(x @ mats.swapaxes(1, 2), p)
+        # the row-sets of a stack as one (rows, n) stack at tiled positions
+        rows = x.reshape(-1, n)
+        comps = rows @ mats.swapaxes(1, 2)
+        return mproll(comps, np.tile(p, len(rows) // len(p))).reshape(x.shape)
     # reduced first, so that w * p stays an exact integer beyond 2**53 / w
     p = _as_shifts(x, p)
     return sum(roll_discrete(x, w * p) @ m for w, m in enumerate(mats, start=1))
@@ -244,9 +255,7 @@ def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> Atten
     """
     _check_batch(batch, pe)
     scale = _score_scale(batch.dim, batch.dim, d)
-    enc_q = _encode_rows(batch.q, batch.positions, pe)
-    enc_k = _encode_rows(batch.k, batch.positions, pe)
-    logits, scores = _attention_weights(enc_q, enc_k, scale)
+    logits, scores = _attention_weights(*_encode_qk(batch, pe), scale)
     return AttentionOutput(output=scores @ batch.v, scores=scores, logits=logits)
 
 
@@ -279,8 +288,9 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     The scalar loss is the sum of all attention outputs; the gradient is
     taken with respect to every entry of Q.  Central differences use the
     given step and are row-local: bumping Q[i, j] changes only row i of
-    the scores, so the 2*t*n bumped query rows are encoded as one batch
-    and scored against the unbumped keys in one softmax call, and only
+    the scores, so the 2n bumped copies of Q are encoded with K as one
+    (2n + 1, t, n) stack at the batch's positions, every bumped query row
+    is scored against the unbumped keys in one softmax call, and only
     row i's loss term is differenced.  The other rows' terms
     cancel exactly, so this is the whole-loss central difference without
     its cancellation error.
@@ -299,23 +309,21 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
 def _loss_grad_fd(batch: AttentionBatch, pe: PEConfig, eps: float) -> np.ndarray:
     """Row-local central differences of sum(attend(batch).output) in Q."""
     t, n = batch.q.shape
-    steps = eps * np.eye(n)
-    # bumped[i, 0, j] = Q[i] + eps e_j and bumped[i, 1, j] = Q[i] - eps e_j
-    bumped = np.stack([batch.q[:, None] + steps, batch.q[:, None] - steps], axis=1)
-    enc = _encode_rows(
-        bumped.reshape(2 * t * n, n), np.repeat(batch.positions, 2 * n, axis=0), pe
+    steps = eps * np.eye(n)[:, None]
+    # stack[j, i] = Q[i] + eps e_j, stack[n + j, i] = Q[i] - eps e_j, stack[2n] = K
+    stack = np.concatenate([batch.q + steps, batch.q - steps, batch.k[None]])
+    enc = _encode_rows(stack, batch.positions, pe)
+    _, scores = _attention_weights(
+        enc[:-1].reshape(2 * n * t, n), enc[-1], _score_scale(n, n, None)
     )
-    enc_k = _encode_rows(batch.k, batch.positions, pe)
-    _, scores = _attention_weights(enc, enc_k, _score_scale(n, n, None))
     # row i's loss term is scores[i] @ V summed over its columns
-    terms = (scores @ batch.v.sum(axis=1)).reshape(t, 2, n)
-    return (terms[:, 0] - terms[:, 1]) / (2.0 * eps)
+    terms = (scores @ batch.v.sum(axis=1)).reshape(2, n, t)
+    return (terms[0] - terms[1]).T / (2.0 * eps)
 
 
 def _loss_grad_wrt_q(batch: AttentionBatch, pe: PEConfig) -> np.ndarray:
     scale = _score_scale(batch.dim, batch.dim, None)
-    enc_q = _encode_rows(batch.q, batch.positions, pe)
-    enc_k = _encode_rows(batch.k, batch.positions, pe)
+    enc_q, enc_k = _encode_qk(batch, pe)
     _, scores = _attention_weights(enc_q, enc_k, scale)
 
     # loss = sum(scores @ V): d loss / d scores[i, j] = sum_m V[j, m]

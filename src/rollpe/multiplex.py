@@ -31,13 +31,19 @@ def mproll(components, p) -> np.ndarray:
     stack with (t,) integer positions, row i of every component rolled
     by w*p[i].  ``p`` is checked as ``roll_discrete`` checks it, then
     reduced mod n once, so w*p stays an exact integer at any magnitude.
-    Any other shape raises ``ValueError``.
+    A stack rolls all W*t rows in one gather and sums the waves in order
+    1..W.  Any other shape raises ``ValueError``.
     """
     comps = np.asarray(components, dtype=float)
     if comps.ndim not in (2, 3) or comps.size == 0:
         raise ValueError("components must be a non-empty (W, n) bank or (W, t, n) stack")
     p = _as_shifts(comps[0], p)
-    return sum(roll_discrete(c, w * p) for w, c in enumerate(comps, start=1))
+    if comps.ndim == 2:
+        return sum(roll_discrete(c, w * p) for w, c in enumerate(comps, start=1))
+    waves, t, n = comps.shape
+    shifts = np.arange(1, waves + 1)[:, None] * p
+    rolled = roll_discrete(comps.reshape(waves * t, n), shifts.reshape(-1))
+    return rolled.reshape(comps.shape).sum(axis=0)
 
 
 def mproll_score(bank_q, bank_k, p_q: int, p_k: int, d: float | None = None) -> float:

@@ -27,7 +27,7 @@ __all__ = [
 # One check per argument kind, shared by every public entry point.  The
 # single-vector kernels are called about a thousand times per pass of the
 # invariant checks, so the vector checks stay scalar tests; ``_as_rows``
-# checks a whole (t, n) stack with one reduction per argument.
+# checks a whole stack with one reduction per argument.
 
 
 def _as_vector(x, name: str = "q") -> np.ndarray:
@@ -67,45 +67,55 @@ def _check_finite(x: np.ndarray, name: str) -> None:
 
 
 def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
-    """``x`` as (t, n) rows with (t,) positions ``p``, plus the shape of ``x``.
+    """``x`` as rows with (t,) positions ``p``, plus the shape of ``x``.
 
-    A vector takes a scalar position and is the one-row case; a (t, n)
-    stack takes one position per row.  A wrong shape or a non-finite
-    position raises ``ValueError``, in one reduction whatever t is.  The
-    entries of ``x`` are left to the caller to check.
+    A vector takes a scalar position and is the one-row case, returned as
+    (1, n); a (t, n) stack takes one position per row; an (s, t, n) stack
+    holds s row-sets that share the (t,) positions, row i of each at p[i].
+    A table built over the (t,) positions therefore broadcasts against the
+    rows of every shape.  A wrong shape or a non-finite position raises
+    ``ValueError``, in one reduction whatever t is.  The entries of ``x``
+    are left to the caller to check.
     """
     arr = np.asarray(x, dtype=float)
     pos = np.asarray(p, dtype=float)
-    if arr.ndim not in (1, 2) or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 1-D vector or (t, n) stack of rows")
-    if pos.shape != arr.shape[:-1]:
+    if arr.ndim not in (1, 2, 3) or arr.size == 0:
         raise ValueError(
-            f"{name} of shape {arr.shape} needs positions of shape {arr.shape[:-1]}, "
+            f"{name} must be a non-empty 1-D vector, (t, n) stack of rows "
+            "or (s, t, n) stack of row-sets"
+        )
+    if pos.shape != arr.shape[-2:-1]:
+        raise ValueError(
+            f"{name} of shape {arr.shape} needs positions of shape {arr.shape[-2:-1]}, "
             f"got {pos.shape}"
         )
     finite = np.isfinite(pos)
     if not finite.all():
         raise ValueError(f"position must be finite, got {float(pos[~finite][0])!r}")
-    return arr.reshape(-1, arr.shape[-1]), pos.reshape(-1), arr.shape
+    return (arr if arr.ndim > 1 else arr[None]), pos.reshape(-1), arr.shape
 
 
 def _as_shifts(q: np.ndarray, p):
-    """The shift of vector ``q``, or the (t,) shifts of a (t, n) stack, reduced mod n.
+    """The shift of vector ``q``, or the (t,) shifts of a stack, reduced mod n.
 
-    A vector takes any integer ``p`` and gets an int.  A stack gets an
-    integer array: positions of an integer dtype are reduced with an
-    integer modulus, exactly at any magnitude; others are read as
-    float64.  A fractional, non-finite or misshapen position raises
-    ``ValueError`` before any reduction.
+    A vector takes any integer ``p`` and gets an int.  A (t, n) or
+    (s, t, n) stack gets an integer array: positions of an integer dtype,
+    and Python ints beyond int64, are reduced with an integer modulus,
+    exactly at any magnitude; others are read as float64.  A fractional,
+    non-finite or misshapen position raises ``ValueError`` before any
+    reduction.
     """
     if q.ndim == 1:
         return _as_steps(p) % _as_vector(q).size
     _, pos, _ = _as_rows(q, p)
-    n = q.shape[1]
+    n = q.shape[-1]
     ints = np.asarray(p)
     if ints.dtype.kind in "iu":
         # widened first, so that a narrow dtype cannot overflow at n
         return (ints.astype(ints.dtype.kind + "8") % n).astype(np.intp)
+    if ints.dtype.kind == "O":
+        # Python ints too large for int64: reduced one by one, exactly
+        return np.array([_as_steps(v) % n for v in ints.reshape(-1)], dtype=np.intp)
     fractional = pos != np.floor(pos)
     if fractional.any():
         raise ValueError(f"shift count must be an integer, got {float(pos[fractional][0])!r}")
@@ -117,18 +127,25 @@ def roll_discrete(q, p) -> np.ndarray:
     """Roll ``q`` by ``p`` steps: output[i] = q[(i + p) % n].
 
     ``q`` is one vector with an integer ``p``, rolled by two slice
-    copies, or a (t, n) stack of rows with (t,) integer positions, row i
-    rolled by p[i] in one gather (see ``_as_shifts`` for how positions
-    are read).  Pure index permutation, exact in floating point, so NaN
-    and +-inf entries move like any other.  A fractional, non-finite or
-    misshapen position raises ``ValueError``.  Always returns a fresh
-    array.
+    copies; a (t, n) stack of rows with (t,) integer positions, row i
+    rolled by p[i]; or an (s, t, n) stack of s row-sets sharing those
+    positions.  A stack is rolled in one gather (see ``_as_shifts`` for
+    how positions are read).  Pure index permutation, exact in floating
+    point, so NaN and +-inf entries move like any other.  A fractional,
+    non-finite or misshapen position raises ``ValueError``.  Always
+    returns a fresh array.
     """
     q = np.asarray(q, dtype=float)
     s = _as_shifts(q, p)
     n = q.shape[-1]
-    if q.ndim == 2:
-        return q[np.arange(len(q))[:, None], (np.arange(n) + s[:, None]) % n]
+    if q.ndim > 1:
+        # windows[..., i, k] is doubled[..., i, k:k + n], row i rolled by k,
+        # so the gather needs no (t, n) index table and no integer modulo
+        doubled = np.concatenate([q, q], axis=-1)
+        windows = np.ndarray(
+            (*q.shape, n), float, doubled, 0, (*doubled.strides, doubled.itemsize)
+        )
+        return windows[..., np.arange(len(s)), s, :]
     if s == 0:
         return q.copy()
     out = np.empty_like(q)

@@ -54,24 +54,26 @@ class FrequencySchedule:
 def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
     """Rotate each pair (v[2k], v[2k+1]) by angle p * omega_k (counterclockwise).
 
-    ``v`` is one vector with a scalar ``p``, or a (t, 2m) stack of rows
-    with (t,) positions, row i rotated at p[i] through one (t, m) cos/sin
-    table; a vector is the one-row case.  The schedule needs one plane
-    per coordinate pair.  A non-finite or misshapen position raises
-    ``ValueError``, a NaN or +-inf in ``v`` ``FloatingPointError``.
+    ``v`` is one vector with a scalar ``p``, a (t, 2m) stack of rows with
+    (t,) positions, row i rotated at p[i], or an (s, t, 2m) stack of s
+    row-sets sharing those positions; every shape is rotated through one
+    (t, m) cos/sin table, and a vector is the one-row case.  The schedule
+    needs one plane per coordinate pair.  A non-finite or misshapen
+    position raises ``ValueError``, a NaN or +-inf in ``v``
+    ``FloatingPointError``.
     """
     rows, pos, shape = _as_rows(v, p, "v")
     _check_finite(rows, "v")
-    if rows.shape[1] != 2 * sched.planes:
+    if rows.shape[-1] != 2 * sched.planes:
         raise ValueError(
-            f"schedule has {sched.planes} planes but v has length {rows.shape[1]}"
+            f"schedule has {sched.planes} planes but v has length {rows.shape[-1]}"
         )
     ang = pos[:, None] * sched.omegas
     c, s = np.cos(ang), np.sin(ang)
-    x, y = rows[:, 0::2], rows[:, 1::2]
+    x, y = rows[..., 0::2], rows[..., 1::2]
     out = np.empty_like(rows)
-    out[:, 0::2] = c * x - s * y
-    out[:, 1::2] = s * x + c * y
+    out[..., 0::2] = c * x - s * y
+    out[..., 1::2] = s * x + c * y
     return out.reshape(shape)
 
 

@@ -28,7 +28,8 @@ Fractional rolls are computed with a real FFT: a roll is a per-frequency
 phase on bins 0..n/2 (RAW adds one per-bin factor), so no n-by-n matrix
 is built and the output is real by construction.  A (t, n) stack of rows
 with one position each is rolled in one pass over a (t, n/2+1) phase
-table.  The dense DFT matrix serves the generator and its residual
+table, which an (s, t, n) stack of row-sets at the same positions
+shares.  The dense DFT matrix serves the generator and its residual
 diagnostics, which exponentiate through the unitary diagonalization; no
 general-purpose (Pade / scaling-squaring) matrix exponential is used
 anywhere in the library.
@@ -129,15 +130,17 @@ def roll_continuous(
 ) -> np.ndarray:
     """Roll ``q`` by a real amount ``p`` with period stretched by ``lam``.
 
-    ``q`` is one vector with a scalar ``p``, or a (t, n) stack of rows
-    with (t,) positions, row i rolled by p[i]; a vector is the one-row
-    case of the same computation.  Scales each bin k = 0..n/2 of the real
-    spectrum of each row by exp(2*pi*1j*k*r/n), r = p/lam, and transforms
-    back, so the output is real by construction.  The RAW branch, whose
-    complex output is reduced to its real part, is the same map with
-    every non-DC bin further scaled by exp(-1j*pi*r) * cos(pi*r): it keeps
-    the mean and damps the rest by exactly |cos(pi*p/lam)|, which leaves
-    only the mean at half-integer p/lam.  Both branches have exact period
+    ``q`` is one vector with a scalar ``p``, a (t, n) stack of rows with
+    (t,) positions, row i rolled by p[i], or an (s, t, n) stack of s
+    row-sets sharing those positions; a vector is the one-row case of the
+    same computation.  Scales each bin k = 0..n/2 of the real spectrum of
+    each row by exp(2*pi*1j*k*r/n), r = p/lam, from one (t, n/2+1) phase
+    table, and transforms back, so the output is real by construction.
+    The RAW branch, whose complex output is reduced to its real part, is
+    the same map with every non-DC bin further scaled by
+    exp(-1j*pi*r) * cos(pi*r): it keeps the mean and damps the rest by
+    exactly |cos(pi*p/lam)|, which leaves only the mean at half-integer
+    p/lam.  Both branches have exact period
     lam * n in p, so p is first reduced modulo that period, which keeps
     huge positions as accurate as small ones.  At integer p/lam this
     reproduces the discrete roll for both branches.  A non-finite or
@@ -148,14 +151,14 @@ def roll_continuous(
     _check_branch(branch)
     rows, pos, shape = _as_rows(q, p)
     _check_finite(rows, "q")
-    n = rows.shape[1]
+    n = rows.shape[-1]
     r = np.fmod(pos, lam * n) / lam
-    spec = np.fft.rfft(rows, axis=1) * np.exp(
+    spec = np.fft.rfft(rows, axis=-1) * np.exp(
         (2j * np.pi / n * r)[:, None] * np.arange(n // 2 + 1)
     )
     if branch is SpectralBranch.RAW:
-        spec[:, 1:] *= (np.exp(-1j * np.pi * r) * np.cos(np.pi * r))[:, None]
-    return np.fft.irfft(spec, n, axis=1).reshape(shape)
+        spec[..., 1:] *= (np.exp(-1j * np.pi * r) * np.cos(np.pi * r))[:, None]
+    return np.fft.irfft(spec, n, axis=-1).reshape(shape)
 
 
 def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:

@@ -235,7 +235,7 @@ class TestAttend:
 
 
 class TestPhaseKindsEncodeOncePerBatch:
-    """Every kind encodes each side of a batch in one kernel call per wave."""
+    """Every kind encodes Q and K, and both axial halves, in one kernel call."""
 
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize(
@@ -255,7 +255,7 @@ class TestPhaseKindsEncodeOncePerBatch:
         ],
     )
     def test_kernel_calls_per_attend(self, pe, kernel, axial, monkeypatch):
-        """A per-row fallback would call a kernel t = 64 times per side."""
+        """One call per side would be 2, per axial half 4, per row 2t = 128."""
         calls = dict.fromkeys(
             ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
              "sinusoidal_ape", "mproll"],
@@ -277,9 +277,82 @@ class TestPhaseKindsEncodeOncePerBatch:
         pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
         attend(AttentionBatch(*rng.standard_normal((3, t, 8)), positions), pe)
         kernel_calls = calls.pop(kernel)
-        assert kernel_calls == (4 if axial else 2)
-        assert calls.pop("classic_schedule") <= kernel_calls
+        assert kernel_calls == 1
+        assert calls.pop("classic_schedule") <= 1
         assert set(calls.values()) == {0}
+
+
+def _side_encode(x, positions, pe):
+    """One side's (t, n) rows through its kind's public kernel, one call per axial half."""
+    if pe.axial:
+        half = x.shape[1] // 2
+        flat = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves)
+        return np.concatenate(
+            [
+                _side_encode(x[:, :half], positions[:, 0], flat),
+                _side_encode(x[:, half:], positions[:, 1], flat),
+            ],
+            axis=1,
+        )
+    n = x.shape[1]
+    if pe.kind is PEKind.NONE:
+        return x
+    if pe.kind is PEKind.SINUSOIDAL_APE:
+        return x + sinusoidal_ape(positions, n)
+    if pe.kind is PEKind.ROLL_DISCRETE:
+        return roll_discrete(x, positions)
+    if pe.kind is PEKind.ROLL_CONTINUOUS:
+        return roll_continuous(x, positions, pe.lam, pe.branch)
+    if pe.kind is PEKind.ROPE:
+        return rope_apply(x, positions, classic_schedule(n))
+    return mproll(x @ _multiplex_projections(n, pe.waves).swapaxes(1, 2), positions)
+
+
+class TestAttendMatchesPerSideKernels:
+    """Encoding [Q, K] in one call changes no bit of what one call per side gave."""
+
+    @pytest.mark.parametrize(
+        "t, n, axial",
+        [(8, 8, False), (8, 8, True), (16, 32, "grid"), (33, 64, False), (33, 64, True)],
+        ids=["8x8", "8x8-axial", "16x32-grid", "33x64", "33x64-axial"],
+    )
+    @pytest.mark.parametrize(
+        "pe",
+        [
+            _pe(PEKind.NONE),
+            _pe(PEKind.SINUSOIDAL_APE),
+            _pe(PEKind.ROLL_DISCRETE),
+            _pe(PEKind.ROLL_CONTINUOUS, lam=0.5, branch=SpectralBranch.CENTERED),
+            _pe(PEKind.ROLL_CONTINUOUS, lam=2.0, branch=SpectralBranch.RAW),
+            _pe(PEKind.ROPE),
+            _pe(PEKind.MULTIPLEXED_ROLL, waves=1),
+            _pe(PEKind.MULTIPLEXED_ROLL, waves=2),
+            _pe(PEKind.MULTIPLEXED_ROLL, waves=3),
+        ],
+        ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}/W={pe.waves}",
+    )
+    def test_attend_matches_per_side_kernels(self, pe, t, n, axial):
+        """Bit for bit, but for the multiplexed roll: its projection is one matmul over
+        both sides, which BLAS may round differently, so it matches to 1e-12 relative."""
+        rng = np.random.default_rng(t * n)
+        if axial == "grid":
+            grid = np.arange(4.0)
+            positions = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        else:
+            positions = rng.integers(-(2**40), 2**40, size=(t, 2) if axial else t).astype(float)
+            if pe.kind in (PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
+                positions += rng.uniform(-0.5, 0.5, size=positions.shape)
+        batch = AttentionBatch(*rng.standard_normal((3, t, n)), positions)
+        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, bool(axial))
+        got = attend(batch, pe)
+        enc_q, enc_k = (_side_encode(x, positions, pe) for x in (batch.q, batch.k))
+        logits, scores = attention._attention_weights(enc_q, enc_k, math.sqrt(n))
+        pairs = [(got.logits, logits), (got.scores, scores), (got.output, scores @ batch.v)]
+        for have, want in pairs:
+            if pe.kind is PEKind.MULTIPLEXED_ROLL:
+                assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+            else:
+                np.testing.assert_array_equal(have, want)
 
 
 class TestEncodeTranspose:

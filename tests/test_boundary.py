@@ -156,14 +156,20 @@ _ROWS = np.arange(12.0).reshape(3, 4)
         (_ROWS[0], np.zeros(4)),
         (np.zeros((3, 0)), np.zeros(3)),
         (np.zeros((2, 3, 4)), np.zeros((2, 3))),
+        (np.zeros((3, 3, 4)), np.zeros((3, 3))),
+        (np.zeros((2, 3, 4)), np.zeros(4)),
+        (np.zeros((2, 3, 4)), 0.5),
+        (np.zeros((2, 2, 3, 4)), np.zeros(3)),
     ],
     ids=[
         "stack-scalar", "stack-short", "stack-long", "stack-column",
         "vector-one", "vector-many", "empty-rows", "three-d",
+        "row-sets-per-row", "row-sets-long", "row-sets-scalar", "four-d",
     ],
 )
 def test_misshapen_positions_raise(kernel, x, p):
-    """A stack takes one position per row, a vector one scalar."""
+    """A stack takes one position per row, a vector one scalar; an (s, t, n)
+    stack of row-sets takes the (t,) positions its row-sets share."""
     with pytest.raises(ValueError):
         kernel(x, p)
 

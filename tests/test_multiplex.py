@@ -62,6 +62,14 @@ class TestMproll:
         bank = np.random.default_rng(4).standard_normal((3, 7))
         np.testing.assert_array_equal(mproll(bank, p), _summed_rolls(bank, p))
 
+    @pytest.mark.parametrize("p", [2**70 + 1, -(2**70 + 3)], ids=["2**70+1", "-(2**70+3)"])
+    def test_stack_beyond_int64_is_exact(self, p):
+        """Python ints too large for int64 reduce exactly, as the bank's do."""
+        stack = np.random.default_rng(5).standard_normal((3, 2, 7))
+        got = mproll(stack, [p, 1 - p])
+        np.testing.assert_array_equal(got[0], _summed_rolls(stack[:, 0], p))
+        np.testing.assert_array_equal(got[1], _summed_rolls(stack[:, 1], 1 - p))
+
     @pytest.mark.parametrize(
         "bank",
         [np.ones(4), np.ones((1, 2, 3, 4)), np.zeros((0, 4)), np.zeros((2, 0)), []],

@@ -117,6 +117,19 @@ class TestRollDiscreteStack:
             positions = np.array([p], dtype=np.int64) if as_array else [p]
             np.testing.assert_array_equal(roll_discrete(q[None], positions)[0], roll_discrete(q, p))
 
+    @pytest.mark.parametrize("p", [2**70 + 1, -(2**70 + 3)], ids=["2**70+1", "-(2**70+3)"])
+    def test_python_ints_beyond_int64_match_vector_roll(self, p):
+        """A list of such ints is an object array; read as float64 it would lose the low bits."""
+        for n in (3, 5, 7):
+            q = np.arange(float(n))
+            want = roll_discrete(q, p)
+            np.testing.assert_array_equal(roll_discrete(q[None], [p])[0], want)
+            np.testing.assert_array_equal(roll_discrete(q[None, None], [p])[0, 0], want)
+
+    def test_fraction_beside_a_python_int_beyond_int64_raises(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            roll_discrete(np.ones((2, 4)), [2**70, 0.5])
+
     def test_narrow_integer_positions_do_not_overflow(self):
         q = np.arange(300.0)
         for dtype in (np.int8, np.uint8, np.int16, np.uint64):
