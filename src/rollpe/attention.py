@@ -35,7 +35,7 @@ import numpy as np
 from .multiplex import mproll
 from .roll_core import _as_count, _as_shifts, _check_wavelength, _score_scale, roll_discrete
 from .rope import classic_schedule, rope_apply
-from .spectral import SpectralBranch, roll_continuous
+from .spectral import SpectralBranch, _phases, roll_continuous
 
 __all__ = [
     "PEKind",
@@ -111,7 +111,7 @@ class AttentionBatch:
             raise ValueError("Q, K, V must be 2-D matrices of one shared shape")
         _as_count(q.shape[0], "t (tokens)")
         _as_count(q.shape[1], "n (head dimension)")
-        if pos.shape[0] != q.shape[0] or pos.ndim not in (1, 2):
+        if pos.ndim not in (1, 2) or pos.shape[0] != q.shape[0]:
             raise ValueError("positions must have one row per token")
         if pos.ndim == 2 and pos.shape[1] != 2:
             raise ValueError("axial positions must be (t, 2)")
@@ -157,17 +157,13 @@ def _multiplex_projections(n: int, waves: int) -> np.ndarray:
 
 
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
-    n = batch.dim
     if pe.axial:
         if batch.positions.ndim != 2:
             raise ValueError("axial encoding requires (t, 2) positions")
-        if n % 2 != 0:
+        if batch.dim % 2 != 0:
             raise ValueError("axial encoding requires an even head dimension")
-        n //= 2
     elif batch.positions.ndim != 1:
         raise ValueError("scalar encoding requires (t,) positions")
-    if pe.kind in (PEKind.ROPE, PEKind.SINUSOIDAL_APE) and n % 2 != 0:
-        raise ValueError(f"{pe.kind.value} requires an even sub-vector length, got {n}")
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -262,23 +258,19 @@ def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> Atten
 def sinusoidal_ape(positions, n: int) -> np.ndarray:
     """Fixed sin/cos absolute position table, one row per position.
 
-    Row p holds sin(p * f_i) at even dims and cos(p * f_i) at odd dims,
-    with f_i = 10000**(-2i/n).  Any finite position is accepted; NaN or
-    +-inf positions raise ``ValueError``.
+    Row p holds sin(p * f_i) at even dims and cos(p * f_i) at odd dims, the
+    imaginary and real parts of rope's phases, f_i = 10000**(-2i/n) (``classic_schedule``).
+    Any finite position is accepted; NaN or +-inf positions raise ``ValueError``.
     """
-    n = _as_count(n)
-    if n % 2 != 0:
-        raise ValueError("n must be a positive even integer")
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 1:
         raise ValueError("positions must be a 1-D vector")
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
-    freqs = 10000.0 ** (-2.0 * np.arange(n // 2) / n)
-    ang = positions[:, None] * freqs[None, :]
-    table = np.empty((positions.size, n))
-    table[:, 0::2] = np.sin(ang)
-    table[:, 1::2] = np.cos(ang)
+    phases = _phases(positions, classic_schedule(n).omegas)
+    table = np.empty((positions.size, 2 * phases.shape[1]))
+    table[:, 0::2] = phases.imag
+    table[:, 1::2] = phases.real
     return table
 
 

@@ -87,8 +87,10 @@ def equivariance_violation_witness(
     Draws banks and positions from a deterministic generator until
     |score(p_q + t, p_k + t) - score(p_q, p_k)| exceeds ``gap_threshold``.
     A single-wave bank can never produce a witness; the search then
-    simply exhausts its budget.
+    simply exhausts its budget.  ``gap_threshold`` must be finite and positive.
     """
+    if not 0 < gap_threshold < np.inf:
+        raise ValueError(f"gap_threshold must be finite and positive, got {gap_threshold!r}")
     n = _as_count(n, least=3)
     waves = _as_count(waves, "waves")
     budget = _as_count(budget, "budget")

@@ -1,25 +1,26 @@
 """Rotary positional encoding and its correspondence with fractional rolls.
 
-A rotary encoding rotates consecutive coordinate pairs (v[2k], v[2k+1]) by
-position-proportional angles p * omega_k.  Diagonalizing the circular
-shift shows a fractional roll is exactly such a rotation after an
-orthogonal change of basis built from the real and imaginary parts of the
-DFT rows: each conjugate frequency pair becomes one rotation plane with
-omega_k = 2*pi*k / (lambda*n), the DC row is a fixed coordinate, and (for
-even n) the Nyquist row evolves by cos(pi*p/lambda).
-``equivalence_residual`` runs both code paths on the same inputs and
-returns the absolute score gap.
+A rotary encoding multiplies each coordinate pair v[2k] + 1j*v[2k+1] by
+exp(1j*p*omega_k), from the phase table the fractional roll scales its
+Fourier bins by.  Diagonalizing the circular shift shows a fractional roll
+is exactly such a rotation after an orthogonal change of basis built from
+the real and imaginary parts of the DFT rows: each conjugate frequency
+pair becomes one rotation plane with omega_k = 2*pi*k / (lambda*n), the
+DC row is a fixed coordinate, and (for even n) the Nyquist row evolves by
+cos(pi*p/lambda).  ``equivalence_residual`` runs both code paths on the
+same inputs and returns the absolute score gap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .roll_core import _as_count, _as_rows, _as_vector, _check_finite, _check_wavelength
-from .spectral import SpectralBranch, dft_matrix, roll_continuous
+from .spectral import SpectralBranch, _phases, dft_matrix, roll_continuous
 
 __all__ = [
     "FrequencySchedule",
@@ -56,11 +57,11 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
 
     ``v`` is one vector with a scalar ``p``, a (t, 2m) stack of rows with
     (t,) positions, row i rotated at p[i], or an (s, t, 2m) stack of s
-    row-sets sharing those positions; every shape is rotated through one
-    (t, m) cos/sin table, and a vector is the one-row case.  The schedule
-    needs one plane per coordinate pair.  A non-finite or misshapen
-    position raises ``ValueError``, a NaN or +-inf in ``v``
-    ``FloatingPointError``.
+    row-sets sharing those positions; a vector is the one-row case.  Pair
+    k, read as v[2k] + 1j*v[2k+1], is multiplied by exp(1j*p*omega_k) from
+    one (t, m) phase table.  The schedule needs one plane per pair.  A
+    non-finite or misshapen position raises ``ValueError``, a NaN or +-inf
+    in ``v`` ``FloatingPointError``.
     """
     rows, pos, shape = _as_rows(v, p, "v")
     _check_finite(rows, "v")
@@ -68,22 +69,23 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
         raise ValueError(
             f"schedule has {sched.planes} planes but v has length {rows.shape[-1]}"
         )
-    ang = pos[:, None] * sched.omegas
-    c, s = np.cos(ang), np.sin(ang)
-    x, y = rows[..., 0::2], rows[..., 1::2]
-    out = np.empty_like(rows)
-    out[..., 0::2] = c * x - s * y
-    out[..., 1::2] = s * x + c * y
-    return out.reshape(shape)
+    # the table at the pairs' rank: numpy rounds a lone pair against fewer axes another way
+    pairs = np.ascontiguousarray(rows).view(complex)
+    phases = _phases(pos, sched.omegas)[(None,) * (pairs.ndim - 2)]
+    return (pairs * phases).view(float).reshape(shape)
 
 
 def classic_schedule(n: int) -> FrequencySchedule:
-    """Standard rotary frequencies omega_k = 10000**(-2k/n), k = 0..n/2-1."""
+    """Rotary frequencies omega_k = 10000**(-2k/n), k < n/2, built once per n and shared."""
     n = _as_count(n)
     if n % 2 != 0:
-        raise ValueError("n must be a positive even integer")
-    k = np.arange(n // 2)
-    return FrequencySchedule(omegas=10000.0 ** (-2.0 * k / n))
+        raise ValueError(f"n must be a positive even integer, got {n}")
+    return _classic_schedule(n)
+
+
+@lru_cache(maxsize=32)
+def _classic_schedule(n: int) -> FrequencySchedule:
+    return FrequencySchedule(omegas=10000.0 ** (-2.0 * np.arange(n // 2) / n))
 
 
 def roll_induced_schedule(n: int, lam: float = 1.0) -> FrequencySchedule:

@@ -26,13 +26,13 @@ times the Nyquist energy of the input).
 
 Fractional rolls are computed with a real FFT: a roll is a per-frequency
 phase on bins 0..n/2 (RAW adds one per-bin factor), so no n-by-n matrix
-is built and the output is real by construction.  A (t, n) stack of rows
-with one position each is rolled in one pass over a (t, n/2+1) phase
-table, which an (s, t, n) stack of row-sets at the same positions
-shares.  The dense DFT matrix serves the generator and its residual
-diagnostics, which exponentiate through the unitary diagonalization; no
-general-purpose (Pade / scaling-squaring) matrix exponential is used
-anywhere in the library.
+is built and the output is real by construction.  A (t, n) stack of rows,
+or an (s, t, n) stack of row-sets at shared positions, is rolled in one
+pass over a (t, n/2+1) table of unit phases, from the ``_phases`` that
+rope's rotations come from too.  The dense DFT matrix serves the generator
+and its residual diagnostics, which exponentiate through the unitary
+diagonalization; no general-purpose (Pade / scaling-squaring) matrix
+exponential is used anywhere in the library.
 """
 
 from __future__ import annotations
@@ -122,6 +122,11 @@ def log_shift_generator(n: int, branch: SpectralBranch = SpectralBranch.CENTERED
     return ShiftGenerator(n=n, branch=branch, matrix=matrix)
 
 
+def _phases(pos: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """exp(1j * pos[i] * angles[k]), the (t, m) phase table of every rotary kernel."""
+    return np.exp(1j * pos[:, None] * angles)
+
+
 def roll_continuous(
     q,
     p,
@@ -153,9 +158,7 @@ def roll_continuous(
     _check_finite(rows, "q")
     n = rows.shape[-1]
     r = np.fmod(pos, lam * n) / lam
-    spec = np.fft.rfft(rows, axis=-1) * np.exp(
-        (2j * np.pi / n * r)[:, None] * np.arange(n // 2 + 1)
-    )
+    spec = np.fft.rfft(rows, axis=-1) * _phases(r, 2.0 * np.pi / n * np.arange(n // 2 + 1))
     if branch is SpectralBranch.RAW:
         spec[..., 1:] *= (np.exp(-1j * np.pi * r) * np.cos(np.pi * r))[:, None]
     return np.fft.irfft(spec, n, axis=-1).reshape(shape)

@@ -59,19 +59,34 @@ def test_02_translation_equivariance_of_scores():
     start = time.perf_counter()
     rng = np.random.default_rng(102)
     t, n = 8, 16
-    q, k, v = rng.standard_normal((3, t, n))
+    qkv = rng.standard_normal((3, t, n))
     pos_1d = np.arange(t)
     pos_2d = np.stack([np.arange(t), np.arange(t)[::-1]], axis=1)
+    # odd (sub-)lengths: the centered continuous roll is relative at real shifts too
+    qkv_9, qkv_18 = rng.standard_normal((3, t, 9)), rng.standard_normal((3, t, 18))
+    frac_1d, frac_2d = rng.uniform(-20.0, 20.0, size=t), rng.uniform(-20.0, 20.0, size=(t, 2))
     configs = [
-        ("roll-discrete 1d", PEConfig(kind=PEKind.ROLL_DISCRETE), pos_1d, 4),
-        ("roll-continuous 1d", PEConfig(kind=PEKind.ROLL_CONTINUOUS), pos_1d, 4),
-        ("rope 1d", PEConfig(kind=PEKind.ROPE), pos_1d, 4),
-        ("roll-discrete 2d", PEConfig(kind=PEKind.ROLL_DISCRETE, axial=True), pos_2d, (3, 7)),
-        ("roll-continuous 2d", PEConfig(kind=PEKind.ROLL_CONTINUOUS, axial=True), pos_2d, (3, 7)),
-        ("rope 2d", PEConfig(kind=PEKind.ROPE, axial=True), pos_2d, (3, 7)),
+        ("roll-discrete 1d", PEConfig(kind=PEKind.ROLL_DISCRETE), qkv, pos_1d, 4),
+        ("roll-continuous 1d", PEConfig(kind=PEKind.ROLL_CONTINUOUS), qkv, pos_1d, 4),
+        ("rope 1d", PEConfig(kind=PEKind.ROPE), qkv, pos_1d, 4),
+        ("roll-discrete 2d", PEConfig(kind=PEKind.ROLL_DISCRETE, axial=True), qkv, pos_2d, (3, 7)),
+        (
+            "roll-continuous 2d",
+            PEConfig(kind=PEKind.ROLL_CONTINUOUS, axial=True), qkv, pos_2d, (3, 7),
+        ),
+        ("rope 2d", PEConfig(kind=PEKind.ROPE, axial=True), qkv, pos_2d, (3, 7)),
+        (
+            "roll-continuous 1d odd n, fractional",
+            PEConfig(kind=PEKind.ROLL_CONTINUOUS, lam=1.5), qkv_9, frac_1d, 2.375,
+        ),
+        (
+            "roll-continuous 2d odd halves, fractional",
+            PEConfig(kind=PEKind.ROLL_CONTINUOUS, lam=0.75, axial=True), qkv_18, frac_2d,
+            (0.625, -3.3),
+        ),
     ]
     worst, worst_name = 0.0, ""
-    for name, pe, pos, shift in configs:
+    for name, pe, (q, k, v), pos, shift in configs:
         base = attend(AttentionBatch(q, k, v, pos), pe).scores
         moved = attend(AttentionBatch(q, k, v, pos + np.asarray(shift)), pe).scores
         gap = float(np.abs(moved - base).max())

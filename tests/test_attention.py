@@ -593,6 +593,29 @@ class TestSinusoidalApe:
         assert row[0] == pytest.approx(np.sin(p))
         assert row[1] == pytest.approx(np.cos(p))
 
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    def test_every_dim_matches_the_formula(self, n):
+        """Dim 2i holds sin(p * f_i) and dim 2i + 1 cos(p * f_i), f_i = 10000**(-2i/n).
+
+        Each f_i is the formula's value to within one rounding: a vectorised
+        and a scalar pow may differ in the last bit, and at |p| = 1e6 that
+        bit moves the angle by 1e-10.  So the table is checked to 1e-12 at
+        the frequencies themselves, for |p| up to 1e6.
+        """
+        freqs = classic_schedule(n).omegas
+        for i, f in enumerate(freqs):
+            assert f == pytest.approx(10000.0 ** (-2.0 * i / n), rel=2.3e-16, abs=0)
+        rng = np.random.default_rng(n)
+        positions = np.concatenate(
+            [[0.0, 1.0, -2.5, 1e6, -1e6], rng.uniform(-10.0, 10.0, 8), rng.uniform(-1e6, 1e6, 8)]
+        )
+        want = np.empty((positions.size, n))
+        for row, p in enumerate(positions):
+            for i, f in enumerate(freqs):
+                want[row, 2 * i] = math.sin(p * f)
+                want[row, 2 * i + 1] = math.cos(p * f)
+        np.testing.assert_allclose(sinusoidal_ape(positions, n), want, rtol=0, atol=1e-12)
+
     def test_distinct_positions_distinct_rows(self):
         table = sinusoidal_ape(np.arange(10), 16)
         gaps = np.linalg.norm(table[:, None, :] - table[None, :, :], axis=-1)

@@ -7,6 +7,8 @@ a bad value of that kind.  The stacked kernels, ``roll_discrete``,
 ``roll_continuous``, ``rope_apply`` and ``mproll`` (here on a two-wave
 stack), also get one table each for misshapen and non-finite positions;
 the two kernels that are not permutations one more for non-finite rows.
+``AttentionBatch`` positions, the witness's gap threshold and the even
+length that rope and the APE need get one table each as well.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, sinusoidal_ape
+from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, grad_check, sinusoidal_ape
 from rollpe.cli import RunConfig
 from rollpe.multiplex import equivariance_violation_witness, mproll
 from rollpe.regularizer import lipschitz_gap
@@ -100,6 +102,50 @@ def test_infinite_wavelength_raises(call):
 def test_fractional_count_raises(call):
     """Dimensions and counts must be integers, not just at least 1."""
     with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("threshold", [math.nan, INF, 0, -1], ids=["nan", "inf", "0", "-1"])
+def test_bad_gap_threshold_raises(threshold):
+    """A witness needs a finite positive gap: NaN never fires, 0 or less fires on rounding."""
+    with pytest.raises(ValueError, match="gap_threshold must be finite and positive"):
+        equivariance_violation_witness(8, 2, seed=0, gap_threshold=threshold)
+
+
+_QKV = np.random.default_rng(31).standard_normal((3, 4, 6))
+_QKV7 = np.random.default_rng(32).standard_normal((3, 4, 7))
+_AXIAL = np.stack([np.arange(4.0), np.arange(4.0)], axis=1)
+
+
+@_table({
+    "scalar": lambda: AttentionBatch(*_QKV, 3.0),
+    "zero-d": lambda: AttentionBatch(*_QKV, np.array(3.0)),
+    "long": lambda: AttentionBatch(*_QKV, np.arange(5)),
+    "three-d": lambda: AttentionBatch(*_QKV, np.zeros((4, 2, 1))),
+})
+def test_misshapen_batch_positions_raise(call):
+    with pytest.raises(ValueError, match="positions must have one row per token"):
+        call()
+
+
+def _odd_length_call(entry, kind, axial):
+    """``entry`` with ``kind`` at n = 7, or axially at halves of length 3."""
+    if axial:
+        batch, pe = AttentionBatch(*_QKV, _AXIAL), PEConfig(kind=kind, axial=True)
+    else:
+        batch, pe = AttentionBatch(*_QKV7, np.arange(4.0)), PEConfig(kind=kind)
+    return (lambda: attend(batch, pe)) if entry == "attend" else (lambda: grad_check(pe, batch))
+
+
+@_table({
+    f"{entry}/{kind.value}/{'axial' if axial else 'scalar'}": _odd_length_call(entry, kind, axial)
+    for entry in ("attend", "grad_check")
+    for kind in (PEKind.ROPE, PEKind.SINUSOIDAL_APE)
+    for axial in (False, True)
+})
+def test_odd_classic_length_raises(call):
+    """Rope and the APE need an even length: n = 7 scalar, halves of 3 axially."""
+    with pytest.raises(ValueError, match="even integer, got [37]"):
         call()
 
 

@@ -63,6 +63,35 @@ class TestRopeApply:
                 want = _rotation(p * omega) @ row[2 * i : 2 * i + 2]
                 np.testing.assert_allclose(out[2 * i : 2 * i + 2], want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda rng: rng.standard_normal((5, 6)),
+            lambda rng: np.asfortranarray(rng.standard_normal((5, 6))),
+            lambda rng: np.asfortranarray(rng.standard_normal((2, 5, 6))),
+            lambda rng: rng.standard_normal((5, 12))[:, ::2],
+            lambda rng: rng.standard_normal((10, 6))[::2],
+            lambda rng: rng.standard_normal((5, 7))[:, 1:],
+            lambda rng: rng.standard_normal((2, 5, 7))[:, :, 1:],
+        ],
+        ids=[
+            "contiguous", "fortran", "fortran-row-sets", "strided-columns",
+            "strided-rows", "offset", "offset-row-sets",
+        ],
+    )
+    def test_any_memory_layout_matches_a_contiguous_copy(self, layout):
+        """Pairs are read from a contiguous copy when they must be: the result
+        is bit for bit that of the copy, and the caller's array is untouched."""
+        rng = np.random.default_rng(57)
+        x = layout(rng)
+        before = x.copy()
+        positions = rng.uniform(-1e3, 1e3, size=x.shape[-2])
+        sched = classic_schedule(6)
+        got = rope_apply(x, positions, sched)
+        np.testing.assert_array_equal(got, rope_apply(np.ascontiguousarray(x), positions, sched))
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(got, x)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_raises(self, bad):
         """NaN or +-inf in v raises instead of coming back rotated into other slots."""
@@ -105,8 +134,22 @@ class TestSchedules:
         assert classic_schedule(8).omegas[3] == pytest.approx(10000.0 ** (-6.0 / 8.0))
 
     def test_classic_rejects_odd(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="even integer, got 7"):
             classic_schedule(7)
+
+    def test_classic_omegas_are_read_only(self):
+        sched = classic_schedule(8)
+        assert not sched.omegas.flags.writeable
+        with pytest.raises(ValueError):
+            sched.omegas[0] = 2.0
+        np.testing.assert_array_equal(sched.omegas, 10000.0 ** (-np.arange(4) / 4.0))
+
+    @pytest.mark.parametrize("n", [8, 8.0, np.int64(8), np.array(8)], ids=repr)
+    def test_classic_accepts_integral_values(self, n):
+        """Integral spellings of n give one shared schedule, equal call after call."""
+        first, second = classic_schedule(n), classic_schedule(n)
+        assert first == second
+        assert first is classic_schedule(8)
 
     def test_roll_induced_n4_single_plane(self):
         sched = roll_induced_schedule(4, 1.0)

@@ -59,3 +59,17 @@ def test_roll_continuous(s, n, lam, branch, positions, seed):
 def test_rope_apply(s, planes, positions, seed):
     kernel = partial(rope_apply, sched=classic_schedule(2 * planes))
     _assert_row_sets_match(kernel, s, 2 * planes, positions, seed)
+
+
+def test_rope_apply_lone_pair():
+    """One row-set of one row of one pair rounds as its (1, 2) call and its vector call.
+
+    numpy multiplies a lone complex pair broadcast against a table of lower
+    rank in a different rounding from every other shape, so this is the
+    shape most likely to drift."""
+    rng = np.random.default_rng(7)
+    sched = classic_schedule(2)
+    for v, p in zip(rng.standard_normal((200, 2)), rng.uniform(-1e3, 1e3, 200)):
+        stacked = rope_apply(v[None, None], [p], sched)
+        np.testing.assert_array_equal(stacked[0], rope_apply(v[None], [p], sched))
+        np.testing.assert_array_equal(stacked[0, 0], rope_apply(v, p, sched))
