@@ -6,12 +6,17 @@ rows only (never values), either on the whole row with a scalar position
 or axially, with each half of the row encoded by one coordinate of a 2-D
 position.  Every encoding here is an affine map of the row, which is what
 lets ``grad_check`` compare an analytic input gradient against central
-finite differences.  ``attend`` makes one kernel call per batch: Q and K
-are encoded together as the (2, t, n) stack [Q, K], whose two row-sets
-share the (t,) positions, so the kernel builds its position table once.
-Axially the two halves of row i are rows 2i and 2i + 1 of the stack
-reshaped to (2, 2t, n/2), at the flattened (t, 2) positions, so both
-halves share that one call too.  The multiplexed roll is one ``mproll``
+finite differences.  The analytic gradient reads each row's linear map
+off the forward encoder: one call on the (n + 1, t, n) stack holding e_j
+in row-set j and zeros in the last gives J_i e_j = enc[j, i] - enc[n, i],
+so no transposed encoder is written out.
+
+``attend`` makes one kernel call per batch: Q and K are encoded together
+as the (2, t, n) stack [Q, K], whose two row-sets share the (t,)
+positions, so the kernel builds its position table once.  Axially the
+two halves of row i are rows 2i and 2i + 1 of the stack reshaped to
+(2, 2t, n/2), at the flattened (t, 2) positions, so both halves share
+that one call too.  The multiplexed roll is one ``mproll``
 call on the (W, 2t, n) stack of the projected components of Q and K.
 
 Each ``attend`` call writes two t x t arrays: the logits, with the
@@ -33,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .multiplex import mproll
-from .roll_core import _as_count, _as_shifts, _check_wavelength, _score_scale, roll_discrete
+from .roll_core import _as_count, _check_wavelength, _score_scale, roll_discrete
 from .rope import classic_schedule, rope_apply
 from .spectral import SpectralBranch, _phases, roll_continuous
 
@@ -187,60 +192,41 @@ def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
     return logits, _softmax_rows(logits)
 
 
-def _encode_rows(
-    x: np.ndarray, positions: np.ndarray, pe: PEConfig, transpose: bool = False
-) -> np.ndarray:
-    """Encode row i of ``x`` at positions[i], or apply that map's transpose.
-
-    ``x`` is (t, n) rows or an (s, t, n) stack of row-sets that share the
-    positions.  The identity returns ``x`` itself; axially each half of the
-    rows is encoded at its own coordinate, in the same kernel call.
-    """
-    if pe.kind is PEKind.NONE:
-        return x
-    if not pe.axial:
-        return _encode(x, positions, pe, transpose)
-    *lead, t, n = x.shape
-    halves = x.reshape(*lead, 2 * t, n // 2)
-    return _encode(halves, positions.reshape(-1), pe, transpose).reshape(x.shape)
-
-
 def _encode_qk(batch: AttentionBatch, pe: PEConfig) -> tuple[np.ndarray, np.ndarray]:
     """enc(Q) and enc(K), from one kernel call on the stack [Q, K]."""
     if pe.kind is PEKind.NONE:
         return batch.q, batch.k
-    enc_q, enc_k = _encode_rows(np.stack([batch.q, batch.k]), batch.positions, pe)
+    enc_q, enc_k = _encode(np.stack([batch.q, batch.k]), batch.positions, pe)
     return enc_q, enc_k
 
 
-def _encode(x: np.ndarray, p: np.ndarray, pe: PEConfig, transpose: bool) -> np.ndarray:
-    """Row i of ``x`` (of each row-set of a stack) encoded at p[i], in one kernel call.
+def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
+    """Row i of ``x`` (of each row-set of a stack) encoded at positions[i], in one kernel call.
 
-    ``transpose=True`` applies the transpose of the linear part, as a
-    gradient needs: the identity for the absolute embedding, an offset;
-    each roll and rope at -p; sum_w M_w^T S^(-w*p) for the multiplexed
-    roll sum_w S^(w*p) M_w.
+    ``x`` is (t, n) rows or an (s, t, n) stack of row-sets that share the
+    positions; the identity returns ``x`` itself.  The rows are read as
+    (..., -1, n/2) half-rows at the flattened (t, 2) positions when axial,
+    so each half is encoded at its own coordinate, and as they are when not.
     """
-    n = x.shape[-1]
+    if pe.kind is PEKind.NONE:
+        return x
+    n = x.shape[-1] // 2 if pe.axial else x.shape[-1]
+    rows = x.reshape(*x.shape[:-2], -1, n)
+    p = positions.reshape(-1)
     if pe.kind is PEKind.SINUSOIDAL_APE:
-        return x if transpose else x + sinusoidal_ape(p, n)
-    if transpose:
-        p = -p
-    if pe.kind is PEKind.ROLL_DISCRETE:
-        return roll_discrete(x, p)
-    if pe.kind is PEKind.ROLL_CONTINUOUS:
-        return roll_continuous(x, p, pe.lam, pe.branch)
-    if pe.kind is PEKind.ROPE:
-        return rope_apply(x, p, classic_schedule(n))
-    mats = _multiplex_projections(n, pe.waves)
-    if not transpose:
+        enc = rows + sinusoidal_ape(p, n)
+    elif pe.kind is PEKind.ROLL_DISCRETE:
+        enc = roll_discrete(rows, p)
+    elif pe.kind is PEKind.ROLL_CONTINUOUS:
+        enc = roll_continuous(rows, p, pe.lam, pe.branch)
+    elif pe.kind is PEKind.ROPE:
+        enc = rope_apply(rows, p, classic_schedule(n))
+    else:
         # the row-sets of a stack as one (rows, n) stack at tiled positions
-        rows = x.reshape(-1, n)
-        comps = rows @ mats.swapaxes(1, 2)
-        return mproll(comps, np.tile(p, len(rows) // len(p))).reshape(x.shape)
-    # reduced first, so that w * p stays an exact integer beyond 2**53 / w
-    p = _as_shifts(x, p)
-    return sum(roll_discrete(x, w * p) @ m for w, m in enumerate(mats, start=1))
+        flat = rows.reshape(-1, n)
+        comps = flat @ _multiplex_projections(n, pe.waves).swapaxes(1, 2)
+        enc = mproll(comps, np.tile(p, len(flat) // len(p)))
+    return enc.reshape(x.shape)
 
 
 def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> AttentionOutput:
@@ -304,7 +290,7 @@ def _loss_grad_fd(batch: AttentionBatch, pe: PEConfig, eps: float) -> np.ndarray
     steps = eps * np.eye(n)[:, None]
     # stack[j, i] = Q[i] + eps e_j, stack[n + j, i] = Q[i] - eps e_j, stack[2n] = K
     stack = np.concatenate([batch.q + steps, batch.q - steps, batch.k[None]])
-    enc = _encode_rows(stack, batch.positions, pe)
+    enc = _encode(stack, batch.positions, pe)
     _, scores = _attention_weights(
         enc[:-1].reshape(2 * n * t, n), enc[-1], _score_scale(n, n, None)
     )
@@ -322,4 +308,13 @@ def _loss_grad_wrt_q(batch: AttentionBatch, pe: PEConfig) -> np.ndarray:
     v_sum = batch.v.sum(axis=1)
     g_logits = scores * (v_sum - (scores @ v_sum)[:, None])
     g_enc_q = g_logits @ enc_k / scale
-    return _encode_rows(g_enc_q, batch.positions, pe, transpose=True)
+
+    # row i's map is affine, enc_i(x) = J_i x + c_i: encoding the basis stack
+    # [e_0, ..., e_(n-1), 0] gives column j of J_i as enc[j, i] - enc[n, i]
+    t, n = batch.q.shape
+    basis = np.zeros((n + 1, t, n))
+    basis[:n] = np.eye(n)[:, None]
+    enc = _encode(basis, batch.positions, pe)
+    jac = enc[:n] - enc[n]
+    # d loss / d Q[i] = J_i^T g_enc_q[i], whose entry j is (J_i e_j) . g_enc_q[i]
+    return (jac.swapaxes(0, 1) @ g_enc_q[:, :, None])[..., 0]

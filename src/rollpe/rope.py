@@ -111,13 +111,12 @@ def realified_fourier_basis(n: int) -> np.ndarray:
     """
     n = _as_count(n)
     fmat = dft_matrix(n)
-    rows = [fmat[0].real]
-    for k in range(1, (n + 1) // 2):
-        rows.append(np.sqrt(2.0) * fmat[k].real)
-        rows.append(np.sqrt(2.0) * fmat[k].imag)
+    pairs = fmat[1 : (n + 1) // 2]
+    planes = np.sqrt(2.0) * np.stack([pairs.real, pairs.imag], axis=1).reshape(-1, n)
+    rows = [fmat[:1].real, planes]
     if n % 2 == 0:
-        rows.append(fmat[n // 2].real)
-    return np.stack(rows)
+        rows.append(fmat[n // 2 : n // 2 + 1].real)
+    return np.concatenate(rows)
 
 
 def equivalence_residual(q, k, p_q: float, p_k: float, lam: float = 1.0) -> float:

@@ -158,9 +158,11 @@ def roll_continuous(
     _check_finite(rows, "q")
     n = rows.shape[-1]
     r = np.fmod(pos, lam * n) / lam
-    spec = np.fft.rfft(rows, axis=-1) * _phases(r, 2.0 * np.pi / n * np.arange(n // 2 + 1))
+    table = _phases(r, 2.0 * np.pi / n * np.arange(n // 2 + 1))
     if branch is SpectralBranch.RAW:
-        spec[..., 1:] *= (np.exp(-1j * np.pi * r) * np.cos(np.pi * r))[:, None]
+        table[:, 1:] *= (np.exp(-1j * np.pi * r) * np.cos(np.pi * r))[:, None]
+    # one out-of-place product: scaling bins in place rounds a lone bin another way
+    spec = np.fft.rfft(rows, axis=-1) * table
     return np.fft.irfft(spec, n, axis=-1).reshape(shape)
 
 

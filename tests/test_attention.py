@@ -17,8 +17,9 @@ from rollpe.attention import (
 )
 from rollpe import attention
 from rollpe.attention import (
-    _encode_rows,
+    _encode,
     _loss_grad_fd,
+    _loss_grad_wrt_q,
     _multiplex_projections,
     _softmax_rows,
 )
@@ -234,51 +235,80 @@ class TestAttend:
         assert np.isfinite(out.output).all()
 
 
+_KERNEL_CASES = [
+    (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.CENTERED), "roll_continuous"),
+    (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.RAW), "roll_continuous"),
+    (_pe(PEKind.ROPE), "rope_apply"),
+    (_pe(PEKind.ROLL_DISCRETE), "roll_discrete"),
+    (_pe(PEKind.SINUSOIDAL_APE), "sinusoidal_ape"),
+    (_pe(PEKind.MULTIPLEXED_ROLL, waves=1), "mproll"),
+    (_pe(PEKind.MULTIPLEXED_ROLL, waves=3), "mproll"),
+]
+_KERNEL_IDS = [
+    "roll-continuous/centered", "roll-continuous/raw", "rope", "roll-discrete",
+    "sinusoidal-ape", "multiplexed-roll/W=1", "multiplexed-roll/W=3",
+]
+
+
+def _attend(batch, pe):
+    return attend(batch, pe)
+
+
+def _grad_check(batch, pe):
+    return grad_check(pe, batch)
+
+
+def _count_kernel_calls(monkeypatch, run, pe, axial):
+    """Kernel calls attention makes in run(batch, pe) on a 64 x 8 batch, by name."""
+    calls = dict.fromkeys(
+        ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
+         "sinusoidal_ape", "mproll"],
+        0,
+    )
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(attention, name, counted(name, getattr(attention, name)))
+    rng = np.random.default_rng(26)
+    t = 64
+    positions = rng.integers(-50, 50, size=(t, 2) if axial else t).astype(float)
+    pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+    run(AttentionBatch(*rng.standard_normal((3, t, 8)), positions), pe)
+    return calls
+
+
 class TestPhaseKindsEncodeOncePerBatch:
     """Every kind encodes Q and K, and both axial halves, in one kernel call."""
 
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
-    @pytest.mark.parametrize(
-        "pe, kernel",
-        [
-            (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.CENTERED), "roll_continuous"),
-            (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.RAW), "roll_continuous"),
-            (_pe(PEKind.ROPE), "rope_apply"),
-            (_pe(PEKind.ROLL_DISCRETE), "roll_discrete"),
-            (_pe(PEKind.SINUSOIDAL_APE), "sinusoidal_ape"),
-            (_pe(PEKind.MULTIPLEXED_ROLL, waves=1), "mproll"),
-            (_pe(PEKind.MULTIPLEXED_ROLL, waves=3), "mproll"),
-        ],
-        ids=[
-            "roll-continuous/centered", "roll-continuous/raw", "rope", "roll-discrete",
-            "sinusoidal-ape", "multiplexed-roll/W=1", "multiplexed-roll/W=3",
-        ],
-    )
+    @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_kernel_calls_per_attend(self, pe, kernel, axial, monkeypatch):
         """One call per side would be 2, per axial half 4, per row 2t = 128."""
-        calls = dict.fromkeys(
-            ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
-             "sinusoidal_ape", "mproll"],
-            0,
-        )
-
-        def counted(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(attention, name, counted(name, getattr(attention, name)))
-        rng = np.random.default_rng(26)
-        t = 64
-        positions = rng.integers(-50, 50, size=(t, 2) if axial else t).astype(float)
-        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
-        attend(AttentionBatch(*rng.standard_normal((3, t, 8)), positions), pe)
+        calls = _count_kernel_calls(monkeypatch, _attend, pe, axial)
         kernel_calls = calls.pop(kernel)
         assert kernel_calls == 1
         assert calls.pop("classic_schedule") <= 1
+        assert set(calls.values()) == {0}
+
+    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+    @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
+    def test_kernel_calls_per_grad_check(self, pe, kernel, axial, monkeypatch):
+        """One call each for [Q, K], the Jacobian's basis stack and the bumped stack."""
+        calls = _count_kernel_calls(monkeypatch, _grad_check, pe, axial)
+        assert calls.pop(kernel) == 3
+        assert calls.pop("classic_schedule") <= 3
+        assert set(calls.values()) == {0}
+
+    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+    @pytest.mark.parametrize("run", [_attend, _grad_check], ids=["attend", "grad_check"])
+    def test_none_calls_no_kernel(self, run, axial, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch, run, _pe(PEKind.NONE), axial)
         assert set(calls.values()) == {0}
 
 
@@ -355,61 +385,20 @@ class TestAttendMatchesPerSideKernels:
                 np.testing.assert_array_equal(have, want)
 
 
-class TestEncodeTranspose:
-    """The transpose mode of the batch encoder is the adjoint of the encoding."""
-
-    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
-    @pytest.mark.parametrize(
-        "pe",
-        [
-            _pe(PEKind.NONE),
-            _pe(PEKind.SINUSOIDAL_APE),
-            _pe(PEKind.ROLL_DISCRETE),
-            _pe(PEKind.ROLL_CONTINUOUS, lam=1.3, branch=SpectralBranch.RAW),
-            _pe(PEKind.ROLL_CONTINUOUS, lam=1.3, branch=SpectralBranch.CENTERED),
-            _pe(PEKind.ROPE),
-            _pe(PEKind.MULTIPLEXED_ROLL, waves=3),
-        ],
-        ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}",
-    )
-    def test_adjoint_identity(self, pe, axial):
-        """<enc(x) - enc(0), y> == <x, enc^T(y)> row by row at the kind's positions."""
-        rng = np.random.default_rng(13)
-        t, n = 5, 12
-        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
-        integer = pe.kind in (
-            PEKind.SINUSOIDAL_APE, PEKind.ROLL_DISCRETE, PEKind.MULTIPLEXED_ROLL
-        )
-        shape = (t, 2) if axial else (t,)
-        if integer:
-            positions = rng.integers(-20, 20, size=shape).astype(float)
-        else:
-            positions = rng.uniform(-20.0, 20.0, size=shape)
-        x, y = rng.standard_normal((2, t, n))
-        linear = _encode_rows(x, positions, pe) - _encode_rows(np.zeros((t, n)), positions, pe)
-        adjoint = _encode_rows(y, positions, pe, transpose=True)
-        gap = np.abs((linear * y).sum(axis=1) - (x * adjoint).sum(axis=1))
-        assert gap.max() <= 1e-12
-
-
-def _vector_encode(v, p, pe, transpose):
+def _vector_encode(v, p, pe):
     """One (sub-)row at the scalar position p through the per-vector kernel of its kind."""
     n = v.size
     if pe.kind is PEKind.NONE:
         return v
     if pe.kind is PEKind.SINUSOIDAL_APE:
-        return v if transpose else v + sinusoidal_ape([p], n)[0]
-    sign = -1 if transpose else 1
+        return v + sinusoidal_ape([p], n)[0]
     if pe.kind is PEKind.ROLL_DISCRETE:
-        return roll_discrete(v, sign * int(p))
+        return roll_discrete(v, int(p))
     if pe.kind is PEKind.ROLL_CONTINUOUS:
-        return roll_continuous(v, sign * p, pe.lam, pe.branch)
+        return roll_continuous(v, p, pe.lam, pe.branch)
     if pe.kind is PEKind.ROPE:
-        return rope_apply(v, sign * p, classic_schedule(n))
-    maps = _multiplex_projections(n, pe.waves)
-    if transpose:
-        return sum(m.T @ roll_discrete(v, -w * int(p)) for w, m in enumerate(maps, start=1))
-    return mproll(maps @ v, int(p))
+        return rope_apply(v, p, classic_schedule(n))
+    return mproll(_multiplex_projections(n, pe.waves) @ v, int(p))
 
 
 class TestEncodeRowsMatchVectorKernels:
@@ -421,12 +410,11 @@ class TestEncodeRowsMatchVectorKernels:
         waves=st.integers(1, 3),
         half=st.integers(1, 12),
         axial=st.booleans(),
-        transpose=st.booleans(),
         t=st.integers(1, 6),
         data=st.data(),
     )
     def test_rows_match_vector_kernels(
-        self, kind, branch, lam, waves, half, axial, transpose, t, data
+        self, kind, branch, lam, waves, half, axial, t, data
     ):
         """Row i of the batched encoding is the per-vector kernel at positions[i]."""
         if kind in (PEKind.ROPE, PEKind.SINUSOIDAL_APE):
@@ -444,27 +432,26 @@ class TestEncodeRowsMatchVectorKernels:
         x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((t, n))
         pe = PEConfig(kind, lam, branch, waves, axial)
         flat = PEConfig(kind, lam, branch, waves)
-        got = _encode_rows(x, positions, pe, transpose)
+        got = _encode(x, positions, pe)
         assert got.shape == (t, n)
         for row, pos, out in zip(x, positions, got):
             if axial:
                 want = np.concatenate([
-                    _vector_encode(row[:half], pos[0], flat, transpose),
-                    _vector_encode(row[half:], pos[1], flat, transpose),
+                    _vector_encode(row[:half], pos[0], flat),
+                    _vector_encode(row[half:], pos[1], flat),
                 ])
             else:
-                want = _vector_encode(row, pos, flat, transpose)
+                want = _vector_encode(row, pos, flat)
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("transpose", [False, True])
-    def test_multiplexed_roll_beyond_2_53_over_w(self, transpose):
+    def test_multiplexed_roll_beyond_2_53_over_w(self):
         """Speeds w * p stay exact where the float 3 * p would round."""
         x = np.random.default_rng(29).standard_normal((3, 7))
         positions = np.array([2**53 - 1, -(2**53 - 3), 2**52 + 1], dtype=float)
         pe = _pe(PEKind.MULTIPLEXED_ROLL, waves=3)
-        got = _encode_rows(x, positions, pe, transpose)
+        got = _encode(x, positions, pe)
         for row, p, out in zip(x, positions, got):
-            want = _vector_encode(row, p, pe, transpose)
+            want = _vector_encode(row, p, pe)
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
 
@@ -661,13 +648,13 @@ class TestAxialEncode:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((3, 8))
         for kind in (PEKind.ROLL_DISCRETE, PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
-            got = _encode_rows(x, np.zeros((3, 2)), _pe(kind, axial=True))
+            got = _encode(x, np.zeros((3, 2)), _pe(kind, axial=True))
             np.testing.assert_allclose(got, x, atol=1e-12)
 
     def test_manual_split_oracle(self):
         rng = np.random.default_rng(15)
         v = rng.standard_normal(10)
-        got = _encode_rows(v[None], np.array([[3.0, 1.0]]), _pe(PEKind.ROLL_DISCRETE, axial=True))
+        got = _encode(v[None], np.array([[3.0, 1.0]]), _pe(PEKind.ROLL_DISCRETE, axial=True))
         want = np.concatenate([roll_discrete(v[:5], 3), roll_discrete(v[5:], 1)])
         np.testing.assert_array_equal(got[0], want)
 
@@ -700,7 +687,7 @@ class TestGradCheck:
         assert grad_check(pe, batch, eps=1e-5) < 1e-5
 
     def test_continuous_raw_branch(self):
-        """The transpose-at-(-p) identity also holds for the raw spectrum."""
+        """The raw spectrum's damped map is differentiated through its Jacobian too."""
         rng = np.random.default_rng(20)
         q, k, v = rng.standard_normal((3, 4, 8))
         batch = AttentionBatch(q, k, v, rng.uniform(-3, 3, size=4))
@@ -749,21 +736,26 @@ _GRAD_CONFIGS = [
 ]
 
 
-class TestRowLocalDifferences:
+def _grad_batch(pe, axial):
+    """A 4 x 8 batch at real positions for the phase kinds and integer ones for the rest."""
+    rng = np.random.default_rng(24)
+    t, n = 4, 8
+    shape = (t, 2) if axial else (t,)
+    if pe.kind in (PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
+        positions = rng.uniform(-5.0, 5.0, size=shape)
+    else:
+        positions = rng.integers(-5, 6, size=shape).astype(float)
+    q, k, v = rng.standard_normal((3, t, n))
+    return AttentionBatch(q, k, v, positions), PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+
+
+class TestAnalyticGradient:
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe", _GRAD_CONFIGS, ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}")
-    def test_match_whole_attend_differences(self, pe, axial):
-        rng = np.random.default_rng(24)
-        t, n = 4, 8
-        shape = (t, 2) if axial else (t,)
-        if pe.kind in (PEKind.ROLL_CONTINUOUS, PEKind.ROPE):
-            positions = rng.uniform(-5.0, 5.0, size=shape)
-        else:
-            positions = rng.integers(-5, 6, size=shape).astype(float)
-        q, k, v = rng.standard_normal((3, t, n))
-        batch = AttentionBatch(q, k, v, positions)
-        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
-        got = _loss_grad_fd(batch, pe, 1e-5)
+    def test_matches_whole_attend_differences(self, pe, axial):
+        """The Jacobian read off the forward map gives dL/dQ of the whole attend."""
+        batch, pe = _grad_batch(pe, axial)
+        got = _loss_grad_wrt_q(batch, pe)
         np.testing.assert_allclose(got, _whole_attend_fd(batch, pe, 1e-5), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize(
@@ -776,15 +768,26 @@ class TestRowLocalDifferences:
         ],
         ids=lambda pe: pe.kind.value,
     )
-    def test_catch_a_wrong_transpose(self, pe, monkeypatch):
-        """With the forward map standing in for its transpose the check must fail."""
-        forward = attention._encode_rows
+    def test_catch_a_wrong_jacobian(self, pe, monkeypatch):
+        """With the basis stack encoded at -p the Jacobians are wrong and the check must fail."""
+        forward = attention._encode
+        n = 8
 
-        def wrong(x, positions, pe, transpose=False):
-            return forward(x, positions, pe)
+        def wrong(x, positions, pe):
+            basis = x.shape[0] == n + 1 and x.ndim == 3
+            return forward(x, -positions if basis else positions, pe)
 
-        monkeypatch.setattr(attention, "_encode_rows", wrong)
+        monkeypatch.setattr(attention, "_encode", wrong)
         rng = np.random.default_rng(25)
-        q, k, v = rng.standard_normal((3, 4, 8))
+        q, k, v = rng.standard_normal((3, 4, n))
         batch = AttentionBatch(q, k, v, np.array([0.0, 1.0, 3.0, 6.0]))
         assert grad_check(pe, batch) > 1e-2
+
+
+class TestRowLocalDifferences:
+    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+    @pytest.mark.parametrize("pe", _GRAD_CONFIGS, ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}")
+    def test_match_whole_attend_differences(self, pe, axial):
+        batch, pe = _grad_batch(pe, axial)
+        got = _loss_grad_fd(batch, pe, 1e-5)
+        np.testing.assert_allclose(got, _whole_attend_fd(batch, pe, 1e-5), rtol=0, atol=1e-8)

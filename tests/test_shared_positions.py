@@ -73,3 +73,18 @@ def test_rope_apply_lone_pair():
         stacked = rope_apply(v[None, None], [p], sched)
         np.testing.assert_array_equal(stacked[0], rope_apply(v[None], [p], sched))
         np.testing.assert_array_equal(stacked[0, 0], rope_apply(v, p, sched))
+
+
+def test_roll_continuous_raw_lone_bin():
+    """Row-sets of one row with one non-DC bin (n = 2, 3) round as their own RAW calls.
+
+    numpy scales a lone bin in place in a different rounding from a stack
+    of them, so the RAW damping must ride in the phase table that every
+    row-set's spectrum is multiplied by once."""
+    rng = np.random.default_rng(7)
+    raw = partial(roll_continuous, branch=SpectralBranch.RAW)
+    for n in (2, 3):
+        for rows, p in zip(rng.standard_normal((200, 2, 1, n)), rng.uniform(-1e3, 1e3, 200)):
+            stacked = raw(rows, [p])
+            for row, out in zip(rows, stacked):
+                np.testing.assert_array_equal(out, raw(row, [p]))
