@@ -115,10 +115,13 @@ def _summarize_residuals(rows: list, threshold: float) -> dict:
     residuals = [r["residual"] for r in rows if r.get("residual") is not None]
     max_res = max(residuals) if residuals else 0.0
     mean_res = sum(residuals) / len(residuals) if residuals else 0.0
+    # the row that reproduces the worst residual: it carries p_q, p_k or kind
+    worst = next((i for i, r in enumerate(rows) if r.get("residual") == max_res), None)
     return {
         "max_residual": max_res,
         "mean_residual": mean_res,
         "threshold": threshold,
+        "worst_trial": worst,
         "passed": max_res <= threshold,
     }
 
@@ -134,38 +137,49 @@ def _base_row(trial: int, cfg: RunConfig, p_q=None, p_k=None, residual=None) -> 
     }
 
 
+def _trial_rows(cfg: RunConfig, p_q, p_k, residuals) -> list:
+    """One base row per trial, from the (T,) positions and residuals of a sweep."""
+    return [
+        _base_row(trial, cfg, *row)
+        for trial, row in enumerate(zip(p_q.tolist(), p_k.tolist(), residuals.tolist()))
+    ]
+
+
 def _cmd_equivariance_report(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     d = cfg.d_override if cfg.d_override is not None else float(cfg.n)
     pe = PEConfig(kind=PEKind.ROLL_DISCRETE)
-    rows = []
-    for trial in range(cfg.trials):
-        q, k = rng.standard_normal((2, cfg.n))
-        p_q, p_k, shift = (int(x) for x in rng.integers(-2 * cfg.n, 2 * cfg.n + 1, size=3))
-        base = rollpe_score(q, k, p_q, p_k, d)
-        res_shift = abs(rollpe_score(q, k, p_q + shift, p_k + shift, d) - base)
-        res_rel = abs(base - relative_form_score(q, k, p_k - p_q, d))
-
+    pos = np.arange(cfg.t)
+    # each trial draws its inputs in turn, so every row keeps its draws
+    # whatever the trial count; the two scores are then taken over all trials
+    pairs, ints, res_mat = [], [], []
+    for _ in range(cfg.trials):
+        pairs.append(rng.standard_normal((2, cfg.n)))
+        ints.append(rng.integers(-2 * cfg.n, 2 * cfg.n + 1, size=3))  # p_q, p_k, shift
         qm, km, vm = rng.standard_normal((3, cfg.t, cfg.n))
-        pos = np.arange(cfg.t)
         before = attend(AttentionBatch(qm, km, vm, pos), pe, d).scores
-        after = attend(AttentionBatch(qm, km, vm, pos + shift), pe, d).scores
-        res_mat = float(np.abs(after - before).max())
-
-        rows.append(
-            _base_row(trial, cfg, p_q, p_k, max(res_shift, res_rel, res_mat))
-        )
+        after = attend(AttentionBatch(qm, km, vm, pos + ints[-1][2]), pe, d).scores
+        res_mat.append(float(np.abs(after - before).max()))
+    q, k = np.stack(pairs, axis=1)
+    p_q, p_k, shift = np.stack(ints, axis=1)
+    base = rollpe_score(q, k, p_q, p_k, d)
+    res_shift = np.abs(rollpe_score(q, k, p_q + shift, p_k + shift, d) - base)
+    res_rel = np.abs(base - relative_form_score(q, k, p_k - p_q, d))
+    residuals = np.maximum(np.maximum(res_shift, res_rel), res_mat)
+    rows = _trial_rows(cfg, p_q, p_k, residuals)
     return rows, _summarize_residuals(rows, _THRESHOLDS[cfg.command])
 
 
 def _cmd_rope_equivalence(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for trial in range(cfg.trials):
-        q, k = rng.standard_normal((2, cfg.n))
-        p_q, p_k = rng.uniform(-3.0 * cfg.n, 3.0 * cfg.n, size=2)
-        residual = equivalence_residual(q, k, p_q, p_k, cfg.lam)
-        rows.append(_base_row(trial, cfg, float(p_q), float(p_k), residual))
+    pairs, positions = [], []
+    for _ in range(cfg.trials):
+        pairs.append(rng.standard_normal((2, cfg.n)))
+        positions.append(rng.uniform(-3.0 * cfg.n, 3.0 * cfg.n, size=2))
+    q, k = np.stack(pairs, axis=1)
+    p_q, p_k = np.stack(positions, axis=1)
+    residuals = equivalence_residual(q, k, p_q, p_k, cfg.lam)
+    rows = _trial_rows(cfg, p_q, p_k, residuals)
     return rows, _summarize_residuals(rows, _THRESHOLDS[cfg.command])
 
 

@@ -7,7 +7,9 @@ convention: encode query and key independently, then take the scaled dot
 product.  Because S is a permutation, the score depends only on the
 position difference p_k - p_q; ``relative_form_score`` evaluates that
 closed form directly (through the dense shift matrix) and serves as the
-independent cross-check for ``rollpe_score``.
+independent cross-check for ``rollpe_score``.  Both scores take two
+vectors, or two (T, n) stacks scored row by row into a (T,) array, so a
+sweep checks all its trials in one call; a vector is the one-row case.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ __all__ = [
 
 
 # One check per argument kind, shared by every public entry point.  The
-# single-vector kernels are called about a thousand times per pass of the
-# invariant checks, so the vector checks stay scalar tests; ``_as_rows``
-# checks a whole stack with one reduction per argument.
+# multiplex witness search calls the single-vector kernels a few hundred
+# times per pass of the invariant checks, so the vector checks stay scalar
+# tests; ``_as_rows`` checks a whole stack with one reduction per argument.
 
 
 def _as_vector(x, name: str = "q") -> np.ndarray:
@@ -93,6 +95,22 @@ def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
     if not finite.all():
         raise ValueError(f"position must be finite, got {float(pos[~finite][0])!r}")
     return (arr if arr.ndim > 1 else arr[None]), pos.reshape(-1), arr.shape
+
+
+def _as_pair(q, k) -> tuple[np.ndarray, np.ndarray]:
+    """``q`` and ``k`` as two vectors, or two (T, n) stacks of rows, of one shape.
+
+    The score functions take these two shapes only; any other, and a
+    query and key that differ in length or in row count, raise
+    ``ValueError``.
+    """
+    q = np.asarray(q, dtype=float)
+    k = np.asarray(k, dtype=float)
+    if q.ndim not in (1, 2) or q.size == 0:
+        raise ValueError("q must be a non-empty 1-D vector or (T, n) stack of rows")
+    if k.shape != q.shape:
+        raise ValueError(f"query and key must share one shape, got {q.shape} and {k.shape}")
+    return q, k
 
 
 def _as_shifts(q: np.ndarray, p):
@@ -184,26 +202,44 @@ def _score_scale(n_q: int, n_k: int, d: float | None) -> float:
     return math.sqrt(d)
 
 
-def rollpe_score(q, k, p_q: int, p_k: int, d: float | None = None) -> float:
+def rollpe_score(q, k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     """Attention score between ``q`` rolled to ``p_q`` and ``k`` rolled to ``p_k``.
 
+    ``q`` and ``k`` are two vectors with integer positions, or two (T, n)
+    stacks with (T,) integer positions each, and the score of each row
+    pair is returned as a (T,) array; a vector is the one-row case and
+    returns a float.  Each side is rolled by one ``roll_discrete`` call.
     ``d`` is the softmax normalizer (score is divided by sqrt(d));
     defaults to the vector length.
     """
-    q = _as_vector(q, "q")
-    k = _as_vector(k, "k")
-    scale = _score_scale(q.size, k.size, d)
-    return float(roll_discrete(q, p_q) @ roll_discrete(k, p_k) / scale)
+    q, k = _as_pair(q, k)
+    scale = _score_scale(q.shape[-1], k.shape[-1], d)
+    scores = (roll_discrete(q, p_q) * roll_discrete(k, p_k)).sum(axis=-1) / scale
+    return float(scores) if q.ndim == 1 else scores
 
 
-def relative_form_score(q, k, delta: int, d: float | None = None) -> float:
+def relative_form_score(q, k, delta, d: float | None = None) -> float | np.ndarray:
     """Closed-form rolled score from the position difference alone.
 
     Evaluates q^T S^delta k / sqrt(d) through the dense shift matrix,
-    where delta = p_k - p_q.  Deliberately not routed through
-    ``roll_discrete`` so it stays an independent check.
+    where delta = p_k - p_q.  ``q`` and ``k`` are two vectors with an
+    integer ``delta``, or two (T, n) stacks with (T,) integer deltas,
+    scored row by row into a (T,) array.  Each distinct S^delta is built
+    once and contracted with the rows that use it, so memory stays
+    O(T*n + n^2).  Deliberately not routed through ``roll_discrete`` so
+    it stays an independent check.
     """
-    q = _as_vector(q, "q")
-    k = _as_vector(k, "k")
-    scale = _score_scale(q.size, k.size, d)
-    return float(q @ shift_matrix(q.size, delta).astype(float) @ k / scale)
+    q, k = _as_pair(q, k)
+    n = q.shape[-1]
+    scale = _score_scale(n, n, d)
+    shifts = np.reshape(_as_shifts(q, delta), -1) % n
+    q_rows, k_rows = q.reshape(-1, n), k.reshape(-1, n)
+    scores = np.empty(len(shifts))
+    # a set, not np.unique: its first call costs the process 1.5 MiB of resident memory
+    for shift in set(shifts.tolist()):
+        rows = shifts == shift
+        scores[rows] = np.einsum(
+            "ti,ij,tj->t", q_rows[rows], shift_matrix(n, shift).astype(float), k_rows[rows]
+        )
+    scores /= scale
+    return float(scores[0]) if q.ndim == 1 else scores

@@ -8,18 +8,18 @@ the real and imaginary parts of the DFT rows: each conjugate frequency
 pair becomes one rotation plane with omega_k = 2*pi*k / (lambda*n), the
 DC row is a fixed coordinate, and (for even n) the Nyquist row evolves by
 cos(pi*p/lambda).  ``equivalence_residual`` runs both code paths on the
-same inputs and returns the absolute score gap.
+same inputs and returns the absolute score gap, for one query/key pair
+or for a (T, n) stack of T pairs in one kernel call per path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .roll_core import _as_count, _as_rows, _as_vector, _check_finite, _check_wavelength
+from .roll_core import _as_count, _as_pair, _as_rows, _check_finite, _check_wavelength
 from .spectral import SpectralBranch, _phases, dft_matrix, roll_continuous
 
 __all__ = [
@@ -119,43 +119,42 @@ def realified_fourier_basis(n: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def equivalence_residual(q, k, p_q: float, p_k: float, lam: float = 1.0) -> float:
+def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray:
     """Score gap between the roll path and the rotary path on the same inputs.
 
     Path A rolls q and k fractionally (centered branch) and takes the dot
     product.  Path B changes basis with :func:`realified_fourier_basis`,
     rotates the planes by the roll-induced schedule, keeps DC fixed,
     scales Nyquist by cos(pi*p/lam), and takes the dot product.  Returns
-    |score_A - score_B|.
+    |score_A - score_B|.  ``q`` and ``k`` are two vectors with scalar
+    positions, or two (T, n) stacks with (T,) positions each, checked as
+    T trials into a (T,) array; a vector is the one-row case and returns
+    a float.  Either way each path makes one kernel call on the (2T, n)
+    stack [Q; K] at the concatenated positions, and the basis and the
+    schedule are built once.  A non-finite or misshapen position raises
+    ``ValueError``, a NaN or +-inf in ``q`` or ``k`` ``FloatingPointError``.
     """
-    q = _as_vector(q, "q")
-    k = _as_vector(k, "k")
-    if q.size != k.size:
-        raise ValueError("query and key must share the same length")
-    n = q.size
-    positions = [p_q, p_k]
+    q, k = _as_pair(q, k)
+    q_rows, pos_q, _ = _as_rows(q, p_q, "q")
+    k_rows, pos_k, _ = _as_rows(k, p_k, "k")
+    t, n = q_rows.shape
+    rows = np.concatenate([q_rows, k_rows])
+    positions = np.concatenate([pos_q, pos_k])
 
-    rolled_q, rolled_k = roll_continuous(
-        np.stack([q, k]), positions, lam, SpectralBranch.CENTERED
-    )
-    score_a = float(rolled_q @ rolled_k)
+    rolled = roll_continuous(rows, positions, lam, SpectralBranch.CENTERED)
+    score_a = (rolled[:t] * rolled[t:]).sum(axis=-1)
 
-    basis = realified_fourier_basis(n)
-    cq, ck = basis @ q, basis @ k
+    # einsum, not a BLAS product: a row's coordinates then do not depend on
+    # how many rows share the call, so row i of a stack equals its vector call
+    coords = np.einsum("tj,ij->ti", rows, realified_fourier_basis(n))
     sched = roll_induced_schedule(n, lam)
     m = sched.planes
-
-    score_b = cq[0] * ck[0]
+    score_b = coords[:t, 0] * coords[t:, 0]
     if m:
-        planes_q, planes_k = rope_apply(
-            np.stack([cq[1 : 1 + 2 * m], ck[1 : 1 + 2 * m]]), positions, sched
-        )
-        score_b += float(planes_q @ planes_k)
+        planes = rope_apply(coords[:, 1 : 1 + 2 * m], positions, sched)
+        score_b += (planes[:t] * planes[t:]).sum(axis=-1)
     if n % 2 == 0:
-        score_b += (
-            math.cos(math.pi * p_q / lam)
-            * math.cos(math.pi * p_k / lam)
-            * cq[-1]
-            * ck[-1]
-        )
-    return abs(score_a - float(score_b))
+        nyquist = np.cos(np.pi * positions / lam) * coords[:, -1]
+        score_b += nyquist[:t] * nyquist[t:]
+    residual = np.abs(score_a - score_b)
+    return float(residual[0]) if q.ndim == 1 else residual

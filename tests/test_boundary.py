@@ -8,7 +8,11 @@ a bad value of that kind.  The stacked kernels, ``roll_discrete``,
 stack), also get one table each for misshapen and non-finite positions;
 the two kernels that are not permutations one more for non-finite rows.
 ``AttentionBatch`` positions, the witness's gap threshold and the even
-length that rope and the APE need get one table each as well.
+length that rope and the APE need get one table each as well.  The
+score functions, ``rollpe_score``, ``relative_form_score`` and
+``equivalence_residual``, get one table for query and key shapes that
+differ, for misshapen and for non-finite stack positions on each side,
+and ``equivalence_residual`` one more for non-finite stack rows.
 """
 
 import math
@@ -239,3 +243,58 @@ def test_non_finite_row_raises(kernel, bad):
     rows[2, 1] = bad
     with pytest.raises(FloatingPointError):
         kernel(rows, np.zeros(3))
+
+
+# the score functions take two vectors or two (T, n) stacks; here T = 3, n = 5
+_QK = np.random.default_rng(33).standard_normal((2, 3, 5))
+_P3 = np.array([0.0, 2.0, -1.0])
+_STACKED_SCORES = {
+    "rollpe_score/p_q": lambda q, k, p: rollpe_score(q, k, p, _P3),
+    "rollpe_score/p_k": lambda q, k, p: rollpe_score(q, k, _P3, p),
+    "relative_form_score": lambda q, k, p: relative_form_score(q, k, p),
+    "equivalence_residual/p_q": lambda q, k, p: equivalence_residual(q, k, p, _P3),
+    "equivalence_residual/p_k": lambda q, k, p: equivalence_residual(q, k, _P3, p),
+}
+_scores = pytest.mark.parametrize(
+    "score", list(_STACKED_SCORES.values()), ids=list(_STACKED_SCORES)
+)
+
+
+@_scores
+@pytest.mark.parametrize(
+    "q, k",
+    [(_QK[0], _QK[1][:2]), (_QK[0], _QK[1][:, :4]), (_QK[0], _QK[1][0]), (_QK[0][0], _QK[1])],
+    ids=["rows", "length", "stack-vector", "vector-stack"],
+)
+def test_stacked_score_shape_mismatch_raises(score, q, k):
+    """Query and key must be two vectors or two stacks of one (T, n) shape."""
+    with pytest.raises(ValueError, match="query and key must share one shape"):
+        score(q, k, _P3)
+
+
+@_scores
+@pytest.mark.parametrize(
+    "p",
+    [0.0, np.zeros(2), np.zeros(4), np.zeros((3, 1))],
+    ids=["scalar", "short", "long", "column"],
+)
+def test_stacked_score_misshapen_positions_raise(score, p):
+    """A (T, n) stack takes (T,) positions, one per trial, on every side."""
+    with pytest.raises(ValueError):
+        score(_QK[0], _QK[1], p)
+
+
+@_scores
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_stacked_score_non_finite_position_raises(score, bad):
+    with pytest.raises(ValueError):
+        score(_QK[0], _QK[1], np.array([0.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", [0, 1], ids=["q", "k"])
+def test_stacked_equivalence_residual_non_finite_row_raises(side, bad):
+    qk = _QK.copy()
+    qk[side, 2, 1] = bad
+    with pytest.raises(FloatingPointError):
+        equivalence_residual(qk[0], qk[1], _P3, _P3)

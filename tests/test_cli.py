@@ -2,10 +2,17 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rollpe.cli import Report, RunConfig, main, render_csv, run
+from rollpe import cli
+from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend
+from rollpe.cli import COMMANDS, Report, RunConfig, main, render_csv, run
+from rollpe.roll_core import relative_form_score, rollpe_score
+from rollpe.rope import equivalence_residual
 
 
 def _residuals(report: Report):
@@ -204,3 +211,117 @@ class TestMain:
         )
         assert code == 0
         assert ",2.0," in capsys.readouterr().out
+
+
+def _parent_equivariance_rows(cfg: RunConfig) -> list:
+    """The per-trial loop the equivariance report ran before it scored trials in one call."""
+    rng = np.random.default_rng(cfg.seed)
+    d = cfg.d_override if cfg.d_override is not None else float(cfg.n)
+    pe = PEConfig(kind=PEKind.ROLL_DISCRETE)
+    rows = []
+    for trial in range(cfg.trials):
+        q, k = rng.standard_normal((2, cfg.n))
+        p_q, p_k, shift = (int(x) for x in rng.integers(-2 * cfg.n, 2 * cfg.n + 1, size=3))
+        base = rollpe_score(q, k, p_q, p_k, d)
+        res_shift = abs(rollpe_score(q, k, p_q + shift, p_k + shift, d) - base)
+        res_rel = abs(base - relative_form_score(q, k, p_k - p_q, d))
+        qm, km, vm = rng.standard_normal((3, cfg.t, cfg.n))
+        pos = np.arange(cfg.t)
+        before = attend(AttentionBatch(qm, km, vm, pos), pe, d).scores
+        after = attend(AttentionBatch(qm, km, vm, pos + shift), pe, d).scores
+        res_mat = float(np.abs(after - before).max())
+        rows.append((trial, p_q, p_k, max(res_shift, res_rel, res_mat)))
+    return rows
+
+
+def _parent_rope_rows(cfg: RunConfig) -> list:
+    """The per-trial loop the rope-equivalence check ran before it scored trials in one call."""
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for trial in range(cfg.trials):
+        q, k = rng.standard_normal((2, cfg.n))
+        p_q, p_k = rng.uniform(-3.0 * cfg.n, 3.0 * cfg.n, size=2)
+        rows.append((trial, float(p_q), float(p_k), equivalence_residual(q, k, p_q, p_k, cfg.lam)))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "cfg, loop",
+    [
+        *[pytest.param(RunConfig(command="equivariance-report", n=n, t=4, trials=30, seed=seed),
+                       _parent_equivariance_rows, id=f"equivariance-report/n={n}")
+          for n, seed in ((8, 0), (9, 1), (16, 2))],
+        *[pytest.param(RunConfig(command="rope-equivalence", n=n, lam=lam, trials=40, seed=seed),
+                       _parent_rope_rows, id=f"rope-equivalence/n={n}/lambda={lam}")
+          for n, lam, seed in ((8, 1.0, 0), (9, 1.0, 1), (8, 0.7, 2), (5, 2.5, 3))],
+    ],
+)
+def test_batched_sweep_matches_the_per_trial_loop(cfg, loop):
+    """Both sweeps draw each trial's inputs in turn, then score all trials in one call:
+    every row keeps its (trial, p_q, p_k), and its residual moves by rounding only."""
+    want = loop(cfg)
+    got = run(cfg).rows
+    assert [(r["trial"], r["p_q"], r["p_k"]) for r in got] == [w[:3] for w in want]
+    for row, (*_, residual) in zip(got, want):
+        assert abs(row["residual"] - residual) <= 1e-14
+
+
+def test_relative_form_at_minus_delta_fails_the_report(monkeypatch):
+    """The report must catch a relative form evaluated at p_q - p_k instead of p_k - p_q."""
+    true_form = cli.relative_form_score
+    monkeypatch.setattr(
+        cli, "relative_form_score",
+        lambda q, k, delta, d=None: true_form(q, k, -np.asarray(delta), d),
+    )
+    rep = run(RunConfig(command="equivariance-report", n=8, t=4, trials=20, seed=0))
+    assert not rep.summary["passed"]
+    worst = rep.rows[rep.summary["worst_trial"]]
+    assert worst["residual"] == rep.summary["max_residual"] > 1e-12
+    assert main(["--command", "equivariance-report", "--n", "8", "--t", "4",
+                 "--trials", "20", "--seed", "0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(command="equivariance-report", n=8, t=4, trials=25, seed=3),
+        RunConfig(command="rope-equivalence", n=9, trials=25, seed=4),
+        RunConfig(command="grad-check", n=8, t=3, seed=0),
+    ],
+    ids=lambda cfg: cfg.command,
+)
+def test_worst_trial_names_the_first_row_at_the_maximum(cfg):
+    rep = run(cfg)
+    residuals = [row["residual"] for row in rep.rows]
+    assert rep.summary["worst_trial"] == residuals.index(rep.summary["max_residual"])
+
+
+def _readme_cli_lines() -> list:
+    """The ``rollpe --command ...`` lines of the sh block under ``## CLI`` in the README."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("rollpe --command")]
+
+
+_README_LINES = _readme_cli_lines()
+
+
+def test_readme_lists_every_command():
+    assert {argv[2] for argv in _README_LINES} == set(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in _README_LINES if argv[2] != "bench"],  # bench is report-only and timed
+    ids=lambda argv: argv[2],
+)
+def test_readme_cli_line_exits_zero(argv, tmp_path):
+    """Each documented command passes at its documented trial count."""
+    args = argv[1:]
+    if "--out" in args:
+        at = args.index("--out") + 1
+        args[at] = str(tmp_path / args[at])
+    else:
+        args += ["--out", str(tmp_path / "report.json")]
+    assert main(args) == 0
