@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .multiplex import mproll
-from .roll_core import _as_count, _check_wavelength, _score_scale, roll_discrete
+from .roll_core import _as_count, _check_positive, _score_scale, roll_discrete
 from .rope import classic_schedule, rope_apply
 from .spectral import SpectralBranch, _phases, roll_continuous
 
@@ -84,7 +84,7 @@ class PEConfig:
         object.__setattr__(self, "kind", PEKind(self.kind))
         object.__setattr__(self, "branch", SpectralBranch(self.branch))
         object.__setattr__(self, "waves", _as_count(self.waves, "waves"))
-        _check_wavelength(self.lam)
+        _check_positive(self.lam, "lambda")
 
 
 # float64 represents every integer of smaller magnitude exactly
@@ -236,7 +236,7 @@ def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> Atten
     Raises ``FloatingPointError`` if the logits overflow.
     """
     _check_batch(batch, pe)
-    scale = _score_scale(batch.dim, batch.dim, d)
+    scale = _score_scale(batch.dim, d)
     logits, scores = _attention_weights(*_encode_qk(batch, pe), scale)
     return AttentionOutput(output=scores @ batch.v, scores=scores, logits=logits)
 
@@ -292,7 +292,7 @@ def _loss_grad_fd(batch: AttentionBatch, pe: PEConfig, eps: float) -> np.ndarray
     stack = np.concatenate([batch.q + steps, batch.q - steps, batch.k[None]])
     enc = _encode(stack, batch.positions, pe)
     _, scores = _attention_weights(
-        enc[:-1].reshape(2 * n * t, n), enc[-1], _score_scale(n, n, None)
+        enc[:-1].reshape(2 * n * t, n), enc[-1], _score_scale(n, None)
     )
     # row i's loss term is scores[i] @ V summed over its columns
     terms = (scores @ batch.v.sum(axis=1)).reshape(2, n, t)
@@ -300,7 +300,7 @@ def _loss_grad_fd(batch: AttentionBatch, pe: PEConfig, eps: float) -> np.ndarray
 
 
 def _loss_grad_wrt_q(batch: AttentionBatch, pe: PEConfig) -> np.ndarray:
-    scale = _score_scale(batch.dim, batch.dim, None)
+    scale = _score_scale(batch.dim, None)
     enc_q, enc_k = _encode_qk(batch, pe)
     _, scores = _attention_weights(enc_q, enc_k, scale)
 

@@ -24,7 +24,7 @@ from .attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
 from .multiplex import equivariance_violation_witness
 from .roll_core import (
     _as_count,
-    _check_wavelength,
+    _check_positive,
     _score_scale,
     relative_form_score,
     roll_discrete,
@@ -80,13 +80,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        for name in ("n", "t", "waves", "trials", "bench_repeats", "bench_warmup"):
-            least = 0 if name == "bench_warmup" else 1
+        for name in ("n", "t", "waves", "seed", "trials", "bench_repeats", "bench_warmup"):
+            least = 0 if name in ("seed", "bench_warmup") else 1
             setattr(self, name, _as_count(getattr(self, name), name, least))
-        _check_wavelength(self.lam)
+        _check_positive(self.lam, "lambda")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
-        _score_scale(self.n, self.n, self.d_override)
+        _score_scale(self.n, self.d_override)
         if self.command in ("grad-check", "attention-demo") and self.n % 2 != 0:
             raise ValueError(f"{self.command} requires an even n (rotary/APE kinds)")
         if self.command == "attention-demo" and self.t > 256:
@@ -199,16 +199,11 @@ def _cmd_multiplex_witness(cfg: RunConfig):
             "waves": cfg.waves,
         }
     )
+    summary = _summarize_residuals([row], threshold)
     # One wave is provably shift-invariant: exhausting the budget is the
     # expected outcome there, while W >= 2 must produce a witness.
-    passed = witness.found if cfg.waves >= 2 else not witness.found
-    summary = {
-        "max_residual": witness.gap,
-        "mean_residual": witness.gap,
-        "threshold": threshold,
-        "found": witness.found,
-        "passed": passed,
-    }
+    summary["found"] = witness.found
+    summary["passed"] = witness.found if cfg.waves >= 2 else not witness.found
     return [row], summary
 
 

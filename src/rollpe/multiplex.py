@@ -1,11 +1,11 @@
 """Multiplexed rolls: superpositions of components traveling at speeds w*p.
 
 A bank of W component vectors, one (W, n) array, is rolled at speeds
-1*p, 2*p, ..., W*p and summed.  With a single component this reduces
-exactly to the plain roll; with two or more the cross-speed terms make
-scores depend on absolute position, so translation invariance breaks
-(generically), which ``equivariance_violation_witness`` demonstrates by
-seeded search.
+1*p, 2*p, ..., W*p and summed; a (W, t, n) stack is t banks rolled at
+once.  With a single component this reduces exactly to the plain roll;
+with two or more the cross-speed terms make scores depend on absolute
+position, so translation invariance breaks (generically), which
+``equivariance_violation_witness`` demonstrates by seeded search.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .roll_core import _as_count, _as_shifts, _score_scale, roll_discrete
+from .roll_core import _as_count, _as_pair, _as_shifts, _check_positive, _score_scale, roll_discrete
 
 __all__ = [
     "EquivarianceWitness",
@@ -27,31 +27,30 @@ __all__ = [
 def mproll(components, p) -> np.ndarray:
     """Sum of components[w-1] rolled by w*p, w = 1..W.
 
-    ``components`` is a (W, n) bank with an integer ``p``, or a (W, t, n)
-    stack with (t,) integer positions, row i of every component rolled
-    by w*p[i].  ``p`` is checked as ``roll_discrete`` checks it, then
-    reduced mod n once, so w*p stays an exact integer at any magnitude.
-    A stack rolls all W*t rows in one gather and sums the waves in order
-    1..W.  Any other shape raises ``ValueError``.
+    ``components`` is a (W, t, n) stack with (t,) integer positions, row i
+    of every component rolled by w*p[i]; a (W, n) bank with an integer
+    ``p`` is the one-row stack.  ``p`` is checked as ``roll_discrete``
+    checks it, then reduced mod n once, so w*p stays an exact integer at
+    any magnitude.  All W*t rows roll in one gather and the waves are
+    summed in order 1..W.  Any other shape raises ``ValueError``.
     """
     comps = np.asarray(components, dtype=float)
     if comps.ndim not in (2, 3) or comps.size == 0:
         raise ValueError("components must be a non-empty (W, n) bank or (W, t, n) stack")
-    p = _as_shifts(comps[0], p)
-    if comps.ndim == 2:
-        return sum(roll_discrete(c, w * p) for w, c in enumerate(comps, start=1))
-    waves, t, n = comps.shape
-    shifts = np.arange(1, waves + 1)[:, None] * p
-    rolled = roll_discrete(comps.reshape(waves * t, n), shifts.reshape(-1))
+    shifts = np.arange(1, len(comps) + 1)[:, None] * _as_shifts(comps[0], p)
+    rolled = roll_discrete(comps.reshape(shifts.size, -1), shifts.reshape(-1))
     return rolled.reshape(comps.shape).sum(axis=0)
 
 
-def mproll_score(bank_q, bank_k, p_q: int, p_k: int, d: float | None = None) -> float:
-    """Scaled dot product of the two multiplexed encodings of (W, n) banks."""
-    enc_q, enc_k = mproll(bank_q, p_q), mproll(bank_k, p_k)
-    if enc_q.ndim != 1 or enc_k.ndim != 1:
-        raise ValueError("mproll_score takes two (W, n) banks")
-    return float(enc_q @ enc_k / _score_scale(enc_q.size, enc_k.size, d))
+def mproll_score(bank_q, bank_k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
+    """Scaled dot product of the multiplexed encodings of query and key.
+
+    Two (W, n) banks with integer positions give a float; two (W, T, n)
+    stacks with (T,) positions give (T,) scores, each bit for bit its bank call.
+    """
+    enc_q, enc_k = _as_pair(mproll(bank_q, p_q), mproll(bank_k, p_k))
+    scores = (enc_q * enc_k).sum(axis=-1) / _score_scale(enc_q.shape[-1], d)
+    return float(scores) if enc_q.ndim == 1 else scores
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class EquivarianceWitness:
 
     ``found`` is False when the budget was exhausted without a violating
     configuration (inconclusive, e.g. always for W = 1); the remaining
-    fields then describe the best attempt seen.
+    fields then describe the first attempt with the largest gap.
     """
 
     found: bool
@@ -86,38 +85,46 @@ def equivariance_violation_witness(
 
     Draws banks and positions from a deterministic generator until
     |score(p_q + t, p_k + t) - score(p_q, p_k)| exceeds ``gap_threshold``.
-    A single-wave bank can never produce a witness; the search then
-    simply exhausts its budget.  ``gap_threshold`` must be finite and positive.
+    Each attempt draws its inputs in turn, so a larger budget keeps every
+    earlier attempt; blocks of 1, 2, 4, ... attempts are scored with two
+    stacked ``mproll_score`` calls each.  The result is the first attempt
+    over the threshold, else the first with the largest gap.  A
+    single-wave bank never produces a witness; the search then exhausts
+    its budget.  ``gap_threshold`` must be finite and positive, ``seed``
+    an integer of at least 0.
     """
-    if not 0 < gap_threshold < np.inf:
-        raise ValueError(f"gap_threshold must be finite and positive, got {gap_threshold!r}")
+    _check_positive(gap_threshold, "gap_threshold")
     n = _as_count(n, least=3)
     waves = _as_count(waves, "waves")
     budget = _as_count(budget, "budget")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_count(seed, "seed", least=0))
     best = EquivarianceWitness(found=False, attempts=budget, gap=0.0)
-    for attempt in range(budget):
-        bank_q = rng.standard_normal((waves, n))
-        bank_k = rng.standard_normal((waves, n))
-        p_q, p_k = (int(x) for x in rng.integers(0, n, size=2))
-        t = int(rng.integers(1, n))
-        before = mproll_score(bank_q, bank_k, p_q, p_k)
-        after = mproll_score(bank_q, bank_k, p_q + t, p_k + t)
-        gap = abs(after - before)
+    done, size = 0, 1
+    while done < budget:
+        # a block holds at most 2**16 draws of each side, whatever the budget
+        size = min(size, budget - done, max(1, 2**16 // (waves * n)))
+        banks = np.empty((size, 2, waves, n))   # attempt i: its query and key banks
+        ints = np.empty((size, 3), dtype=np.int64)   # attempt i: p_q, p_k, t
+        for i in range(size):
+            rng.standard_normal(out=banks[i])
+            ints[i, :2] = rng.integers(0, n, size=2)
+            ints[i, 2] = rng.integers(1, n)
+        stacks, (p_q, p_k, t) = banks.transpose(1, 2, 0, 3), ints.T
+        before = mproll_score(*stacks, p_q, p_k)
+        after = mproll_score(*stacks, p_q + t, p_k + t)
+        gaps = np.abs(after - before)
+        over = np.flatnonzero(gaps > gap_threshold)
+        i = int(over[0]) if over.size else int(np.argmax(gaps))
         witness = EquivarianceWitness(
-            found=gap > gap_threshold,
-            attempts=attempt + 1,
-            gap=gap,
-            bank_q=bank_q,
-            bank_k=bank_k,
-            p_q=p_q,
-            p_k=p_k,
-            t=t,
-            score_before=before,
-            score_after=after,
+            found=bool(over.size), attempts=done + i + 1, gap=float(gaps[i]),
+            bank_q=banks[i, 0].copy(), bank_k=banks[i, 1].copy(),
+            p_q=int(p_q[i]), p_k=int(p_k[i]), t=int(t[i]),
+            score_before=float(before[i]), score_after=float(after[i]),
         )
         if witness.found:
             return witness
-        if gap > best.gap:
+        if witness.gap > best.gap:
             best = witness
+        done += size
+        size *= 2
     return replace(best, attempts=budget)

@@ -27,9 +27,8 @@ __all__ = [
 
 
 # One check per argument kind, shared by every public entry point.  The
-# multiplex witness search calls the single-vector kernels a few hundred
-# times per pass of the invariant checks, so the vector checks stay scalar
-# tests; ``_as_rows`` checks a whole stack with one reduction per argument.
+# vector checks stay scalar tests, so a single-vector call stays cheap;
+# ``_as_rows`` checks a whole stack with one reduction per argument.
 
 
 def _as_vector(x, name: str = "q") -> np.ndarray:
@@ -57,9 +56,10 @@ def _as_count(n, name: str = "n", least: int = 1) -> int:
     return _as_steps(n, name)
 
 
-def _check_wavelength(lam) -> None:
-    if not 0 < lam < math.inf:
-        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+def _check_positive(x, name: str) -> None:
+    """``ValueError`` unless ``x`` is finite and positive: a wavelength, ``d``, a threshold."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 
 def _check_finite(x: np.ndarray, name: str) -> None:
@@ -186,19 +186,16 @@ def shift_matrix(n: int, p: int = 1) -> np.ndarray:
     return mat
 
 
-def _score_scale(n_q: int, n_k: int, d: float | None) -> float:
-    """sqrt(d) for a score between length-``n_q`` and length-``n_k`` encodings.
+def _score_scale(n: int, d: float | None) -> float:
+    """sqrt(d) for a score between two length-``n`` encodings.
 
-    The lengths must agree; ``d`` defaults to that length and must be
-    finite and positive.  Shared by every score function in the package,
-    ``attend`` and the CLI's ``--d-override`` check.
+    ``d`` defaults to ``n`` and must be finite and positive.  Shared by
+    every score function in the package, ``attend`` and the CLI's
+    ``--d-override`` check; the callers check that the lengths agree.
     """
-    if n_q != n_k:
-        raise ValueError("query and key must share the same length")
     if d is None:
-        d = float(n_q)
-    if not 0 < d < math.inf:
-        raise ValueError("d must be finite and positive")
+        d = float(n)
+    _check_positive(d, "d")
     return math.sqrt(d)
 
 
@@ -213,7 +210,7 @@ def rollpe_score(q, k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     defaults to the vector length.
     """
     q, k = _as_pair(q, k)
-    scale = _score_scale(q.shape[-1], k.shape[-1], d)
+    scale = _score_scale(q.shape[-1], d)
     scores = (roll_discrete(q, p_q) * roll_discrete(k, p_k)).sum(axis=-1) / scale
     return float(scores) if q.ndim == 1 else scores
 
@@ -231,7 +228,7 @@ def relative_form_score(q, k, delta, d: float | None = None) -> float | np.ndarr
     """
     q, k = _as_pair(q, k)
     n = q.shape[-1]
-    scale = _score_scale(n, n, d)
+    scale = _score_scale(n, d)
     shifts = np.reshape(_as_shifts(q, delta), -1) % n
     q_rows, k_rows = q.reshape(-1, n), k.reshape(-1, n)
     scores = np.empty(len(shifts))

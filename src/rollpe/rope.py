@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .roll_core import _as_count, _as_pair, _as_rows, _check_finite, _check_wavelength
+from .roll_core import _as_count, _as_pair, _as_rows, _check_finite, _check_positive
 from .spectral import SpectralBranch, _phases, dft_matrix, roll_continuous
 
 __all__ = [
@@ -96,7 +96,7 @@ def roll_induced_schedule(n: int, lam: float = 1.0) -> FrequencySchedule:
     coordinate (and, for even n, the Nyquist coordinate) carry no plane.
     """
     n = _as_count(n)
-    _check_wavelength(lam)
+    _check_positive(lam, "lambda")
     k = np.arange(1, (n + 1) // 2)
     return FrequencySchedule(omegas=2.0 * np.pi * k / (lam * n))
 

@@ -42,7 +42,7 @@ from enum import Enum
 
 import numpy as np
 
-from .roll_core import _as_count, _as_rows, _check_finite, _check_wavelength, shift_matrix
+from .roll_core import _as_count, _as_rows, _check_finite, _check_positive, shift_matrix
 
 __all__ = [
     "SpectralBranch",
@@ -152,7 +152,7 @@ def roll_continuous(
     misshapen position raises ``ValueError``; a NaN or +-inf in ``q``
     raises ``FloatingPointError`` rather than silently corrupting scores.
     """
-    _check_wavelength(lam)
+    _check_positive(lam, "lambda")
     _check_branch(branch)
     rows, pos, shape = _as_rows(q, p)
     _check_finite(rows, "q")

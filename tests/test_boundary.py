@@ -7,7 +7,7 @@ a bad value of that kind.  The stacked kernels, ``roll_discrete``,
 ``roll_continuous``, ``rope_apply`` and ``mproll`` (here on a two-wave
 stack), also get one table each for misshapen and non-finite positions;
 the two kernels that are not permutations one more for non-finite rows.
-``AttentionBatch`` positions, the witness's gap threshold and the even
+``AttentionBatch`` positions, the witness's gap threshold, seeds and the even
 length that rope and the APE need get one table each as well.  The
 score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
@@ -97,15 +97,27 @@ def test_infinite_wavelength_raises(call):
     "sinusoidal_ape": lambda: sinusoidal_ape([0, 1], 2.5),
     "equivariance_violation_witness/n": lambda: equivariance_violation_witness(3.5, 2, seed=0),
     "equivariance_violation_witness/waves": lambda: equivariance_violation_witness(8, 2.5, seed=0),
+    "equivariance_violation_witness/seed": lambda: equivariance_violation_witness(8, 2, seed=2.5),
     "PEConfig/waves": lambda: PEConfig(kind=PEKind.MULTIPLEXED_ROLL, waves=2.5),
     "RunConfig/n": lambda: RunConfig(command="bench", n=2.5).validate(),
     "RunConfig/t": lambda: RunConfig(command="bench", t=2.5).validate(),
     "RunConfig/waves": lambda: RunConfig(command="multiplex-witness", waves=2.5).validate(),
     "RunConfig/trials": lambda: RunConfig(command="bench", trials=2.5).validate(),
+    "RunConfig/seed": lambda: RunConfig(command="multiplex-witness", seed=2.5).validate(),
 })
 def test_fractional_count_raises(call):
-    """Dimensions and counts must be integers, not just at least 1."""
+    """Dimensions, counts and seeds must be integers, not just at least 1 (0 for a seed)."""
     with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@_table({
+    "equivariance_violation_witness": lambda: equivariance_violation_witness(8, 2, seed=-1),
+    "RunConfig": lambda: RunConfig(command="multiplex-witness", seed=-1).validate(),
+})
+def test_negative_seed_raises(call):
+    """A seed below 0 is refused by name, not by the generator's own error."""
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0, got -1"):
         call()
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from rollpe import cli
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend
 from rollpe.cli import COMMANDS, Report, RunConfig, main, render_csv, run
-from rollpe.roll_core import relative_form_score, rollpe_score
+from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score
 from rollpe.rope import equivalence_residual
 
 
@@ -193,6 +194,11 @@ class TestMain:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_exit_two_names_a_negative_seed(self, capsys):
+        code = main(["--command", "multiplex-witness", "--seed", "-1"])
+        assert code == 2
+        assert "seed must be an integer of at least 0" in capsys.readouterr().err
+
     def test_exit_two_on_unwritable_path(self, tmp_path):
         code = main(
             ["--command", "rope-equivalence", "--n", "4", "--trials", "2",
@@ -230,7 +236,7 @@ def _parent_equivariance_rows(cfg: RunConfig) -> list:
         before = attend(AttentionBatch(qm, km, vm, pos), pe, d).scores
         after = attend(AttentionBatch(qm, km, vm, pos + shift), pe, d).scores
         res_mat = float(np.abs(after - before).max())
-        rows.append((trial, p_q, p_k, max(res_shift, res_rel, res_mat)))
+        rows.append(dict(trial=trial, p_q=p_q, p_k=p_k, residual=max(res_shift, res_rel, res_mat)))
     return rows
 
 
@@ -241,8 +247,35 @@ def _parent_rope_rows(cfg: RunConfig) -> list:
     for trial in range(cfg.trials):
         q, k = rng.standard_normal((2, cfg.n))
         p_q, p_k = rng.uniform(-3.0 * cfg.n, 3.0 * cfg.n, size=2)
-        rows.append((trial, float(p_q), float(p_k), equivalence_residual(q, k, p_q, p_k, cfg.lam)))
+        residual = equivalence_residual(q, k, p_q, p_k, cfg.lam)
+        rows.append(dict(trial=trial, p_q=float(p_q), p_k=float(p_k), residual=residual))
     return rows
+
+
+def _parent_witness_rows(cfg: RunConfig) -> list:
+    """The per-attempt search multiplex-witness ran before it scored attempts in blocks."""
+    rng = np.random.default_rng(cfg.seed)
+
+    def score(bank_q, bank_k, p_q, p_k):
+        enc_q, enc_k = (
+            sum(roll_discrete(c, w * p) for w, c in enumerate(bank, start=1))
+            for bank, p in ((bank_q, p_q), (bank_k, p_k))
+        )
+        return float(enc_q @ enc_k / math.sqrt(cfg.n))
+
+    best = dict(trial=0, p_q=0, p_k=0, residual=0.0, found=False, shift=0)
+    for attempt in range(cfg.trials):
+        bank_q = rng.standard_normal((cfg.waves, cfg.n))
+        bank_k = rng.standard_normal((cfg.waves, cfg.n))
+        p_q, p_k = (int(x) for x in rng.integers(0, cfg.n, size=2))
+        t = int(rng.integers(1, cfg.n))
+        gap = abs(score(bank_q, bank_k, p_q + t, p_k + t) - score(bank_q, bank_k, p_q, p_k))
+        row = dict(trial=0, p_q=p_q, p_k=p_k, residual=gap, found=gap > 1e-3, shift=t)
+        if row["found"]:
+            return [{**row, "attempts": attempt + 1}]
+        if gap > best["residual"]:
+            best = row
+    return [{**best, "attempts": cfg.trials}]
 
 
 @pytest.mark.parametrize(
@@ -254,15 +287,22 @@ def _parent_rope_rows(cfg: RunConfig) -> list:
         *[pytest.param(RunConfig(command="rope-equivalence", n=n, lam=lam, trials=40, seed=seed),
                        _parent_rope_rows, id=f"rope-equivalence/n={n}/lambda={lam}")
           for n, lam, seed in ((8, 1.0, 0), (9, 1.0, 1), (8, 0.7, 2), (5, 2.5, 3))],
+        *[pytest.param(RunConfig(command="multiplex-witness", n=n, waves=waves, trials=100,
+                                 seed=seed),
+                       _parent_witness_rows, id=f"multiplex-witness/n={n}/W={waves}/seed={seed}")
+          for n in (3, 8) for waves in (2, 3) for seed in (0, 1, 5)],
     ],
 )
 def test_batched_sweep_matches_the_per_trial_loop(cfg, loop):
-    """Both sweeps draw each trial's inputs in turn, then score all trials in one call:
-    every row keeps its (trial, p_q, p_k), and its residual moves by rounding only."""
+    """Each sweep draws each trial's inputs in turn, then scores them in one call (the
+    witness search in blocks): every row keeps its (trial, p_q, p_k) and the witness its
+    shift and attempt count, while residuals move by rounding only."""
     want = loop(cfg)
     got = run(cfg).rows
-    assert [(r["trial"], r["p_q"], r["p_k"]) for r in got] == [w[:3] for w in want]
-    for row, (*_, residual) in zip(got, want):
+    assert len(got) == len(want)
+    for row, expected in zip(got, want):
+        residual = expected.pop("residual")
+        assert {key: row[key] for key in expected} == expected
         assert abs(row["residual"] - residual) <= 1e-14
 
 
@@ -287,6 +327,7 @@ def test_relative_form_at_minus_delta_fails_the_report(monkeypatch):
         RunConfig(command="equivariance-report", n=8, t=4, trials=25, seed=3),
         RunConfig(command="rope-equivalence", n=9, trials=25, seed=4),
         RunConfig(command="grad-check", n=8, t=3, seed=0),
+        RunConfig(command="multiplex-witness", n=8, waves=2, trials=100, seed=2),
     ],
     ids=lambda cfg: cfg.command,
 )

@@ -4,7 +4,10 @@ No linter ships with the project, so this is the unused-import check:
 an import left behind by a refactor fails here.  ``__init__.py`` is
 skipped, since it imports names only to re-export them.  The export
 check covers ``rollpe`` and each of its modules: a deleted name left in
-an ``__all__`` fails here.
+an ``__all__`` fails here.  The dead-helper check covers every
+module-level private name (``_name``, dunders aside) defined in the
+package: one that no module refers to besides its definition, such as a
+helper a refactor left behind, fails here.
 """
 
 import ast
@@ -48,3 +51,41 @@ def test_every_export_resolves(module):
     """A name in ``__all__`` that the module lacks breaks ``from rollpe import *``."""
     module = importlib.import_module(module)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _dead_helpers(sources: list) -> set:
+    """Module-level private names defined in ``sources`` that none of them refers to."""
+    defined, used = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    return private - used
+
+
+def test_every_private_helper_is_used():
+    package = sorted(Path(rollpe.__file__).parent.glob("*.py"))
+    assert sorted(_dead_helpers([path.read_text() for path in package])) == []
+
+
+def test_an_orphaned_helper_is_caught():
+    helpers = (
+        "_LIMIT = 3\n"
+        "def _used(x):\n    return x < _LIMIT\n"
+        "def _orphan(x):\n    return _used(x)\n"
+        "def __getattr__(name):\n    raise AttributeError(name)\n"
+    )
+    caller = "from .helpers import _used\n_used(1)\n"
+    assert _dead_helpers([helpers, caller]) == {"_orphan"}
+    assert _dead_helpers([helpers]) == {"_orphan"}

@@ -57,6 +57,13 @@ class TestMproll:
         for i, p in enumerate(positions):
             np.testing.assert_array_equal(got[i], mproll(stack[:, i], p))
 
+    @pytest.mark.parametrize("p", [-5, 0, 3, 2**60 + 1])
+    def test_bank_is_the_one_row_stack(self, p):
+        """A (W, n) bank rolls as the (W, 1, n) stack at [p], bit for bit."""
+        bank = np.random.default_rng(6).standard_normal((3, 7))
+        want = mproll(bank[:, None], [p])[0]
+        assert mproll(bank, p).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("p", [2**60 + 1, -(2**62 + 3), 3**50])
     def test_bank_beyond_2_53_is_exact(self, p):
         bank = np.random.default_rng(4).standard_normal((3, 7))
@@ -109,11 +116,33 @@ class TestMprollScore:
         with pytest.raises(ValueError):
             mproll_score(np.ones((1, 3)), np.ones((1, 4)), 0, 0)
 
-    def test_rejects_stacks(self):
-        # square rows: enc_q @ enc_k would be a (3, 3) matrix, not a score
-        stack = np.ones((1, 3, 3))
-        with pytest.raises(ValueError, match="two \\(W, n\\) banks"):
-            mproll_score(stack, stack, np.zeros(3), np.zeros(3))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        waves=st.integers(1, 3),
+        n=st.sampled_from([1, 3, 8, 9, 16]),
+        rows=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_rows_score_as_banks(self, waves, n, rows, seed):
+        """Row i of a (W, T, n) stack score is the score of its (W, n) banks, bit for bit."""
+        rng = np.random.default_rng(seed)
+        stack_q, stack_k = rng.standard_normal((2, waves, rows, n))
+        p_q, p_k = rng.integers(-3 * n, 3 * n, size=(2, rows))
+        got = mproll_score(stack_q, stack_k, p_q, p_k)
+        assert got.shape == (rows,)
+        for i in range(rows):
+            assert got[i] == mproll_score(stack_q[:, i], stack_k[:, i], int(p_q[i]), int(p_k[i]))
+
+    @pytest.mark.parametrize(
+        "bank_q, bank_k",
+        [(np.ones((2, 4)), np.ones((2, 1, 4))), (np.ones((2, 3, 4)), np.ones((2, 2, 4)))],
+        ids=["bank-stack", "rows"],
+    )
+    def test_rejects_a_bank_and_key_of_different_shapes(self, bank_q, bank_k):
+        p_k = np.zeros(bank_k.shape[1]) if bank_k.ndim == 3 else 0
+        p_q = np.zeros(bank_q.shape[1]) if bank_q.ndim == 3 else 0
+        with pytest.raises(ValueError, match="query and key must share one shape"):
+            mproll_score(bank_q, bank_k, p_q, p_k)
 
     def test_rejects_non_finite_d(self):
         bank = np.ones((1, 3))
@@ -121,7 +150,40 @@ class TestMprollScore:
             mproll_score(bank, bank, 0, 1, d=np.inf)
 
 
+def _per_attempt_witness(n, waves, seed, budget, gap_threshold):
+    """Oracle: score each attempt alone with bank calls, in the search's draw order."""
+    rng = np.random.default_rng(seed)
+    best = (0.0, None)
+    for attempt in range(1, budget + 1):
+        bank_q, bank_k = rng.standard_normal((2, waves, n))
+        p_q, p_k = (int(x) for x in rng.integers(0, n, size=2))
+        t = int(rng.integers(1, n))
+        before = mproll_score(bank_q, bank_k, p_q, p_k)
+        after = mproll_score(bank_q, bank_k, p_q + t, p_k + t)
+        fields = (abs(after - before), bank_q, bank_k, p_q, p_k, t, before, after)
+        if fields[0] > gap_threshold:
+            return True, attempt, fields
+        if fields[0] > best[0]:
+            best = fields
+    return False, budget, best
+
+
 class TestEquivarianceViolationWitness:
+    @pytest.mark.parametrize("gap_threshold", [1e-3, 2.0, 5.0, 1e3])
+    @pytest.mark.parametrize("waves", [1, 2, 3])
+    @pytest.mark.parametrize("n, seed", [(3, 0), (8, 1), (16, 2)])
+    def test_blocks_score_as_single_attempts(self, n, seed, waves, gap_threshold):
+        """Scoring in blocks of 1, 2, 4, ... picks the attempt the one-by-one loop picks:
+        the first over the threshold, or else the first with the largest gap, bit for bit."""
+        w = equivariance_violation_witness(n, waves, seed, budget=100, gap_threshold=gap_threshold)
+        found, attempts, (gap, bank_q, bank_k, *rest) = _per_attempt_witness(
+            n, waves, seed, 100, gap_threshold
+        )
+        assert (w.found, w.attempts, w.gap) == (found, attempts, gap)
+        assert [w.p_q, w.p_k, w.t, w.score_before, w.score_after] == rest
+        np.testing.assert_array_equal(w.bank_q, bank_q)
+        np.testing.assert_array_equal(w.bank_k, bank_k)
+
     def test_two_waves_find_witness(self):
         w = equivariance_violation_witness(8, 2, seed=0)
         assert w.found
