@@ -11,21 +11,28 @@ off the forward encoder: one call on the (n + 1, t, n) stack holding e_j
 in row-set j and zeros in the last gives J_i e_j = enc[j, i] - enc[n, i],
 so no transposed encoder is written out.
 
-``attend`` makes one kernel call per batch: Q and K are encoded together
-as the (2, t, n) stack [Q, K], whose two row-sets share the (t,)
-positions, so the kernel builds its position table once.  Axially the
-two halves of row i are rows 2i and 2i + 1 of the stack reshaped to
-(2, 2t, n/2), at the flattened (t, 2) positions, so both halves share
-that one call too.  The multiplexed roll is one ``mproll``
-call on the (W, 2t, n) stack of the projected components of Q and K.
+A batch is (t, n) Q, K, V with (t,) positions, (t, 2) when axial, or B
+row-sets: (B, t, n) arrays with (B, t) or (B, t, 2) positions.  The 2-D
+batch is the B-less case of the same code, and row-set b of a batched
+``attend`` matches ``attend`` on batch b to 1e-14 relative to its
+largest value (a stacked matmul need not round as its 2-D slices do).
 
-Each ``attend`` call writes two t x t arrays: the logits, with the
-1/sqrt(d) scale folded into the (t, n) query side, and the scores, built
-from them by one subtraction into a new array followed by an in-place
-exponential and row normalisation.  ``grad_check`` differences the loss
-row by row: bumping Q[i, j] moves only row i of the scores, so it scores
-every bumped query row against the unbumped keys in one softmax call
-instead of running a whole ``attend`` per bump.
+``attend`` makes one kernel call per batch, whatever B is: Q and K are
+encoded together as the (2, B*t, n) stack [Q, K] at the flattened
+(B*t,) positions, so the kernel builds its position table once.
+Axially the two halves of row i are rows 2i and 2i + 1 of the stack
+reshaped to (2, 2B*t, n/2), at the flattened positions, so both halves
+share that one call too.  The multiplexed roll is one ``mproll`` call
+on the (W, 2B*t, n) stack of the projected components of Q and K.
+
+Each ``attend`` call writes two (..., t, t) arrays: the logits, with the
+1/sqrt(d) scale folded into the query side, and the scores, built from
+them by one subtraction into a new array followed by an in-place
+exponential and row normalisation, all on the last axis.  ``grad_check``
+takes 2-D batches only and differences the loss row by row: bumping
+Q[i, j] moves only row i of the scores, so it scores every bumped query
+row against the unbumped keys in one softmax call instead of running a
+whole ``attend`` per bump.
 """
 
 from __future__ import annotations
@@ -96,9 +103,12 @@ class AttentionBatch:
     """Q/K/V row matrices (t tokens by head dim n) with per-token positions.
 
     ``positions`` has shape (t,) for scalar positions or (t, 2) for axial
-    encodings.  Every entry must be finite, and every position below 2**53
-    in magnitude, so that integer positions are stored exactly.  Neither
-    t nor n may be 0.
+    encodings.  B row-sets are (B, t, n) Q, K and V with (B, t) or
+    (B, t, 2) positions, row-set b at positions[b]; the (t, n) batch is
+    the B-less case, and row-set b attends as the (t, n) batch b would,
+    to 1e-14 relative to its largest value.  Every entry must be finite,
+    and every position below 2**53 in magnitude, so that integer
+    positions are stored exactly.  None of B, t and n may be 0.
     """
 
     q: np.ndarray
@@ -112,14 +122,20 @@ class AttentionBatch:
         k = np.array(self.k, dtype=float)
         v = np.array(self.v, dtype=float)
         pos = np.array(self.positions, dtype=float)
-        if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-            raise ValueError("Q, K, V must be 2-D matrices of one shared shape")
-        _as_count(q.shape[0], "t (tokens)")
-        _as_count(q.shape[1], "n (head dimension)")
-        if pos.ndim not in (1, 2) or pos.shape[0] != q.shape[0]:
-            raise ValueError("positions must have one row per token")
-        if pos.ndim == 2 and pos.shape[1] != 2:
-            raise ValueError("axial positions must be (t, 2)")
+        if q.ndim not in (2, 3) or q.shape != k.shape or q.shape != v.shape:
+            raise ValueError(
+                "Q, K, V must be (t, n) matrices or (B, t, n) stacks of one shared shape"
+            )
+        if q.ndim == 3:
+            _as_count(q.shape[0], "B (row-sets)")
+        _as_count(q.shape[-2], "t (tokens)")
+        _as_count(q.shape[-1], "n (head dimension)")
+        rows = q.shape[:-1]  # (t,) or (B, t); axial positions add a trailing 2
+        if pos.shape != rows:
+            if pos.shape[:-1] != rows:
+                raise ValueError("positions must have one row per token")
+            if pos.shape[-1] != 2:
+                raise ValueError("axial positions must be (t, 2) or (B, t, 2)")
         for name, arr in (("q", q), ("k", k), ("v", v)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} holds non-finite values")
@@ -132,18 +148,18 @@ class AttentionBatch:
 
     @property
     def tokens(self) -> int:
-        return self.q.shape[0]
+        return self.q.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.q.shape[1]
+        return self.q.shape[-1]
 
 
 @dataclass(frozen=True)
 class AttentionOutput:
-    output: np.ndarray   # t x n aggregated values
-    scores: np.ndarray   # t x t post-softmax attention weights
-    logits: np.ndarray   # t x t pre-softmax scores
+    output: np.ndarray   # (..., t, n) aggregated values
+    scores: np.ndarray   # (..., t, t) post-softmax attention weights
+    logits: np.ndarray   # (..., t, t) pre-softmax scores
 
 
 @lru_cache(maxsize=32)
@@ -162,33 +178,34 @@ def _multiplex_projections(n: int, waves: int) -> np.ndarray:
 
 
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
+    axial = batch.positions.ndim == batch.q.ndim
     if pe.axial:
-        if batch.positions.ndim != 2:
-            raise ValueError("axial encoding requires (t, 2) positions")
+        if not axial:
+            raise ValueError("axial encoding requires (t, 2) or (B, t, 2) positions")
         if batch.dim % 2 != 0:
             raise ValueError("axial encoding requires an even head dimension")
-    elif batch.positions.ndim != 1:
-        raise ValueError("scalar encoding requires (t,) positions")
+    elif axial:
+        raise ValueError("scalar encoding requires (t,) or (B, t) positions")
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Row softmax of ``z`` in one new array; ``z`` is left as it is.
+    """Softmax of ``z`` over its last axis, in one new array; ``z`` is left as it is.
 
     Raises ``FloatingPointError`` if a row maximum is not finite: the
     logits overflowed or hold NaN, and the softmax would be NaN.
     """
-    peak = z.max(axis=1, keepdims=True)
+    peak = z.max(axis=-1, keepdims=True)
     if not np.isfinite(peak).all():
         raise FloatingPointError("attention logits overflowed")
     e = np.subtract(z, peak)
     np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
-    """Logits enc_q enc_k^T / scale and their row softmax: two new arrays."""
-    logits = (enc_q / scale) @ enc_k.T
+    """Logits enc_q enc_k^T / scale and their row softmax: two new (..., t, t) arrays."""
+    logits = (enc_q / scale) @ enc_k.swapaxes(-1, -2)
     return logits, _softmax_rows(logits)
 
 
@@ -201,18 +218,20 @@ def _encode_qk(batch: AttentionBatch, pe: PEConfig) -> tuple[np.ndarray, np.ndar
 
 
 def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
-    """Row i of ``x`` (of each row-set of a stack) encoded at positions[i], in one kernel call.
+    """Each row of ``x`` (of each row-set of a stack) encoded at its position, in one kernel call.
 
-    ``x`` is (t, n) rows or an (s, t, n) stack of row-sets that share the
-    positions; the identity returns ``x`` itself.  The rows are read as
-    (..., -1, n/2) half-rows at the flattened (t, 2) positions when axial,
-    so each half is encoded at its own coordinate, and as they are when not.
+    ``positions`` is (t,) or (B, t), or with a trailing 2 when axial, and
+    ``x`` is (..., t, n) or (..., B, t, n): its rows match the positions
+    and any axes before them stack row-sets that share them.  The rows
+    are read as (s, B*t, n) at the flattened positions, or as (s, 2B*t,
+    n/2) half-rows when axial, so each half is encoded at its own
+    coordinate.  The identity returns ``x`` itself.
     """
     if pe.kind is PEKind.NONE:
         return x
     n = x.shape[-1] // 2 if pe.axial else x.shape[-1]
-    rows = x.reshape(*x.shape[:-2], -1, n)
     p = positions.reshape(-1)
+    rows = x.reshape(-1, p.size, n)
     if pe.kind is PEKind.SINUSOIDAL_APE:
         enc = rows + sinusoidal_ape(p, n)
     elif pe.kind is PEKind.ROLL_DISCRETE:
@@ -225,14 +244,16 @@ def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
         # the row-sets of a stack as one (rows, n) stack at tiled positions
         flat = rows.reshape(-1, n)
         comps = flat @ _multiplex_projections(n, pe.waves).swapaxes(1, 2)
-        enc = mproll(comps, np.tile(p, len(flat) // len(p)))
+        enc = mproll(comps, np.tile(p, len(rows)))
     return enc.reshape(x.shape)
 
 
 def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> AttentionOutput:
     """softmax(enc(Q) enc(K)^T / sqrt(d)) V with the configured encoding.
 
-    ``d`` defaults to the head dimension and must be finite and positive.
+    A batch of B row-sets gives (B, t, n) outputs and (B, t, t) scores
+    and logits, row-set b at its own positions, from the same one kernel
+    call.  ``d`` defaults to the head dimension and must be finite and positive.
     Raises ``FloatingPointError`` if the logits overflow.
     """
     _check_batch(batch, pe)
@@ -271,10 +292,12 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     is scored against the unbumped keys in one softmax call, and only
     row i's loss term is differenced.  The other rows' terms
     cancel exactly, so this is the whole-loss central difference without
-    its cancellation error.
+    its cancellation error.  A batch of B row-sets raises ``ValueError``.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
+    if batch.q.ndim != 2:
+        raise ValueError(f"grad_check takes a (t, n) batch, got Q of shape {batch.q.shape}")
     _check_batch(batch, pe)
     analytic = _loss_grad_wrt_q(batch, pe)
     fd = _loss_grad_fd(batch, pe, eps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .roll_core import _as_count, _as_pair, _as_shifts, _check_positive, _score_scale, roll_discrete
+from .roll_core import _as_count, _as_pair, _as_shifts, _check_positive, _roll_rows, _score_scale
 
 __all__ = [
     "EquivarianceWitness",
@@ -30,15 +30,17 @@ def mproll(components, p) -> np.ndarray:
     ``components`` is a (W, t, n) stack with (t,) integer positions, row i
     of every component rolled by w*p[i]; a (W, n) bank with an integer
     ``p`` is the one-row stack.  ``p`` is checked as ``roll_discrete``
-    checks it, then reduced mod n once, so w*p stays an exact integer at
-    any magnitude.  All W*t rows roll in one gather and the waves are
-    summed in order 1..W.  Any other shape raises ``ValueError``.
+    checks it, once, then reduced mod n, so w*p stays an exact integer at
+    any magnitude.  All W*t rows roll in the one gather ``roll_discrete``
+    uses and the waves are summed in order 1..W.  Any other shape raises
+    ``ValueError``.
     """
     comps = np.asarray(components, dtype=float)
     if comps.ndim not in (2, 3) or comps.size == 0:
         raise ValueError("components must be a non-empty (W, n) bank or (W, t, n) stack")
-    shifts = np.arange(1, len(comps) + 1)[:, None] * _as_shifts(comps[0], p)
-    rolled = roll_discrete(comps.reshape(shifts.size, -1), shifts.reshape(-1))
+    # w * (p mod n) is reduced again, so the gather takes it unchecked
+    shifts = np.arange(1, len(comps) + 1)[:, None] * _as_shifts(comps[0], p) % comps.shape[-1]
+    rolled = _roll_rows(comps.reshape(shifts.size, -1), shifts.reshape(-1))
     return rolled.reshape(comps.shape).sum(axis=0)
 
 

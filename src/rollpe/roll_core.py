@@ -155,21 +155,30 @@ def roll_discrete(q, p) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     s = _as_shifts(q, p)
-    n = q.shape[-1]
     if q.ndim > 1:
-        # windows[..., i, k] is doubled[..., i, k:k + n], row i rolled by k,
-        # so the gather needs no (t, n) index table and no integer modulo
-        doubled = np.concatenate([q, q], axis=-1)
-        windows = np.ndarray(
-            (*q.shape, n), float, doubled, 0, (*doubled.strides, doubled.itemsize)
-        )
-        return windows[..., np.arange(len(s)), s, :]
+        return _roll_rows(q, s)
+    n = q.size
     if s == 0:
         return q.copy()
     out = np.empty_like(q)
     out[: n - s] = q[s:]
     out[n - s :] = q[:s]
     return out
+
+
+def _roll_rows(q: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Row i of the (t, n) or (s, t, n) float stack ``q`` rolled by shifts[i], in one gather.
+
+    ``shifts`` holds (t,) integers already reduced into [-n, n), and
+    nothing is checked here: ``roll_discrete`` and ``mproll`` check their
+    positions once, before they reduce them.
+    """
+    n = q.shape[-1]
+    # windows[..., i, k] is doubled[..., i, k:k + n], row i rolled by k,
+    # so the gather needs no (t, n) index table and no integer modulo
+    doubled = np.concatenate([q, q], axis=-1)
+    windows = np.ndarray((*q.shape, n), float, doubled, 0, (*doubled.strides, doubled.itemsize))
+    return windows[..., np.arange(len(shifts)), shifts, :]
 
 
 def shift_matrix(n: int, p: int = 1) -> np.ndarray:

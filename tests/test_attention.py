@@ -258,8 +258,8 @@ def _grad_check(batch, pe):
     return grad_check(pe, batch)
 
 
-def _count_kernel_calls(monkeypatch, run, pe, axial):
-    """Kernel calls attention makes in run(batch, pe) on a 64 x 8 batch, by name."""
+def _count_kernel_calls(monkeypatch, run, pe, axial, b=None):
+    """Kernel calls attention makes in run(batch, pe) on a 64 x 8 batch, or b of them, by name."""
     calls = dict.fromkeys(
         ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
          "sinusoidal_ape", "mproll"],
@@ -276,10 +276,10 @@ def _count_kernel_calls(monkeypatch, run, pe, axial):
     for name in calls:
         monkeypatch.setattr(attention, name, counted(name, getattr(attention, name)))
     rng = np.random.default_rng(26)
-    t = 64
-    positions = rng.integers(-50, 50, size=(t, 2) if axial else t).astype(float)
+    rows = (64,) if b is None else (b, 64)
+    positions = rng.integers(-50, 50, size=rows + (2,) if axial else rows).astype(float)
     pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
-    run(AttentionBatch(*rng.standard_normal((3, t, 8)), positions), pe)
+    run(AttentionBatch(*rng.standard_normal((3, *rows, 8)), positions), pe)
     return calls
 
 
@@ -289,12 +289,15 @@ class TestPhaseKindsEncodeOncePerBatch:
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_kernel_calls_per_attend(self, pe, kernel, axial, monkeypatch):
-        """One call per side would be 2, per axial half 4, per row 2t = 128."""
-        calls = _count_kernel_calls(monkeypatch, _attend, pe, axial)
-        kernel_calls = calls.pop(kernel)
-        assert kernel_calls == 1
-        assert calls.pop("classic_schedule") <= 1
-        assert set(calls.values()) == {0}
+        """One call per side would be 2, per axial half 4, per row 2t = 128; B row-sets
+        share the one call too."""
+        for b in (None, 1, 4):
+            calls = _count_kernel_calls(monkeypatch, _attend, pe, axial, b)
+            monkeypatch.undo()
+            kernel_calls = calls.pop(kernel)
+            assert kernel_calls == 1
+            assert calls.pop("classic_schedule") <= 1
+            assert set(calls.values()) == {0}
 
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)

@@ -306,6 +306,30 @@ def test_batched_sweep_matches_the_per_trial_loop(cfg, loop):
         assert abs(row["residual"] - residual) <= 1e-14
 
 
+def test_default_equivariance_report_equals_the_per_trial_loop():
+    """At the default config (n = t = 8, 100 trials) the batched attends change no bit."""
+    cfg = RunConfig(command="equivariance-report")
+    want = _parent_equivariance_rows(cfg)
+    got = run(cfg).rows
+    assert [{key: row[key] for key in want[0]} for row in got] == want
+
+
+def test_attention_demo_equals_two_attends_per_kind():
+    """One B = 2 attend per kind gives the rows of an unshifted and a shifted 2-D attend."""
+    cfg = RunConfig(command="attention-demo", n=8, t=6, waves=2, seed=3)
+    qm, km, vm = np.random.default_rng(cfg.seed).standard_normal((3, cfg.t, cfg.n))
+    want = []
+    for kind in PEKind:
+        pe = PEConfig(kind=kind, lam=cfg.lam, waves=cfg.waves)
+        before, after = (attend(AttentionBatch(qm, km, vm, np.arange(cfg.t) + s), pe).scores
+                         for s in (0, 5))
+        want += [(kind.value, before[i, j], after[i, j])
+                 for i in range(cfg.t) for j in range(cfg.t)]
+    rows = run(cfg).rows
+    assert [(r["kind"], r["score"], r["score_shifted"]) for r in rows] == want
+    assert [r["residual"] for r in rows] == [abs(a - b) for _, b, a in want]
+
+
 def test_relative_form_at_minus_delta_fails_the_report(monkeypatch):
     """The report must catch a relative form evaluated at p_q - p_k instead of p_k - p_q."""
     true_form = cli.relative_form_score
@@ -328,6 +352,7 @@ def test_relative_form_at_minus_delta_fails_the_report(monkeypatch):
         RunConfig(command="rope-equivalence", n=9, trials=25, seed=4),
         RunConfig(command="grad-check", n=8, t=3, seed=0),
         RunConfig(command="multiplex-witness", n=8, waves=2, trials=100, seed=2),
+        RunConfig(command="attention-demo", n=8, t=5, waves=2, seed=1),
     ],
     ids=lambda cfg: cfg.command,
 )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rollpe import multiplex, roll_core
 from rollpe.multiplex import (
     equivariance_violation_witness,
     mproll,
@@ -89,6 +90,25 @@ class TestMproll:
     def test_rejects_ragged_banks(self):
         with pytest.raises(ValueError):
             mproll([[1.0, 2.0], [1.0, 2.0, 3.0]], 0)
+
+    @pytest.mark.parametrize(
+        "components, p",
+        [(np.ones((3, 5)), -7), (np.ones((2, 4, 5)), [0.0, 3.0, -9.0, 2.0**52])],
+        ids=["bank", "stack"],
+    )
+    def test_positions_are_checked_once(self, components, p, monkeypatch):
+        """The reduced shifts go to the gather unchecked: one position check per call."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = roll_core._as_shifts
+        monkeypatch.setattr(roll_core, "_as_shifts", counted)
+        monkeypatch.setattr(multiplex, "_as_shifts", counted)
+        mproll(components, p)
+        assert len(calls) == 1
 
 
 class TestMprollScore:
