@@ -33,12 +33,21 @@ rope's rotations come from too.  The dense DFT matrix serves the generator
 and its residual diagnostics, which exponentiate through the unitary
 diagonalization; no general-purpose (Pade / scaling-squaring) matrix
 exponential is used anywhere in the library.
+
+The DFT matrix of a size and the generator of a (size, branch) are
+constants: each is built once, on first use, and every later call returns
+the same read-only object.  The caches hold the 64 most recent DFT sizes
+and the 128 most recent generators, each n*n complex values (16 * n**2
+bytes), so one pass over n = 1..32 and both branches keeps all of its
+entries.  ``generator_residuals`` is not cached: it measures whatever
+generator it is handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,7 +77,9 @@ class ShiftGenerator:
 
     ``matrix`` is n-by-n complex, circulant and skew-Hermitian, with
     exp(matrix) equal to the one-step shift.  Immutable after
-    construction; build via :func:`log_shift_generator`.
+    construction, with a read-only ``matrix``; build via
+    :func:`log_shift_generator`, which returns one shared instance per
+    (n, branch).
     """
 
     n: int
@@ -91,10 +102,22 @@ def _check_branch(branch) -> None:
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix F[j, k] = exp(-2*pi*1j*j*k/n) / sqrt(n)."""
-    n = _as_count(n)
+    """Unitary DFT matrix F[j, k] = exp(-2*pi*1j*j*k/n) / sqrt(n), built once per n and shared.
+
+    The array is read-only; copy it before writing to it.
+    """
+    return _dft_matrix(_as_count(n))
+
+
+# An LRU cache smaller than a cycle of keys misses on every call of the cycle.
+# The invariant sweep cycles through n = 1..32 on both branches, 32 DFT sizes
+# and 64 generators, so each cache here holds twice its share of that cycle.
+@lru_cache(maxsize=64)
+def _dft_matrix(n: int) -> np.ndarray:
     j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+    fmat = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+    fmat.setflags(write=False)
+    return fmat
 
 
 def branch_angles(n: int, branch: SpectralBranch) -> np.ndarray:
@@ -113,8 +136,17 @@ def branch_angles(n: int, branch: SpectralBranch) -> np.ndarray:
 
 
 def log_shift_generator(n: int, branch: SpectralBranch = SpectralBranch.CENTERED) -> ShiftGenerator:
-    """Build the generator A = F^H diag(1j * theta_k) F for the branch."""
+    """The generator A = F^H diag(1j * theta_k) F for the branch.
+
+    Built once per (n, branch) and shared; its ``matrix`` is read-only.
+    """
     n = _as_count(n)
+    _check_branch(branch)
+    return _log_shift_generator(n, branch)
+
+
+@lru_cache(maxsize=128)
+def _log_shift_generator(n: int, branch: SpectralBranch) -> ShiftGenerator:
     fmat = dft_matrix(n)
     theta = branch_angles(n, branch)
     matrix = fmat.conj().T @ (1j * theta[:, None] * fmat)

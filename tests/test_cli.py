@@ -72,7 +72,7 @@ class TestRun:
             "rope_apply",
         ):
             assert ops[name] > 0
-        assert rep.summary["fft_vs_dense_residual"] <= 1e-9
+        assert rep.summary["fft_vs_dense_residual"] <= rep.summary["threshold"] == 1e-9
 
     def test_attention_demo_single_token(self):
         rep = run(RunConfig(command="attention-demo", n=8, t=1, seed=0))
@@ -345,6 +345,26 @@ def test_relative_form_at_minus_delta_fails_the_report(monkeypatch):
                  "--trials", "20", "--seed", "0"]) == 1
 
 
+_TRUE_ROLL = cli.roll_continuous
+
+
+@pytest.mark.parametrize(
+    "wrong_roll",
+    [
+        lambda q, p, lam, branch: _TRUE_ROLL(q, p + 0.5, lam, branch),
+        lambda q, p, lam, branch: np.full_like(q, np.nan),
+    ],
+    ids=["half-step-late", "nan"],
+)
+def test_bench_fails_when_its_fft_roll_is_wrong(monkeypatch, tmp_path, wrong_roll):
+    """bench gates the FFT roll on the dense oracle; a NaN gap fails it as well."""
+    monkeypatch.setattr(cli, "roll_continuous", wrong_roll)
+    args = ["--command", "bench", "--n", "8", "--trials", "1", "--out", str(tmp_path / "b.json")]
+    assert main(args) == 1
+    summary = json.loads((tmp_path / "b.json").read_text())["summary"]
+    assert not summary["fft_vs_dense_residual"] <= summary["threshold"]
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -379,7 +399,7 @@ def test_readme_lists_every_command():
 
 @pytest.mark.parametrize(
     "argv",
-    [argv for argv in _README_LINES if argv[2] != "bench"],  # bench is report-only and timed
+    [argv for argv in _README_LINES if argv[2] != "bench"],  # bench's README line times 100000 trials
     ids=lambda argv: argv[2],
 )
 def test_readme_cli_line_exits_zero(argv, tmp_path):

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rollpe import spectral
 from rollpe.regularizer import lipschitz_gap
 from rollpe.roll_core import roll_discrete, shift_matrix
 from rollpe.rope import equivalence_residual
@@ -130,6 +131,77 @@ class TestLogShiftGenerator:
             np.testing.assert_allclose(
                 scipy.linalg.expm(gen.matrix), shift_matrix(n, 1), atol=1e-9
             )
+
+
+class TestCaches:
+    """dft_matrix and log_shift_generator return one shared read-only value per key."""
+
+    def test_repeated_calls_return_the_same_object(self):
+        assert dft_matrix(8) is dft_matrix(8)
+        assert log_shift_generator(8) is log_shift_generator(8, CENTERED)
+        assert log_shift_generator(8, RAW) is log_shift_generator(8, RAW)
+        assert log_shift_generator(8, RAW) is not log_shift_generator(8, CENTERED)
+
+    @pytest.mark.parametrize(
+        "shared",
+        [lambda: dft_matrix(4), lambda: log_shift_generator(4, RAW).matrix],
+        ids=["dft_matrix", "generator"],
+    )
+    def test_shared_matrices_are_read_only(self, shared):
+        with pytest.raises(ValueError, match="read-only"):
+            shared()[0, 0] = 1.0
+        assert shared()[0, 0] != 1.0
+
+    def test_equal_counts_share_one_entry(self):
+        """np.array(8) is unhashable, so the count is validated before the cache sees it."""
+        counts = (8, 8.0, np.int64(8), np.array(8))
+        assert all(dft_matrix(n) is dft_matrix(8) for n in counts)
+        assert all(log_shift_generator(n, RAW) is log_shift_generator(8, RAW) for n in counts)
+
+    def test_one_sweep_pass_keeps_its_first_entries(self):
+        """The invariant sweep's generator checks cycle through n = 1..32 and both branches.
+
+        An LRU cache smaller than that cycle would have evicted the first key
+        by the time the cycle comes back to it, and miss on every call.
+        """
+        first_gen = log_shift_generator(1, RAW)
+        first_dft = dft_matrix(1)
+        for n in range(1, 33):
+            for branch in SpectralBranch:
+                generator_residuals(log_shift_generator(n, branch))
+        assert log_shift_generator(1, RAW) is first_gen
+        assert dft_matrix(1) is first_dft
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_cached_values_equal_the_formula_bytewise(self, n):
+        j = np.arange(n)
+        fmat = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+        assert dft_matrix(n).tobytes() == fmat.tobytes()
+        for branch in BOTH:
+            k = np.arange(n)
+            if branch is CENTERED:
+                k = np.where(2 * k <= n, k, k - n)
+            theta = 2.0 * np.pi * k / n
+            want = fmat.conj().T @ (1j * theta[:, None] * fmat)
+            assert log_shift_generator(n, branch).matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: dft_matrix(0),
+            lambda: dft_matrix(2.5),
+            lambda: log_shift_generator(2.5),
+            lambda: log_shift_generator(5, "raw"),
+        ],
+        ids=["dft_matrix(0)", "dft_matrix(2.5)", "log_shift_generator(2.5)",
+             "log_shift_generator(5, 'raw')"],
+    )
+    def test_a_refused_call_leaves_the_caches_untouched(self, call):
+        before = (spectral._dft_matrix.cache_info(), spectral._log_shift_generator.cache_info())
+        with pytest.raises(ValueError):
+            call()
+        after = (spectral._dft_matrix.cache_info(), spectral._log_shift_generator.cache_info())
+        assert after == before
 
 
 class TestRollContinuous:
