@@ -7,9 +7,9 @@ or axially, with each half of the row encoded by one coordinate of a 2-D
 position.  Every encoding here is an affine map of the row, which is what
 lets ``grad_check`` compare an analytic input gradient against central
 finite differences.  The analytic gradient reads each row's linear map
-off the forward encoder: one call on the (n + 1, t, n) stack holding e_j
-in row-set j and zeros in the last gives J_i e_j = enc[j, i] - enc[n, i],
-so no transposed encoder is written out.
+off the forward encoder: with e_j in row-set j of the encoded stack and
+zeros in row-set n, J_i e_j = enc[j, i] - enc[n, i], so no transposed
+encoder is written out.
 
 A batch is (t, n) Q, K, V with (t,) positions, (t, 2) when axial, or B
 row-sets: (B, t, n) arrays with (B, t) or (B, t, 2) positions.  The 2-D
@@ -29,10 +29,12 @@ Each ``attend`` call writes two (..., t, t) arrays: the logits, with the
 1/sqrt(d) scale folded into the query side, and the scores, built from
 them by one subtraction into a new array followed by an in-place
 exponential and row normalisation, all on the last axis.  ``grad_check``
-takes 2-D batches only and differences the loss row by row: bumping
-Q[i, j] moves only row i of the scores, so it scores every bumped query
-row against the unbumped keys in one softmax call instead of running a
-whole ``attend`` per bump.
+takes 2-D batches only and makes one kernel call, on the (3n + 3, t, n)
+stack [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j, Q, K], and one
+softmax call, which scores its 2n + 1 query row-sets against the encoded
+keys as one (2n + 1, t, t) batch.  The unbumped row-set gives the
+analytic gradient; the bumped ones difference the loss row by row, since
+bumping Q[i, j] moves only row i of the scores.
 """
 
 from __future__ import annotations
@@ -209,14 +211,6 @@ def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
     return logits, _softmax_rows(logits)
 
 
-def _encode_qk(batch: AttentionBatch, pe: PEConfig) -> tuple[np.ndarray, np.ndarray]:
-    """enc(Q) and enc(K), from one kernel call on the stack [Q, K]."""
-    if pe.kind is PEKind.NONE:
-        return batch.q, batch.k
-    enc_q, enc_k = _encode(np.stack([batch.q, batch.k]), batch.positions, pe)
-    return enc_q, enc_k
-
-
 def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     """Each row of ``x`` (of each row-set of a stack) encoded at its position, in one kernel call.
 
@@ -258,7 +252,11 @@ def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> Atten
     """
     _check_batch(batch, pe)
     scale = _score_scale(batch.dim, d)
-    logits, scores = _attention_weights(*_encode_qk(batch, pe), scale)
+    if pe.kind is PEKind.NONE:  # no [Q, K] copy to encode
+        enc_q, enc_k = batch.q, batch.k
+    else:
+        enc_q, enc_k = _encode(np.stack([batch.q, batch.k]), batch.positions, pe)
+    logits, scores = _attention_weights(enc_q, enc_k, scale)
     return AttentionOutput(output=scores @ batch.v, scores=scores, logits=logits)
 
 
@@ -285,59 +283,52 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     """Max relative gap between analytic and finite-difference input gradients.
 
     The scalar loss is the sum of all attention outputs; the gradient is
-    taken with respect to every entry of Q.  Central differences use the
-    given step and are row-local: bumping Q[i, j] changes only row i of
-    the scores, so the 2n bumped copies of Q are encoded with K as one
-    (2n + 1, t, n) stack at the batch's positions, every bumped query row
-    is scored against the unbumped keys in one softmax call, and only
-    row i's loss term is differenced.  The other rows' terms
-    cancel exactly, so this is the whole-loss central difference without
-    its cancellation error.  A batch of B row-sets raises ``ValueError``.
+    taken with respect to every entry of Q.  One kernel call encodes the
+    basis row-sets of the analytic Jacobians, the 2n bumped copies of Q,
+    Q and K as one (3n + 3, t, n) stack at the batch's positions, and one
+    softmax call scores Q and every bumped copy against the encoded keys.
+    Central differences use the given step and are row-local: bumping
+    Q[i, j] changes only row i of the scores, so only row i's loss term is
+    differenced.  The other rows' terms cancel exactly, so this is the
+    whole-loss central difference without its cancellation error.  A
+    batch of B row-sets raises ``ValueError``.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     if batch.q.ndim != 2:
         raise ValueError(f"grad_check takes a (t, n) batch, got Q of shape {batch.q.shape}")
     _check_batch(batch, pe)
-    analytic = _loss_grad_wrt_q(batch, pe)
-    fd = _loss_grad_fd(batch, pe, eps)
+    analytic, fd = _loss_grads(batch, pe, eps)
     if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(fd))):
         raise FloatingPointError("non-finite values encountered in gradient check")
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
     return float((np.abs(analytic - fd) / denom).max())
 
 
-def _loss_grad_fd(batch: AttentionBatch, pe: PEConfig, eps: float) -> np.ndarray:
-    """Row-local central differences of sum(attend(batch).output) in Q."""
+def _loss_grads(batch: AttentionBatch, pe: PEConfig, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """dL/dQ of L = sum(attend(batch).output), analytic and by row-local central differences."""
     t, n = batch.q.shape
-    steps = eps * np.eye(n)[:, None]
-    # stack[j, i] = Q[i] + eps e_j, stack[n + j, i] = Q[i] - eps e_j, stack[2n] = K
-    stack = np.concatenate([batch.q + steps, batch.q - steps, batch.k[None]])
+    scale = _score_scale(n, None)
+    eye = np.eye(n)[:, None]
+    # row-set j holds e_j, row-set n zeros, then Q + eps e_j, Q - eps e_j, Q and K
+    stack = np.concatenate([
+        np.broadcast_to(eye, (n, t, n)), np.zeros((1, t, n)),
+        batch.q + eps * eye, batch.q - eps * eye, batch.q[None], batch.k[None],
+    ])
     enc = _encode(stack, batch.positions, pe)
-    _, scores = _attention_weights(
-        enc[:-1].reshape(2 * n * t, n), enc[-1], _score_scale(n, None)
-    )
-    # row i's loss term is scores[i] @ V summed over its columns
-    terms = (scores @ batch.v.sum(axis=1)).reshape(2, n, t)
-    return (terms[0] - terms[1]).T / (2.0 * eps)
+    enc_k = enc[-1]
+    _, scores = _attention_weights(enc[n + 1:-1], enc_k, scale)
 
-
-def _loss_grad_wrt_q(batch: AttentionBatch, pe: PEConfig) -> np.ndarray:
-    scale = _score_scale(batch.dim, None)
-    enc_q, enc_k = _encode_qk(batch, pe)
-    _, scores = _attention_weights(enc_q, enc_k, scale)
-
-    # loss = sum(scores @ V): d loss / d scores[i, j] = sum_m V[j, m]
+    # loss = sum(scores @ V): d loss / d scores[i, j] = sum_m V[j, m], and
+    # row i's loss term is scores[i] @ v_sum
     v_sum = batch.v.sum(axis=1)
-    g_logits = scores * (v_sum - (scores @ v_sum)[:, None])
-    g_enc_q = g_logits @ enc_k / scale
+    terms = scores @ v_sum
+    fd = (terms[:n] - terms[n:-1]).T / (2.0 * eps)
 
-    # row i's map is affine, enc_i(x) = J_i x + c_i: encoding the basis stack
-    # [e_0, ..., e_(n-1), 0] gives column j of J_i as enc[j, i] - enc[n, i]
-    t, n = batch.q.shape
-    basis = np.zeros((n + 1, t, n))
-    basis[:n] = np.eye(n)[:, None]
-    enc = _encode(basis, batch.positions, pe)
+    g_logits = scores[-1] * (v_sum - terms[-1][:, None])
+    g_enc_q = g_logits @ enc_k / scale
+    # row i's map is affine, enc_i(x) = J_i x + c_i, so column j of J_i is enc[j, i] - enc[n, i]
     jac = enc[:n] - enc[n]
     # d loss / d Q[i] = J_i^T g_enc_q[i], whose entry j is (J_i e_j) . g_enc_q[i]
-    return (jac.swapaxes(0, 1) @ g_enc_q[:, :, None])[..., 0]
+    analytic = (jac.swapaxes(0, 1) @ g_enc_q[:, :, None])[..., 0]
+    return analytic, fd

@@ -18,8 +18,7 @@ from rollpe.attention import (
 from rollpe import attention
 from rollpe.attention import (
     _encode,
-    _loss_grad_fd,
-    _loss_grad_wrt_q,
+    _loss_grads,
     _multiplex_projections,
     _softmax_rows,
 )
@@ -258,13 +257,9 @@ def _grad_check(batch, pe):
     return grad_check(pe, batch)
 
 
-def _count_kernel_calls(monkeypatch, run, pe, axial, b=None):
-    """Kernel calls attention makes in run(batch, pe) on a 64 x 8 batch, or b of them, by name."""
-    calls = dict.fromkeys(
-        ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
-         "sinusoidal_ape", "mproll"],
-        0,
-    )
+def _counting(monkeypatch, names):
+    """Wrap each of attention's globals ``names`` to count its calls into the returned dict."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -275,6 +270,16 @@ def _count_kernel_calls(monkeypatch, run, pe, axial, b=None):
 
     for name in calls:
         monkeypatch.setattr(attention, name, counted(name, getattr(attention, name)))
+    return calls
+
+
+def _count_kernel_calls(monkeypatch, run, pe, axial, b=None):
+    """Kernel calls attention makes in run(batch, pe) on a 64 x 8 batch, or b of them, by name."""
+    calls = _counting(
+        monkeypatch,
+        ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
+         "sinusoidal_ape", "mproll"],
+    )
     rng = np.random.default_rng(26)
     rows = (64,) if b is None else (b, 64)
     positions = rng.integers(-50, 50, size=rows + (2,) if axial else rows).astype(float)
@@ -302,11 +307,22 @@ class TestPhaseKindsEncodeOncePerBatch:
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_kernel_calls_per_grad_check(self, pe, kernel, axial, monkeypatch):
-        """One call each for [Q, K], the Jacobian's basis stack and the bumped stack."""
+        """One call on the one stack of basis rows, bumped copies of Q, Q and K."""
         calls = _count_kernel_calls(monkeypatch, _grad_check, pe, axial)
-        assert calls.pop(kernel) == 3
-        assert calls.pop("classic_schedule") <= 3
+        assert calls.pop(kernel) == 1
+        assert calls.pop("classic_schedule") <= 1
         assert set(calls.values()) == {0}
+
+    @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+    @pytest.mark.parametrize(
+        "pe", [_pe(PEKind.NONE)] + [pe for pe, _ in _KERNEL_CASES], ids=["none"] + _KERNEL_IDS
+    )
+    def test_one_softmax_per_grad_check(self, pe, axial, monkeypatch):
+        """The bumped copies of Q and Q itself are scored against K in one call."""
+        calls = _counting(monkeypatch, ["_attention_weights", "_softmax_rows"])
+        batch, pe = _grad_batch(pe, axial)
+        grad_check(pe, batch)
+        assert calls == {"_attention_weights": 1, "_softmax_rows": 1}
 
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("run", [_attend, _grad_check], ids=["attend", "grad_check"])
@@ -758,7 +774,7 @@ class TestAnalyticGradient:
     def test_matches_whole_attend_differences(self, pe, axial):
         """The Jacobian read off the forward map gives dL/dQ of the whole attend."""
         batch, pe = _grad_batch(pe, axial)
-        got = _loss_grad_wrt_q(batch, pe)
+        got = _loss_grads(batch, pe, 1e-5)[0]
         np.testing.assert_allclose(got, _whole_attend_fd(batch, pe, 1e-5), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize(
@@ -772,19 +788,29 @@ class TestAnalyticGradient:
         ids=lambda pe: pe.kind.value,
     )
     def test_catch_a_wrong_jacobian(self, pe, monkeypatch):
-        """With the basis stack encoded at -p the Jacobians are wrong and the check must fail."""
-        forward = attention._encode
-        n = 8
+        """With the basis row-sets encoded at -p the Jacobians are wrong and the check must fail."""
+        assert _grad_check_with_rows_at_minus_p(pe, "basis", monkeypatch) > 1e-2
 
-        def wrong(x, positions, pe):
-            basis = x.shape[0] == n + 1 and x.ndim == 3
-            return forward(x, -positions if basis else positions, pe)
 
-        monkeypatch.setattr(attention, "_encode", wrong)
-        rng = np.random.default_rng(25)
-        q, k, v = rng.standard_normal((3, 4, n))
-        batch = AttentionBatch(q, k, v, np.array([0.0, 1.0, 3.0, 6.0]))
-        assert grad_check(pe, batch) > 1e-2
+def _grad_check_with_rows_at_minus_p(pe, part, monkeypatch):
+    """grad_check on a 4 x 8 batch with one part of its one stack encoded at -p.
+
+    The stack is [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j, Q, K]: "basis" is
+    its first n + 1 row-sets and "bumps" the 2n after them.
+    """
+    forward = attention._encode
+    n = 8
+    rows = {"basis": slice(0, n + 1), "bumps": slice(n + 1, 3 * n + 1)}[part]
+
+    def wrong(x, positions, pe):
+        enc = forward(x, positions, pe)
+        enc[rows] = forward(x[rows], -positions, pe)
+        return enc
+
+    monkeypatch.setattr(attention, "_encode", wrong)
+    rng = np.random.default_rng(25)
+    q, k, v = rng.standard_normal((3, 4, n))
+    return grad_check(pe, AttentionBatch(q, k, v, np.array([0.0, 1.0, 3.0, 6.0])))
 
 
 class TestRowLocalDifferences:
@@ -792,5 +818,21 @@ class TestRowLocalDifferences:
     @pytest.mark.parametrize("pe", _GRAD_CONFIGS, ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}")
     def test_match_whole_attend_differences(self, pe, axial):
         batch, pe = _grad_batch(pe, axial)
-        got = _loss_grad_fd(batch, pe, 1e-5)
+        got = _loss_grads(batch, pe, 1e-5)[1]
         np.testing.assert_allclose(got, _whole_attend_fd(batch, pe, 1e-5), rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "pe",
+        [
+            _pe(PEKind.SINUSOIDAL_APE),
+            _pe(PEKind.ROLL_DISCRETE),
+            _pe(PEKind.ROLL_CONTINUOUS, lam=1.5),
+            _pe(PEKind.ROPE),
+            _pe(PEKind.MULTIPLEXED_ROLL, waves=2),
+        ],
+        ids=lambda pe: pe.kind.value,
+    )
+    def test_catch_wrongly_encoded_bumps(self, pe, monkeypatch):
+        """With the bumped copies of Q encoded at -p the differences are wrong and the
+        check must fail."""
+        assert _grad_check_with_rows_at_minus_p(pe, "bumps", monkeypatch) > 1e-2
