@@ -29,12 +29,13 @@ Each ``attend`` call writes two (..., t, t) arrays: the logits, with the
 1/sqrt(d) scale folded into the query side, and the scores, built from
 them by one subtraction into a new array followed by an in-place
 exponential and row normalisation, all on the last axis.  ``grad_check``
-takes 2-D batches only and makes one kernel call, on the (3n + 3, t, n)
-stack [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j, Q, K], and one
-softmax call, which scores its 2n + 1 query row-sets against the encoded
-keys as one (2n + 1, t, t) batch.  The unbumped row-set gives the
-analytic gradient; the bumped ones difference the loss row by row, since
-bumping Q[i, j] moves only row i of the scores.
+takes every batch ``attend`` takes and makes one kernel call, on the
+(3n + 3, B, t, n) stack [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j,
+Q, K] (B-less for a 2-D batch), and one softmax call, which scores its
+2n + 1 query stacks against the encoded keys as one (2n + 1, B, t, t)
+batch.  The unbumped Q gives the analytic gradient; the bumped copies
+difference the loss row by row, since bumping Q[i, j] moves only row i
+of the scores.
 """
 
 from __future__ import annotations
@@ -147,10 +148,6 @@ class AttentionBatch:
         for name, arr in (("q", q), ("k", k), ("v", v), ("positions", pos)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def tokens(self) -> int:
-        return self.q.shape[-2]
 
     @property
     def dim(self) -> int:
@@ -291,12 +288,11 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     Q[i, j] changes only row i of the scores, so only row i's loss term is
     differenced.  The other rows' terms cancel exactly, so this is the
     whole-loss central difference without its cancellation error.  A
-    batch of B row-sets raises ``ValueError``.
+    batch of B row-sets is checked as one (3n + 3, B, t, n) stack, and
+    its gap is the largest over its row-sets.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
-    if batch.q.ndim != 2:
-        raise ValueError(f"grad_check takes a (t, n) batch, got Q of shape {batch.q.shape}")
     _check_batch(batch, pe)
     analytic, fd = _loss_grads(batch, pe, eps)
     if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(fd))):
@@ -306,13 +302,16 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
 
 
 def _loss_grads(batch: AttentionBatch, pe: PEConfig, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """dL/dQ of L = sum(attend(batch).output), analytic and by row-local central differences."""
-    t, n = batch.q.shape
+    """dL/dQ of L = sum(attend(batch).output), analytic and by row-local central differences.
+
+    Both are shaped like Q: (t, n), or (B, t, n) for B row-sets.
+    """
+    n, rank = batch.dim, batch.q.ndim
     scale = _score_scale(n, None)
-    eye = np.eye(n)[:, None]
-    # row-set j holds e_j, row-set n zeros, then Q + eps e_j, Q - eps e_j, Q and K
+    eye = np.eye(n).reshape((n,) + (1,) * (rank - 1) + (n,))
+    # entry j holds e_j, entry n zeros, then Q + eps e_j, Q - eps e_j, Q and K
     stack = np.concatenate([
-        np.broadcast_to(eye, (n, t, n)), np.zeros((1, t, n)),
+        np.broadcast_to(eye, (n, *batch.q.shape)), np.zeros((1, *batch.q.shape)),
         batch.q + eps * eye, batch.q - eps * eye, batch.q[None], batch.k[None],
     ])
     enc = _encode(stack, batch.positions, pe)
@@ -321,14 +320,16 @@ def _loss_grads(batch: AttentionBatch, pe: PEConfig, eps: float) -> tuple[np.nda
 
     # loss = sum(scores @ V): d loss / d scores[i, j] = sum_m V[j, m], and
     # row i's loss term is scores[i] @ v_sum
-    v_sum = batch.v.sum(axis=1)
-    terms = scores @ v_sum
-    fd = (terms[:n] - terms[n:-1]).T / (2.0 * eps)
+    v_sum = batch.v.sum(axis=-1)
+    terms = (scores @ v_sum[..., None])[..., 0]
+    # the bump index j leads the (n, ..., t) differences and trails Q's shape
+    to_q = (*range(1, rank), 0)
+    fd = (terms[:n] - terms[n:-1]).transpose(to_q) / (2.0 * eps)
 
-    g_logits = scores[-1] * (v_sum - terms[-1][:, None])
+    g_logits = scores[-1] * (v_sum[..., None, :] - terms[-1][..., None])
     g_enc_q = g_logits @ enc_k / scale
     # row i's map is affine, enc_i(x) = J_i x + c_i, so column j of J_i is enc[j, i] - enc[n, i]
     jac = enc[:n] - enc[n]
     # d loss / d Q[i] = J_i^T g_enc_q[i], whose entry j is (J_i e_j) . g_enc_q[i]
-    analytic = (jac.swapaxes(0, 1) @ g_enc_q[:, :, None])[..., 0]
+    analytic = (jac.transpose(*to_q, rank) @ g_enc_q[..., None])[..., 0]
     return analytic, fd

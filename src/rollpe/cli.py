@@ -3,9 +3,12 @@
 Each command runs a seeded sweep against the library and emits a
 machine-readable report (JSON or CSV).  Residual fields are fully
 deterministic for a fixed config; timing fields are not.  The process
-exits 0 iff every threshold in the command's suite passed.  ``bench``
-times its kernels and passes iff its FFT and dense fractional rolls
-agree; the attention demo is report-only and always passes.
+exits 0 iff every threshold in the command's suite passed.  Every
+residual command shares one summary: the maximum, mean and worst row of
+its residuals, where a NaN residual is the maximum and so fails its
+gate.  The attention demo's summary is report-only: it has no threshold
+and always passes.  ``bench`` times its kernels and passes iff its FFT
+and dense fractional rolls agree.
 """
 
 from __future__ import annotations
@@ -38,15 +41,6 @@ from .spectral import SpectralBranch, branch_angles, dft_matrix, roll_continuous
 __all__ = ["RunConfig", "Report", "run", "main"]
 
 SCHEMA_VERSION = "1"
-
-COMMANDS = (
-    "equivariance-report",
-    "rope-equivalence",
-    "multiplex-witness",
-    "grad-check",
-    "bench",
-    "attention-demo",
-)
 
 _THRESHOLDS = {
     "equivariance-report": 1e-12,
@@ -110,31 +104,28 @@ class Report:
     schema_version: str = field(default=SCHEMA_VERSION)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "command": self.command,
-            "config": self.config,
-            "rows": self.rows,
-            "summary": self.summary,
-        }
+        # the fields in order, with schema_version moved to the front
+        return {"schema_version": self.schema_version, **vars(self)}
 
 
-def _worst_trial(rows: list, max_res: float) -> int | None:
-    """The first row whose residual is ``max_res``: it carries p_q, p_k or kind to reproduce it."""
-    return next((i for i, r in enumerate(rows) if r.get("residual") == max_res), None)
+def _summarize_residuals(rows: list, threshold: float | None) -> dict:
+    """Max, mean and worst trial of the rows' residuals, gated by ``threshold``.
 
-
-def _summarize_residuals(rows: list, threshold: float) -> dict:
+    A NaN residual is the maximum, so it fails the gate.  ``worst_trial``
+    is the first row at the maximum: it carries the p_q, p_k or kind that
+    reproduce it.  ``threshold=None`` is report-only: no ``threshold`` key, and it passes.
+    """
     residuals = [r["residual"] for r in rows if r.get("residual") is not None]
-    max_res = max(residuals) if residuals else 0.0
+    # the builtin max drops a NaN that follows a number, so the first NaN is sought first
+    max_res = next((r for r in residuals if r != r), max(residuals, default=0.0))
     mean_res = sum(residuals) / len(residuals) if residuals else 0.0
-    return {
-        "max_residual": max_res,
-        "mean_residual": mean_res,
-        "threshold": threshold,
-        "worst_trial": _worst_trial(rows, max_res),
-        "passed": max_res <= threshold,
-    }
+    # max returns the first maximal residual itself, so identity finds its row, NaN included
+    worst = next((i for i, r in enumerate(rows) if r.get("residual") is max_res), None)
+    summary = {"max_residual": max_res, "mean_residual": mean_res, "threshold": threshold,
+               "worst_trial": worst, "passed": threshold is None or max_res <= threshold}
+    if threshold is None:
+        del summary["threshold"]
+    return summary
 
 
 def _base_row(trial: int, cfg: RunConfig, p_q=None, p_k=None, residual=None) -> dict:
@@ -208,16 +199,8 @@ def _cmd_multiplex_witness(cfg: RunConfig):
         cfg.n, cfg.waves, cfg.seed, budget=cfg.trials, gap_threshold=threshold
     )
     row = _base_row(0, cfg, witness.p_q, witness.p_k, witness.gap)
-    row.update(
-        {
-            "found": witness.found,
-            "shift": witness.t,
-            "attempts": witness.attempts,
-            "score_before": witness.score_before,
-            "score_after": witness.score_after,
-            "waves": cfg.waves,
-        }
-    )
+    row.update(found=witness.found, shift=witness.t, attempts=witness.attempts,
+               score_before=witness.score_before, score_after=witness.score_after, waves=cfg.waves)
     summary = _summarize_residuals([row], threshold)
     # One wave is provably shift-invariant: exhausting the budget is the
     # expected outcome there, while W >= 2 must produce a witness.
@@ -254,55 +237,33 @@ def _cmd_attention_demo(cfg: RunConfig):
                           np.stack([positions, positions + shift]))
     rows = []
     gaps = {}
-    trial = 0
     for name, pe in _demo_pe_configs(cfg).items():
         before, after = attend(pair, pe, d).scores
         gaps[name] = float(np.abs(after - before).max())
-        for i in range(cfg.t):
-            for j in range(cfg.t):
-                row = _base_row(
-                    trial, cfg, int(positions[i]), int(positions[j]),
-                    abs(float(after[i, j]) - float(before[i, j])),
-                )
-                row.update(
-                    {
-                        "kind": name,
-                        "score": float(before[i, j]),
-                        "score_shifted": float(after[i, j]),
-                        "shift": shift,
-                    }
-                )
-                rows.append(row)
-                trial += 1
-    max_res = max(r["residual"] for r in rows)
-    summary = {
-        "max_residual": max_res,
-        "mean_residual": sum(r["residual"] for r in rows) / len(rows),
-        "worst_trial": _worst_trial(rows, max_res),
-        "max_gap_per_kind": gaps,
-        "passed": True,
-    }
+        for i, j in np.ndindex(cfg.t, cfg.t):   # positions[i] is i
+            row = _base_row(len(rows), cfg, i, j, abs(float(after[i, j]) - float(before[i, j])))
+            row.update(kind=name, score=float(before[i, j]), score_shifted=float(after[i, j]),
+                       shift=shift)
+            rows.append(row)
+    summary = _summarize_residuals(rows, None)
+    summary.update(max_gap_per_kind=gaps, passed=summary.pop("passed"))  # passed stays last
     return rows, summary
 
 
-def _median_time(fn, loops: int, repeats: int) -> float:
+def _bench_one(fn, cfg: RunConfig):
+    """Loops per repeat, median repeat time and ops per second of ``fn``."""
+    start = time.perf_counter()
+    for _ in range(cfg.bench_warmup):
+        fn()
+    per_call = (time.perf_counter() - start) / max(cfg.bench_warmup, 1)
+    loops = max(1, min(cfg.trials, int(_BENCH_TARGET_S / max(per_call, 1e-9))))
     times = []
-    for _ in range(repeats):
+    for _ in range(cfg.bench_repeats):
         start = time.perf_counter()
         for _ in range(loops):
             fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
-def _bench_one(fn, cfg: RunConfig):
-    start = time.perf_counter()
-    for _ in range(cfg.bench_warmup):
-        fn()
-    elapsed = time.perf_counter() - start
-    per_call = elapsed / max(cfg.bench_warmup, 1)
-    loops = max(1, min(cfg.trials, int(_BENCH_TARGET_S / max(per_call, 1e-9))))
-    median = _median_time(fn, loops, cfg.bench_repeats)
+    median = statistics.median(times)
     return loops, median, loops / median
 
 
@@ -335,9 +296,7 @@ def _cmd_bench(cfg: RunConfig):
         loops, median, ops_per_sec = _bench_one(fn, cfg)
         throughput[name] = ops_per_sec
         row = _base_row(trial, cfg)
-        row.update(
-            {"op": name, "loops": loops, "median_s": median, "ops_per_sec": ops_per_sec}
-        )
+        row.update(op=name, loops=loops, median_s=median, ops_per_sec=ops_per_sec)
         rows.append(row)
 
     gaps = []
@@ -371,6 +330,8 @@ _RUNNERS = {
     "bench": _cmd_bench,
     "attention-demo": _cmd_attention_demo,
 }
+
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> Report:
@@ -417,23 +378,23 @@ def write_report(report: Report, path: str, fmt: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # unset flags leave no attribute, so RunConfig's defaults are the only ones
     parser = argparse.ArgumentParser(
         prog="rollpe",
         description="Invariant sweeps, equivalence checks, and benchmarks "
         "for roll / rotary positional encodings.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--command", required=True, choices=COMMANDS)
-    parser.add_argument("--n", type=int, default=8, help="vector / head dimension")
-    parser.add_argument("--t", type=int, default=8, help="tokens per attention batch")
-    parser.add_argument("--w", dest="waves", type=int, default=2, help="wave count W")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                        help="wavelength stretch")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--out", dest="output_path", default=None,
-                        help="report file path (stdout when omitted)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--d-override", dest="d_override", type=float, default=None,
+    parser.add_argument("--n", type=int, help="vector / head dimension")
+    parser.add_argument("--t", type=int, help="tokens per attention batch")
+    parser.add_argument("--w", dest="waves", type=int, help="wave count W")
+    parser.add_argument("--lambda", dest="lam", type=float, help="wavelength stretch")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--out", dest="output_path", help="report file path (stdout when omitted)")
+    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--d-override", dest="d_override", type=float,
                         help="override the sqrt(d) normalizer (default: n)")
     return parser
 

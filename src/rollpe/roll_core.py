@@ -15,6 +15,7 @@ sweep checks all its trials in one call; a vector is the one-row case.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -56,9 +57,16 @@ def _as_count(n, name: str = "n", least: int = 1) -> int:
     return _as_steps(n, name)
 
 
+# float and int come first: an isinstance check on numbers.Real alone costs about 1 us
+_REALS = (float, int, numbers.Real)
+
+
 def _check_positive(x, name: str) -> None:
-    """``ValueError`` unless ``x`` is finite and positive: a wavelength, ``d``, a threshold."""
-    if not 0 < x < math.inf:
+    """``ValueError`` unless ``x`` is a finite, positive real: a wavelength, ``d``, a threshold.
+
+    A string, an array or any other value that is not a real number is refused too.
+    """
+    if not (isinstance(x, _REALS) and 0 < x < math.inf):
         raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 

@@ -531,7 +531,7 @@ def _reference_row(v, pos, pe):
 
 def _two_pass_reference(batch, pe):
     """Plain per-row encode, then logits, softmax and values, one array each."""
-    rows = range(batch.tokens)
+    rows = range(batch.q.shape[-2])
     pos = batch.positions
     enc_q = np.stack([_reference_row(batch.q[i], pos[i], pe) for i in rows])
     enc_k = np.stack([_reference_row(batch.k[i], pos[i], pe) for i in rows])
@@ -732,7 +732,7 @@ class TestGradCheck:
 def _whole_attend_fd(batch, pe, eps):
     """The central difference of the summed output, one whole attend per bump."""
     fd = np.empty(batch.q.shape)
-    for i in range(batch.tokens):
+    for i in range(batch.q.shape[-2]):
         for j in range(batch.dim):
             loss = []
             for sign in (+1.0, -1.0):

@@ -99,11 +99,16 @@ def test_overflow_in_one_row_set_raises(kind):
         attend(batch, PEConfig(kind=kind))
 
 
-def test_grad_check_refuses_a_batch():
-    q = np.random.default_rng(5).standard_normal((2, 3, 4))
-    batch = AttentionBatch(q, q, q, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match=r"\(2, 3, 4\)"):
-        grad_check(PEConfig(kind=PEKind.ROLL_DISCRETE), batch)
+@pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
+@pytest.mark.parametrize("pe", _CONFIGS, ids=_IDS)
+def test_grad_check_on_a_batch_is_the_max_over_its_row_sets(pe, axial):
+    """grad_check takes every batch attend takes; a batch's gap is its worst row-set's."""
+    pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+    rng = np.random.default_rng(5)
+    q, k, v = rng.standard_normal((3, 3, 4, 8))
+    positions = rng.integers(-20, 21, size=(3, 4, 2) if axial else (3, 4)).astype(float)
+    per_row_set = [grad_check(pe, AttentionBatch(q[b], k[b], v[b], positions[b])) for b in range(3)]
+    assert grad_check(pe, AttentionBatch(q, k, v, positions)) == max(per_row_set)
 
 
 def _record_attends(monkeypatch) -> list:

@@ -7,8 +7,9 @@ a bad value of that kind.  The stacked kernels, ``roll_discrete``,
 ``roll_continuous``, ``rope_apply`` and ``mproll`` (here on a two-wave
 stack), also get one table each for misshapen and non-finite positions;
 the two kernels that are not permutations one more for non-finite rows.
-``AttentionBatch`` positions, the witness's gap threshold, seeds and the even
-length that rope and the APE need get one table each as well.  The
+``AttentionBatch`` positions, the witness's gap threshold, seeds, values
+that are not real where a positive real belongs, and the even length
+that rope and the APE need get one table each as well.  The
 score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
 differ, for misshapen and for non-finite stack positions on each side,
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, grad_check, sinusoidal_ape
-from rollpe.cli import RunConfig
+from rollpe.cli import RunConfig, run
 from rollpe.multiplex import equivariance_violation_witness, mproll
 from rollpe.regularizer import lipschitz_gap
 from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
@@ -131,6 +132,21 @@ def test_bad_gap_threshold_raises(threshold):
 _QKV = np.random.default_rng(31).standard_normal((3, 4, 6))
 _QKV7 = np.random.default_rng(32).standard_normal((3, 4, 7))
 _AXIAL = np.stack([np.arange(4.0), np.arange(4.0)], axis=1)
+
+
+@_table({
+    "PEConfig/lambda": lambda: PEConfig(kind=PEKind.ROLL_CONTINUOUS, lam="2"),
+    "RunConfig/lambda": lambda: run(RunConfig(command="rope-equivalence", lam="2")),
+    "roll_continuous/lambda": lambda: roll_continuous(Q, 0.5, "2"),
+    "attend/d":
+        lambda: attend(AttentionBatch(*_QKV, np.arange(4.0)), PEConfig(), d=np.array([4.0])),
+    "equivariance_violation_witness/gap_threshold":
+        lambda: equivariance_violation_witness(8, 2, seed=0, gap_threshold="1e-3"),
+})
+def test_non_real_positive_value_raises(call):
+    """A string or an array where a positive real belongs is refused, not a ``TypeError`` later."""
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        call()
 
 
 @_table({

@@ -3,7 +3,9 @@
 import csv
 import json
 import math
+import re
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -382,11 +384,60 @@ def test_worst_trial_names_the_first_row_at_the_maximum(cfg):
     assert rep.summary["worst_trial"] == residuals.index(rep.summary["max_residual"])
 
 
+def test_a_nan_after_a_finite_residual_fails_the_gate():
+    """The builtin max drops a NaN that follows a number; the summary must not."""
+    summary = cli._summarize_residuals([{"residual": 0.0}, {"residual": math.nan}], 1e-9)
+    assert math.isnan(summary["max_residual"])
+    assert summary["worst_trial"] == 1
+    assert not summary["passed"]
+
+
+def test_a_nan_residual_fails_its_command_and_is_named(monkeypatch, tmp_path):
+    """A NaN row among finite ones fails rope-equivalence, exits 1 and is the worst trial."""
+    true_residual = cli.equivalence_residual
+
+    def nan_at_row_3(*args):
+        residuals = true_residual(*args)
+        residuals[3] = math.nan
+        return residuals
+
+    monkeypatch.setattr(cli, "equivalence_residual", nan_at_row_3)
+    out = tmp_path / "r.json"
+    assert main(["--command", "rope-equivalence", "--trials", "10", "--out", str(out)]) == 1
+    summary = json.loads(out.read_text())["summary"]
+    assert summary["worst_trial"] == 3 and math.isnan(summary["max_residual"])
+
+
+def test_report_only_summary_has_no_threshold_and_passes():
+    """threshold=None gates nothing: no threshold key, and even a NaN row passes."""
+    summary = cli._summarize_residuals([{"residual": 2.0}, {"residual": math.nan}], None)
+    assert list(summary) == ["max_residual", "mean_residual", "worst_trial", "passed"]
+    assert summary["passed"] and summary["worst_trial"] == 1
+    summary = run(RunConfig(command="attention-demo", n=8, t=3, seed=0)).summary
+    assert list(summary) == [
+        "max_residual", "mean_residual", "worst_trial", "max_gap_per_kind", "passed", "elapsed_s",
+    ]
+    assert summary["passed"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unset_flags_echo_the_run_config_defaults(command, tmp_path):
+    """The parser states no defaults of its own: an unset flag is RunConfig's default."""
+    out = str(tmp_path / "report.json")
+    main(["--command", command, "--out", out])
+    config = json.loads(Path(out).read_text())["config"]
+    assert config == asdict(RunConfig(command=command, output_path=out))
+
+
+def _readme_cli_section() -> str:
+    """The README text under ``## CLI``, up to the next section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_cli_lines() -> list:
     """The ``rollpe --command ...`` lines of the sh block under ``## CLI`` in the README."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line) for line in block.splitlines() if line.startswith("rollpe --command")]
 
 
@@ -395,6 +446,17 @@ _README_LINES = _readme_cli_lines()
 
 def test_readme_lists_every_command():
     assert {argv[2] for argv in _README_LINES} == set(COMMANDS)
+
+
+def test_readme_lists_every_flag():
+    """The README's "Flags:" paragraph names each parser option once, in the parser's order."""
+    paragraph = _readme_cli_section().split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    documented = re.findall(r"`(--[a-z-]+)", paragraph)
+    options = [
+        flag for action in cli._build_parser()._actions
+        for flag in action.option_strings if flag not in ("-h", "--help")
+    ]
+    assert documented == options
 
 
 @pytest.mark.parametrize(
