@@ -25,10 +25,13 @@ reshaped to (2, 2B*t, n/2), at the flattened positions, so both halves
 share that one call too.  The multiplexed roll is one ``mproll`` call
 on the (W, 2B*t, n) stack of the projected components of Q and K.
 
-Each ``attend`` call writes two (..., t, t) arrays: the logits, with the
-1/sqrt(d) scale folded into the query side, and the scores, built from
-them by one subtraction into a new array followed by an in-place
-exponential and row normalisation, all on the last axis.  ``grad_check``
+Each ``attend`` call writes one (2, ..., t, t) block: the logits in its
+first half, with the 1/sqrt(d) scale folded into the query side, and the
+scores in its second, built from them by one subtraction followed by an
+in-place exponential and row normalisation, all on the last axis.  One
+allocation rather than two lets glibc's malloc keep the memory from call
+to call: two 8 MiB arrays at t = 1024 were handed back to the kernel
+after each call and page-faulted in again by the next.  ``grad_check``
 takes every batch ``attend`` takes and makes one kernel call, on the
 (3n + 3, B, t, n) stack [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j,
 Q, K] (B-less for a 2-D batch), and one softmax call, which scores its
@@ -156,6 +159,12 @@ class AttentionBatch:
 
 @dataclass(frozen=True)
 class AttentionOutput:
+    """``attend``'s result.
+
+    ``logits`` and ``scores`` are the two halves of one (2, ..., t, t)
+    allocation, so keeping only one of them keeps both alive.
+    """
+
     output: np.ndarray   # (..., t, n) aggregated values
     scores: np.ndarray   # (..., t, t) post-softmax attention weights
     logits: np.ndarray   # (..., t, t) pre-softmax scores
@@ -187,8 +196,8 @@ def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
         raise ValueError("scalar encoding requires (t,) or (B, t) positions")
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax of ``z`` over its last axis, in one new array; ``z`` is left as it is.
+def _softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``z`` over its last axis, into ``out`` or one new array; ``z`` is left as it is.
 
     Raises ``FloatingPointError`` if a row maximum is not finite: the
     logits overflowed or hold NaN, and the softmax would be NaN.
@@ -196,16 +205,18 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     peak = z.max(axis=-1, keepdims=True)
     if not np.isfinite(peak).all():
         raise FloatingPointError("attention logits overflowed")
-    e = np.subtract(z, peak)
+    e = np.subtract(z, peak, out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
-    """Logits enc_q enc_k^T / scale and their row softmax: two new (..., t, t) arrays."""
-    logits = (enc_q / scale) @ enc_k.swapaxes(-1, -2)
-    return logits, _softmax_rows(logits)
+    """Logits enc_q enc_k^T / scale and their row softmax: one new (2, ..., t, t) block's halves."""
+    # enc_k's leading axes broadcast against enc_q's, which the block keeps
+    block = np.empty((2,) + enc_q.shape[:-1] + enc_k.shape[-2:-1])
+    logits = np.matmul(enc_q / scale, enc_k.swapaxes(-1, -2), block[0])
+    return logits, _softmax_rows(logits, block[1])
 
 
 def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:

@@ -14,6 +14,7 @@ or for a (T, n) stack of T pairs in one kernel call per path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -132,7 +133,8 @@ def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray
     a float.  Either way each path makes one kernel call on the (2T, n)
     stack [Q; K] at the concatenated positions, and the basis and the
     schedule are built once.  A non-finite or misshapen position raises
-    ``ValueError``, a NaN or +-inf in ``q`` or ``k`` ``FloatingPointError``.
+    ``ValueError``, as does a ``lam`` so small that pi * max(1, |p|) / lam
+    overflows; a NaN or +-inf in ``q`` or ``k`` raises ``FloatingPointError``.
     """
     q, k = _as_pair(q, k)
     q_rows, pos_q, _ = _as_rows(q, p_q, "q")
@@ -140,6 +142,14 @@ def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray
     t, n = q_rows.shape
     rows = np.concatenate([q_rows, k_rows])
     positions = np.concatenate([pos_q, pos_k])
+    _check_positive(lam, "lambda")
+    # each omega_k is below pi/lam, so this bounds every angle and frequency of both paths
+    reach = float(np.abs(positions).max())
+    if not math.isfinite(math.pi * max(1.0, reach) / float(lam)):
+        raise ValueError(
+            f"pi * max(1, |p|) / lambda overflows at lambda = {float(lam)!r}, "
+            f"largest |position| {reach!r}"
+        )
 
     rolled = roll_continuous(rows, positions, lam, SpectralBranch.CENTERED)
     score_a = (rolled[:t] * rolled[t:]).sum(axis=-1)

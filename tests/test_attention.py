@@ -1,6 +1,7 @@
 """Tests for the attention layer and its pluggable encodings."""
 
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ from rollpe.multiplex import mproll
 from rollpe.roll_core import roll_discrete, shift_matrix
 from rollpe.rope import classic_schedule, rope_apply
 from rollpe.spectral import SpectralBranch, branch_angles, dft_matrix, roll_continuous
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 ALL_KINDS = list(PEKind)
 
@@ -571,8 +577,77 @@ class TestAttentionCore:
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
 
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_logits_and_scores_halve_one_block(self, kind, lead):
+        rng = np.random.default_rng(28)
+        q, k, v = rng.standard_normal((3, *lead, 6, 8))
+        positions = np.arange(6.0) + np.zeros((*lead, 1))
+        out = attend(AttentionBatch(q, k, v, positions), _pe(kind, waves=2))
+        _assert_halves_of_one_block(out.logits, out.scores)
+
+    @pytest.mark.parametrize("b", [None, 3])
+    def test_grad_check_scores_its_stack_in_one_block(self, b, monkeypatch):
+        """The (2n + 1, B, t, t) logits and scores of the bumped and unbumped Q."""
+        seen = []
+
+        def recording(*args):
+            seen.append(weights(*args))
+            return seen[-1]
+
+        weights = attention._attention_weights
+        monkeypatch.setattr(attention, "_attention_weights", recording)
+        rng = np.random.default_rng(29)
+        shape = (5, 4) if b is None else (b, 5, 4)
+        q, k, v = rng.standard_normal((3, *shape))
+        positions = np.arange(5.0) + np.zeros(shape[:-1])
+        grad_check(_pe(PEKind.ROPE), AttentionBatch(q, k, v, positions))
+        (logits, scores), = seen
+        assert logits.shape == (9, *shape[:-1], 5)
+        _assert_halves_of_one_block(logits, scores)
+
+
+def _assert_halves_of_one_block(logits, scores):
+    block = logits.base
+    assert block is not None and scores.base is block
+    assert block.shape == (2, *logits.shape) and block.flags.c_contiguous
+    assert np.shares_memory(logits, block[0]) and np.shares_memory(scores, block[1])
+    assert not np.shares_memory(logits, scores)
+
+
+_GLIBC = resource is not None and platform.libc_ver()[0] == "glibc"
+
+
+@pytest.mark.skipif(not _GLIBC, reason="needs getrusage fault counts and glibc's malloc")
+@pytest.mark.parametrize(
+    "kind", [PEKind.NONE, PEKind.ROLL_DISCRETE, PEKind.ROLL_CONTINUOUS, PEKind.MULTIPLEXED_ROLL]
+)
+def test_long_attend_reuses_its_memory(kind):
+    """A warm t = 1024 attend faults in next to no pages.
+
+    With logits and scores as two 8 MiB arrays, glibc handed their pages
+    back to the kernel after each call and the next call faulted them in
+    again, over a thousand minor faults a call.
+    """
+    batch = _batch(np.random.default_rng(30), 1024, 64)
+    pe = _pe(kind, waves=2)
+    faults = []
+    for _ in range(6):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        attend(batch, pe)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert np.median(faults[3:]) < 256, faults
+
 
 class TestSoftmax:
+    def test_into_out(self):
+        rng = np.random.default_rng(14)
+        z = rng.standard_normal((2, 5, 7)) * 30
+        kept, out = z.copy(), np.empty_like(z)
+        assert _softmax_rows(z, out) is out
+        np.testing.assert_array_equal(z, kept)
+        np.testing.assert_array_equal(out, _softmax_rows(z))
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
         z = rng.standard_normal((5, 5)) * 30

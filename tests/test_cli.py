@@ -201,6 +201,12 @@ class TestMain:
         assert code == 2
         assert "seed must be an integer of at least 0" in capsys.readouterr().err
 
+    def test_exit_two_when_rope_equivalence_angles_overflow(self, capsys):
+        """At this lambda the roll-induced angles overflow; the report must not hold NaN rows."""
+        code = main(["--command", "rope-equivalence", "--lambda", "1e-307", "--trials", "20"])
+        assert code == 2
+        assert "overflows at lambda = 1e-307" in capsys.readouterr().err
+
     def test_exit_two_on_unwritable_path(self, tmp_path):
         code = main(
             ["--command", "rope-equivalence", "--n", "4", "--trials", "2",

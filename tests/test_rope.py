@@ -1,6 +1,7 @@
 """Tests for rotary encodings, schedules, and the roll correspondence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,23 @@ class TestEquivalenceResidual:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             equivalence_residual(np.ones(4), np.ones(5), 0.0, 0.0)
+
+    @pytest.mark.parametrize("lam", [1e-307, np.float64(1e-307), 1e-320])
+    def test_overflowing_angles_raise(self, lam):
+        """pi * |p| / lambda overflows: an error naming both, where NaN rows came out before."""
+        rng = np.random.default_rng(5)
+        q, k = rng.standard_normal((2, 20, 8))
+        p_q, p_k = rng.uniform(-24.0, 24.0, size=(2, 20))
+        reach = float(max(np.abs(p_q).max(), np.abs(p_k).max()))
+        message = f"lambda = {float(lam)!r}, largest |position| {reach!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            equivalence_residual(q, k, p_q, p_k, lam)
+
+    def test_finite_angles_at_tiny_lambda_give_finite_residuals(self):
+        rng = np.random.default_rng(6)
+        q, k = rng.standard_normal((2, 20, 8))
+        p_q, p_k = rng.uniform(-24.0, 24.0, size=(2, 20))
+        assert np.isfinite(equivalence_residual(q, k, p_q, p_k, 1e-306)).all()
 
 
 class TestArgmaxStability:
