@@ -27,24 +27,26 @@ on the (W, 2B*t, n) stack of the projected components of Q and K.
 
 Each ``attend`` call writes one (2, ..., t, t) block: the logits in its
 first half, with the 1/sqrt(d) scale folded into the query side, and the
-scores in its second, built from them by one subtraction followed by an
-in-place exponential and row normalisation, all on the last axis.  One
-allocation rather than two lets glibc's malloc keep the memory from call
-to call: two 8 MiB arrays at t = 1024 were handed back to the kernel
-after each call and page-faulted in again by the next.  ``grad_check``
-takes every batch ``attend`` takes and makes one kernel call, on the
-(3n + 3, B, t, n) stack [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j,
-Q, K] (B-less for a 2-D batch), and one softmax call, which scores its
-2n + 1 query stacks against the encoded keys as one (2n + 1, B, t, t)
-batch.  The unbumped Q gives the analytic gradient; the bumped copies
-difference the loss row by row, since bumping Q[i, j] moves only row i
-of the scores.
+scores in its second, built from them by an exponential with no shift
+by the row maximum, a row sum and a scaling by its reciprocal, all on
+the last axis; only a row whose sum overflows or falls below 1 is
+shifted (see ``_softmax_rows``).  Q and K are encoded straight from the
+batch's one [Q, K, V] block, with no copy.  One allocation rather than
+two lets glibc's malloc keep the memory from call to call: two 8 MiB
+arrays at t = 1024 were handed back to the kernel after each call and
+page-faulted in again by the next.  ``grad_check`` takes every batch
+``attend`` takes and makes one kernel call, on the (3n + 3, B, t, n)
+stack [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j, Q, K] (B-less for
+a 2-D batch), and one softmax call, which scores its 2n + 1 query stacks
+against the encoded keys as one (2n + 1, B, t, t) batch.  The unbumped
+Q gives the analytic gradient; the bumped copies difference the loss row
+by row, since bumping Q[i, j] moves only row i of the scores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -114,19 +116,20 @@ class AttentionBatch:
     the B-less case, and row-set b attends as the (t, n) batch b would,
     to 1e-14 relative to its largest value.  Every entry must be finite,
     and every position below 2**53 in magnitude, so that integer
-    positions are stored exactly.  None of B, t and n may be 0.
+    positions are stored exactly.  None of B, t and n may be 0.  The batch
+    copies Q, K and V into one read-only (3, ..., t, n) block, checked by
+    one scan, and ``q``, ``k`` and ``v`` are its views.
     """
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
     positions: np.ndarray
+    # the (3, ..., t, n) block [Q, K, V] that q, k and v are views of
+    _qkv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # copy so the batch owns (immutable) data, never the caller's arrays
-        q = np.array(self.q, dtype=float)
-        k = np.array(self.k, dtype=float)
-        v = np.array(self.v, dtype=float)
+        q, k, v = (np.asarray(a, dtype=float) for a in (self.q, self.k, self.v))
         pos = np.array(self.positions, dtype=float)
         if q.ndim not in (2, 3) or q.shape != k.shape or q.shape != v.shape:
             raise ValueError(
@@ -142,14 +145,18 @@ class AttentionBatch:
                 raise ValueError("positions must have one row per token")
             if pos.shape[-1] != 2:
                 raise ValueError("axial positions must be (t, 2) or (B, t, 2)")
-        for name, arr in (("q", q), ("k", k), ("v", v)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} holds non-finite values")
+        # one copy, so the batch owns (immutable) data, never the caller's arrays
+        qkv = np.empty((3,) + q.shape)
+        qkv[0], qkv[1], qkv[2] = q, k, v
+        if not np.isfinite(qkv).all():
+            name = next(name for name, part in zip("qkv", qkv) if not np.isfinite(part).all())
+            raise ValueError(f"{name} holds non-finite values")
         # NaN and inf fail this bound too; below it every integer is exact
         if not (np.abs(pos) < _POSITION_LIMIT).all():
             raise ValueError("positions must be finite and below 2**53 in magnitude")
-        for name, arr in (("q", q), ("k", k), ("v", v), ("positions", pos)):
-            arr.setflags(write=False)
+        qkv.setflags(write=False)
+        pos.setflags(write=False)
+        for name, arr in zip(("q", "k", "v", "positions", "_qkv"), (*qkv, pos, qkv)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -162,7 +169,11 @@ class AttentionOutput:
     """``attend``'s result.
 
     ``logits`` and ``scores`` are the two halves of one (2, ..., t, t)
-    allocation, so keeping only one of them keeps both alive.
+    allocation, so keeping only one of them keeps both alive.  A row of
+    ``scores`` is exp of its logits times the reciprocal of their sum,
+    with no shift by the row maximum unless that sum overflowed or fell
+    below 1, so scores are not bit-identical to a shifted softmax: they
+    are the closer of the two to an exact softmax of the same logits.
     """
 
     output: np.ndarray   # (..., t, n) aggregated values
@@ -196,18 +207,36 @@ def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
         raise ValueError("scalar encoding requires (t,) or (B, t) positions")
 
 
+@np.errstate(over="ignore")
 def _softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax of ``z`` over its last axis, into ``out`` or one new array; ``z`` is left as it is.
 
-    Raises ``FloatingPointError`` if a row maximum is not finite: the
-    logits overflowed or hold NaN, and the softmax would be NaN.
+    Each row is exp(z) times the reciprocal of its sum, with no shift,
+    wherever that sum is finite and at least 1: then nothing overflowed,
+    and a term that exp left subnormal stays below the smallest normal
+    once scaled, so no score loses precision the shifted softmax would
+    keep.  Only the other rows, whose exp overflowed or whose sum fell
+    below 1, take the shifted softmax exp(z - max(z)).  The choice is made
+    per row, so a row-set of a stack scores as its 2-D slice would.
+    Overflow raises no warning: an overflowed exp fails the row-sum test,
+    and a z - max(z) that overflows to -inf gives the 0 the score rounds
+    to anyway.  Raises ``FloatingPointError`` if a shifted row's maximum
+    is not finite: the logits overflowed or hold NaN, and the softmax
+    would be NaN.
     """
-    peak = z.max(axis=-1, keepdims=True)
-    if not np.isfinite(peak).all():
-        raise FloatingPointError("attention logits overflowed")
-    e = np.subtract(z, peak, out)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e = np.exp(z, out)
+    total = e.sum(axis=-1, keepdims=True)
+    # a NaN sum propagates through min and fails the test
+    if not (total.min() >= 1.0 and total.max() < np.inf):
+        redo = ~((total >= 1.0) & (total < np.inf))[..., 0]
+        rows = z[redo]
+        peak = rows.max(axis=-1, keepdims=True)
+        if not np.isfinite(peak).all():
+            raise FloatingPointError("attention logits overflowed")
+        shifted = np.exp(rows - peak)
+        e[redo] = shifted
+        total[redo] = shifted.sum(axis=-1, keepdims=True)
+    e *= np.reciprocal(total, out=total)
     return e
 
 
@@ -260,10 +289,10 @@ def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> Atten
     """
     _check_batch(batch, pe)
     scale = _score_scale(batch.dim, d)
-    if pe.kind is PEKind.NONE:  # no [Q, K] copy to encode
+    if pe.kind is PEKind.NONE:  # skipping the call and the unpacking shows at t = 8
         enc_q, enc_k = batch.q, batch.k
     else:
-        enc_q, enc_k = _encode(np.stack([batch.q, batch.k]), batch.positions, pe)
+        enc_q, enc_k = _encode(batch._qkv[:2], batch.positions, pe)
     logits, scores = _attention_weights(enc_q, enc_k, scale)
     return AttentionOutput(output=scores @ batch.v, scores=scores, logits=logits)
 

@@ -15,7 +15,7 @@ or for a (T, n) stack of T pairs in one kernel call per path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -38,6 +38,8 @@ class FrequencySchedule:
     """Per-plane rotation frequencies omega_k (one entry per 2-D plane)."""
 
     omegas: np.ndarray
+    # max |omega_k|, so that rope_apply bounds every angle with one product
+    _peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
@@ -47,6 +49,7 @@ class FrequencySchedule:
             raise ValueError("all frequencies must be finite")
         omegas.setflags(write=False)
         object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "_peak", float(np.abs(omegas).max()) if omegas.size else 0.0)
 
     @property
     def planes(self) -> int:
@@ -61,14 +64,22 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
     row-sets sharing those positions; a vector is the one-row case.  Pair
     k, read as v[2k] + 1j*v[2k+1], is multiplied by exp(1j*p*omega_k) from
     one (t, m) phase table.  The schedule needs one plane per pair.  A
-    non-finite or misshapen position raises ``ValueError``, a NaN or +-inf
-    in ``v`` ``FloatingPointError``.
+    non-finite or misshapen position raises ``ValueError``, as does a
+    position and frequency whose product p * omega_k overflows; a NaN or
+    +-inf in ``v`` raises ``FloatingPointError``.
     """
     rows, pos, shape = _as_rows(v, p, "v")
     _check_finite(rows, "v")
     if rows.shape[-1] != 2 * sched.planes:
         raise ValueError(
             f"schedule has {sched.planes} planes but v has length {rows.shape[-1]}"
+        )
+    # max |p| * max |omega| bounds every angle, since rounding is monotone
+    reach = float(np.abs(pos).max())
+    if not math.isfinite(reach * sched._peak):
+        raise ValueError(
+            f"position * frequency overflows: largest |position| {reach!r}, "
+            f"largest |frequency| {sched._peak!r}"
         )
     # the table at the pairs' rank: numpy rounds a lone pair against fewer axes another way
     pairs = np.ascontiguousarray(rows).view(complex)

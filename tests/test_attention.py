@@ -2,6 +2,7 @@
 
 import math
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from rollpe.attention import (
 )
 from rollpe.multiplex import mproll
 from rollpe.roll_core import roll_discrete, shift_matrix
-from rollpe.rope import classic_schedule, rope_apply
+from rollpe.rope import (
+    classic_schedule,
+    realified_fourier_basis,
+    roll_induced_schedule,
+    rope_apply,
+)
 from rollpe.spectral import SpectralBranch, branch_angles, dft_matrix, roll_continuous
 
 try:
@@ -535,6 +541,12 @@ def _reference_row(v, pos, pe):
     return sum(shift_matrix(v.size, w * int(pos)) @ m @ v for w, m in enumerate(maps, start=1))
 
 
+def _shifted_softmax(z):
+    """The textbook row softmax exp(z - max z) / sum, a reference independent of the library's."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _two_pass_reference(batch, pe):
     """Plain per-row encode, then logits, softmax and values, one array each."""
     rows = range(batch.q.shape[-2])
@@ -542,8 +554,7 @@ def _two_pass_reference(batch, pe):
     enc_q = np.stack([_reference_row(batch.q[i], pos[i], pe) for i in rows])
     enc_k = np.stack([_reference_row(batch.k[i], pos[i], pe) for i in rows])
     logits = enc_q @ enc_k.T / np.sqrt(batch.dim)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    scores = e / e.sum(axis=1, keepdims=True)
+    scores = _shifted_softmax(logits)
     return scores @ batch.v, scores, logits
 
 
@@ -576,6 +587,15 @@ class TestAttentionCore:
         for i, a in enumerate(arrays[:3]):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
+
+    def test_batch_keeps_q_k_v_in_one_read_only_block(self):
+        q, k, v = np.random.default_rng(37).standard_normal((3, 2, 5, 4))
+        batch = AttentionBatch(q, k, v, np.zeros((2, 5)))
+        for name, given in zip("qkv", (q, k, v)):
+            kept = getattr(batch, name)
+            np.testing.assert_array_equal(kept, given)
+            assert not np.shares_memory(kept, given) and not kept.flags.writeable
+        assert batch.q.base is batch.k.base is batch.v.base
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "batched"])
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -661,6 +681,104 @@ class TestSoftmax:
         np.testing.assert_allclose(
             _softmax_rows(shifted), _softmax_rows(z), atol=1e-12
         )
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs an extended long double"
+    )
+    @pytest.mark.parametrize("std", [8.0, 16.0, 32.0, 48.0])
+    def test_within_16_ulp_of_a_long_double_softmax(self, std):
+        """The unshifted exp keeps the logits exact; the shifted one rounds z - max first."""
+        z = np.random.default_rng([34, int(std)]).standard_normal((64, 64)) * std
+        assert (z.max(axis=1) >= 0).all()
+        e = np.exp(z.astype(np.longdouble))
+        want = e / e.sum(axis=1, keepdims=True)
+        ulps = np.abs(_softmax_rows(z) - want) / np.spacing(want.astype(float))
+        assert ulps.max() <= 16, ulps.max()
+
+    @pytest.mark.parametrize("edge", [-800.0, 710.0], ids=["sum-underflows", "exp-overflows"])
+    def test_rows_that_fall_back_match_the_shifted_softmax(self, edge):
+        """Every logit of row 1 at or beyond the edge, where exp(z) gives a sum of 0 or inf."""
+        rng = np.random.default_rng(35)
+        z = rng.standard_normal((3, 16)) * 4
+        z[1] = edge + np.sign(edge) * rng.uniform(0.0, 40.0, 16)
+        want = _shifted_softmax(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softmax_rows(z)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_a_row_wider_than_the_float_range_falls_back_without_warning(self):
+        """z - max(z) overflows to -inf there, which exponentiates to the right 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softmax_rows(np.array([[1e308, -1e308, 0.0]]))
+        np.testing.assert_array_equal(got, [[1.0, 0.0, 0.0]])
+
+    def test_a_stack_scores_each_row_set_as_its_2d_call(self):
+        """Row-set 1 takes the shifted softmax, and one row of row-set 2 does too."""
+        rng = np.random.default_rng(36)
+        z = rng.standard_normal((3, 8, 8)) * 20
+        z[1] += 760.0
+        z[2, 5] -= 900.0
+        got = _softmax_rows(z)
+        for b in range(3):
+            np.testing.assert_array_equal(got[b], _softmax_rows(z[b]))
+        np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+def _rope_coordinates(x, positions, lam):
+    """Rows of ``x`` in realified Fourier coordinates, moved as rope moves them.
+
+    The planes turn by ``rope_apply`` with the roll-induced schedule, DC
+    stays put and, at even n, the Nyquist coordinate scales by cos(pi*p/lam).
+    """
+    n = x.shape[-1]
+    rows = x.reshape(-1, n) @ realified_fourier_basis(n).T
+    p = positions.reshape(-1)
+    sched = roll_induced_schedule(n, lam)
+    planes = slice(1, 1 + 2 * sched.planes)
+    if sched.planes:
+        rows[:, planes] = rope_apply(rows[:, planes], p, sched)
+    if n % 2 == 0:
+        rows[:, -1] *= np.cos(np.pi * p / lam)
+    return rows.reshape(x.shape)
+
+
+def _rope_attention(batch, lam, axial):
+    """Softmax attention on Q and K in rope coordinates, each half at its own coordinate when axial."""
+    def encode(x):
+        if not axial:
+            return _rope_coordinates(x, batch.positions, lam)
+        half = x.shape[-1] // 2
+        return np.concatenate([
+            _rope_coordinates(x[..., :half], batch.positions[..., 0], lam),
+            _rope_coordinates(x[..., half:], batch.positions[..., 1], lam),
+        ], axis=-1)
+
+    logits = encode(batch.q) @ encode(batch.k).swapaxes(-1, -2) / np.sqrt(batch.dim)
+    scores = _shifted_softmax(logits)
+    return scores @ batch.v, scores, logits
+
+
+class TestRollContinuousIsRopeAtTheLayer:
+    """``attend`` with roll-continuous is rope attention in the realified Fourier basis."""
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7, 3.3])
+    @pytest.mark.parametrize("n", [7, 9, 15, 8])
+    @pytest.mark.parametrize(
+        "lead, axial", [((), False), ((3,), False), ((), True), ((2,), True)],
+        ids=["2d", "batched", "axial", "batched-axial"],
+    )
+    def test_matches_rope_attention(self, lead, axial, n, lam):
+        rng = np.random.default_rng([n, int(10 * lam), len(lead), int(axial)])
+        t, dim = 12, 2 * n if axial else n
+        q, k, v = rng.standard_normal((3, *lead, t, dim))
+        positions = rng.uniform(-50.0, 50.0, size=(*lead, t, 2) if axial else (*lead, t))
+        batch = AttentionBatch(q, k, v, positions)
+        out = attend(batch, _pe(PEKind.ROLL_CONTINUOUS, lam=lam, axial=axial))
+        for name, want in zip(("output", "scores", "logits"), _rope_attention(batch, lam, axial)):
+            gap = np.abs(getattr(out, name) - want).max() / np.abs(want).max()
+            assert gap <= 1e-12, (name, gap)
 
 
 class TestSinusoidalApe:

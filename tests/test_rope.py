@@ -116,6 +116,33 @@ class TestRopeApply:
             rhs = rope_apply(q, 0.0, sched) @ rope_apply(k, p_k - p_q, sched)
             assert abs(lhs - rhs) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "v, p, sched",
+        [
+            (np.ones(2), 1e10, FrequencySchedule([1e300])),
+            (np.ones((3, 2)), [0.5, -1e10, 2.0], FrequencySchedule([-1e300])),
+            (np.ones((2, 3, 6)), [1e10, 3.0, -2.0], roll_induced_schedule(8, 1e-300)),
+        ],
+        ids=["vector", "rows-negative-frequency", "roll-induced-tiny-lambda"],
+    )
+    def test_overflowing_angles_raise(self, v, p, sched):
+        """p * omega_k overflows: an error naming both, where NaN came out before."""
+        peak = float(np.abs(sched.omegas).max())
+        message = f"largest |position| {1e10!r}, largest |frequency| {peak!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rope_apply(v, p, sched)
+
+    @pytest.mark.parametrize(
+        "p, sched",
+        [(1e8, FrequencySchedule([1e300])), (-1e7, roll_induced_schedule(8, 1e-300))],
+        ids=["huge-frequency", "roll-induced-tiny-lambda"],
+    )
+    def test_finite_angles_at_huge_frequencies_pass(self, p, sched):
+        v = np.arange(1.0, 2 * sched.planes + 1)
+        out = rope_apply(v, p, sched)
+        assert np.isfinite(out).all()
+        assert abs(np.linalg.norm(out) - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
+
     def test_rejects_odd_length_and_mismatch(self):
         sched = FrequencySchedule(np.array([1.0]))
         with pytest.raises(ValueError):
