@@ -19,11 +19,18 @@ largest value (a stacked matmul need not round as its 2-D slices do).
 
 ``attend`` makes one kernel call per batch, whatever B is: Q and K are
 encoded together as the (2, B*t, n) stack [Q, K] at the flattened
-(B*t,) positions, so the kernel builds its position table once.
+(B*t,) positions, against one position table over those positions.
 Axially the two halves of row i are rows 2i and 2i + 1 of the stack
 reshaped to (2, 2B*t, n/2), at the flattened positions, so both halves
-share that one call too.  The multiplexed roll is one ``mproll`` call
-on the (W, 2B*t, n) stack of the projected components of Q and K.
+share that one call too.  Each kind is a position table (phases,
+``sinusoidal_ape`` rows or reduced shifts) and a core that applies it,
+both shared with the kind's public kernel, which checks its input
+first.  ``attend`` and ``grad_check`` call the cores directly, on rows
+the batch has checked, and take the tables from a small memo
+(``_table``): a table depends only on the positions and the kind's
+parameters, so positions that repeat, such as one grid, build it once.
+The multiplexed roll's speed-1 component is a copy of the rows; only the
+W - 1 seeded maps are multiplied.
 
 Each ``attend`` call writes one (2, ..., t, t) block: the logits in its
 first half, with the 1/sqrt(d) scale folded into the query side, and the
@@ -52,10 +59,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .multiplex import mproll
-from .roll_core import _as_count, _check_positive, _score_scale, roll_discrete
-from .rope import classic_schedule, rope_apply
-from .spectral import SpectralBranch, _phases, roll_continuous
+from .multiplex import _superpose, _wave_table
+from .roll_core import _as_count, _check_positive, _float_shifts, _roll_rows, _score_scale
+from .rope import _classic_table, _rotate_pairs, _sinusoid_table
+from .spectral import SpectralBranch, _roll_spectra, _roll_table
 
 __all__ = [
     "PEKind",
@@ -183,17 +190,53 @@ class AttentionOutput:
 
 @lru_cache(maxsize=32)
 def _multiplex_projections(n: int, waves: int) -> np.ndarray:
-    """Fixed deterministic (W, n, n) component maps for the multiplexed encoding.
+    """Fixed deterministic (W - 1, n, n) component maps of speeds 2..W, read-only.
 
-    The speed-1 map is the identity so a single wave reduces exactly to
-    the discrete roll; higher speeds use seeded dense maps.  Read-only.
+    The speed-1 map is the identity, so a single wave reduces exactly to
+    the discrete roll; ``_encode`` copies the rows for it.  Higher speeds
+    use dense maps seeded by (n, W).
     """
     rng = np.random.default_rng([n, waves, 0x5157])
-    mats = np.empty((waves, n, n))
-    mats[0] = np.eye(n)
-    mats[1:] = rng.standard_normal((waves - 1, n, n)) / math.sqrt(n)
+    mats = rng.standard_normal((waves - 1, n, n)) / math.sqrt(n)
     mats.setflags(write=False)
     return mats
+
+
+def _multiplex_table(pos: np.ndarray, n: int, waves: int) -> np.ndarray:
+    """The (W, t) wave shifts at the (t,) ``pos``; a fractional position raises ``ValueError``."""
+    return _wave_table(_float_shifts(pos, n), waves, n)
+
+
+# Position tables kept from call to call: a table depends on the positions
+# and its kind's parameters only, never on Q or K.  An entry is kept only
+# when its table and key bytes come to at most _TABLE_BYTES, and the memo
+# is emptied when it holds _TABLES_KEPT entries, so it never holds more than
+# 1 MiB of tables and keys (about 1.1 MiB with the Python objects around
+# them).  Every table of attend at t = 16, n = 32, axial, is kept (the
+# largest, roll-continuous, comes to 4.9 KiB); none at t = 1024, n = 64.
+_TABLE_BYTES = 8 * 2**10
+_TABLES_KEPT = 128
+_tables: dict = {}
+
+
+def _table(build, pos: np.ndarray, *params) -> np.ndarray:
+    """``build(pos, *params)``, kept read-only and shared with later calls when small enough.
+
+    The key is the builder, its parameters and the exact bytes of the
+    float64 ``pos``: 0.0 and -0.0 compare and hash equal, but their tables
+    can differ in the sign of a zero, so each gets its own.  A build that
+    raises keeps nothing and raises again on the next call.
+    """
+    key = (build, *params, pos.tobytes())
+    table = _tables.get(key)
+    if table is None:
+        table = build(pos, *params)
+        if table.nbytes + pos.nbytes <= _TABLE_BYTES:
+            table.setflags(write=False)
+            if len(_tables) >= _TABLES_KEPT:
+                _tables.clear()
+            _tables[key] = table
+    return table
 
 
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
@@ -249,14 +292,16 @@ def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
 
 
 def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
-    """Each row of ``x`` (of each row-set of a stack) encoded at its position, in one kernel call.
+    """Each row of ``x`` (of each row-set of a stack) encoded at its position, in one core call.
 
     ``positions`` is (t,) or (B, t), or with a trailing 2 when axial, and
     ``x`` is (..., t, n) or (..., B, t, n): its rows match the positions
     and any axes before them stack row-sets that share them.  The rows
     are read as (s, B*t, n) at the flattened positions, or as (s, 2B*t,
     n/2) half-rows when axial, so each half is encoded at its own
-    coordinate.  The identity returns ``x`` itself.
+    coordinate.  The kind's table over those positions comes from
+    ``_table`` and its core takes the rows unchecked: the batch has
+    checked them.  The identity returns ``x`` itself.
     """
     if pe.kind is PEKind.NONE:
         return x
@@ -264,18 +309,22 @@ def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     p = positions.reshape(-1)
     rows = x.reshape(-1, p.size, n)
     if pe.kind is PEKind.SINUSOIDAL_APE:
-        enc = rows + sinusoidal_ape(p, n)
+        enc = rows + _table(_sinusoid_table, p, n)
     elif pe.kind is PEKind.ROLL_DISCRETE:
-        enc = roll_discrete(rows, p)
+        enc = _roll_rows(rows, _table(_float_shifts, p, n))
     elif pe.kind is PEKind.ROLL_CONTINUOUS:
-        enc = roll_continuous(rows, p, pe.lam, pe.branch)
+        # a float lambda, so that lambdas that compare equal, which share a key, build one table
+        enc = _roll_spectra(rows, _table(_roll_table, p, n, float(pe.lam), pe.branch))
     elif pe.kind is PEKind.ROPE:
-        enc = rope_apply(rows, p, classic_schedule(n))
+        enc = _rotate_pairs(rows, _table(_classic_table, p, n))
     else:
-        # the row-sets of a stack as one (rows, n) stack at tiled positions
+        # the (W, rows, n) components: the rows, then their products with the seeded maps
         flat = rows.reshape(-1, n)
-        comps = flat @ _multiplex_projections(n, pe.waves).swapaxes(1, 2)
-        enc = mproll(comps, np.tile(p, len(rows)))
+        comps = np.empty((pe.waves, len(flat), n))
+        comps[0] = flat
+        if pe.waves > 1:
+            np.matmul(flat, _multiplex_projections(n, pe.waves).swapaxes(1, 2), out=comps[1:])
+        enc = _superpose(comps, _table(_multiplex_table, p, n, pe.waves))
     return enc.reshape(x.shape)
 
 
@@ -309,18 +358,14 @@ def sinusoidal_ape(positions, n: int) -> np.ndarray:
         raise ValueError("positions must be a 1-D vector")
     if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
-    phases = _phases(positions, classic_schedule(n).omegas)
-    table = np.empty((positions.size, 2 * phases.shape[1]))
-    table[:, 0::2] = phases.imag
-    table[:, 1::2] = phases.real
-    return table
+    return _sinusoid_table(positions, n)
 
 
 def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     """Max relative gap between analytic and finite-difference input gradients.
 
     The scalar loss is the sum of all attention outputs; the gradient is
-    taken with respect to every entry of Q.  One kernel call encodes the
+    taken with respect to every entry of Q.  One core call encodes the
     basis row-sets of the analytic Jacobians, the 2n bumped copies of Q,
     Q and K as one (3n + 3, t, n) stack at the batch's positions, and one
     softmax call scores Q and every bumped copy against the encoded keys.

@@ -38,10 +38,31 @@ def mproll(components, p) -> np.ndarray:
     comps = np.asarray(components, dtype=float)
     if comps.ndim not in (2, 3) or comps.size == 0:
         raise ValueError("components must be a non-empty (W, n) bank or (W, t, n) stack")
-    # w * (p mod n) is reduced again, so the gather takes it unchecked
-    shifts = np.arange(1, len(comps) + 1)[:, None] * _as_shifts(comps[0], p) % comps.shape[-1]
-    rolled = _roll_rows(comps.reshape(shifts.size, -1), shifts.reshape(-1))
-    return rolled.reshape(comps.shape).sum(axis=0)
+    return _superpose(comps, _wave_table(_as_shifts(comps[0], p), len(comps), comps.shape[-1]))
+
+
+def _wave_table(steps, waves: int, n: int) -> np.ndarray:
+    """The (W, t) shifts w * steps mod n of waves w = 1..W, from (t,) steps reduced mod n.
+
+    A scalar step is the one-row case, (W, 1).  w * (p mod n) is reduced
+    again, so the gather takes it unchecked.
+    """
+    return np.arange(1, waves + 1)[:, None] * steps % n
+
+
+def _superpose(comps: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Sum over w of comps[w] rolled row by row by the (W, t) ``table[w]``, unchecked.
+
+    ``comps`` is (W, ..., n) with its rows in row-sets of t, each row-set
+    at the table's t positions.  All rows roll in one gather and the
+    waves are summed in order 1..W.
+    """
+    n = comps.shape[-1]
+    rows = comps.reshape(-1, n)
+    reps = len(rows) // table.size
+    # row i of every row-set of wave w takes table[w, i]
+    shifts = table if reps == 1 else table[:, None].repeat(reps, axis=1)
+    return _roll_rows(rows, shifts.reshape(-1)).reshape(comps.shape).sum(axis=0)
 
 
 def mproll_score(bank_q, bank_k, p_q, p_k, d: float | None = None) -> float | np.ndarray:

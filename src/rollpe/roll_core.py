@@ -142,6 +142,15 @@ def _as_shifts(q: np.ndarray, p):
     if ints.dtype.kind == "O":
         # Python ints too large for int64: reduced one by one, exactly
         return np.array([_as_steps(v) % n for v in ints.reshape(-1)], dtype=np.intp)
+    return _float_shifts(pos, n)
+
+
+def _float_shifts(pos: np.ndarray, n: int) -> np.ndarray:
+    """The (t,) float positions ``pos`` as integer shifts in (-n, n): a roll's position table.
+
+    ``pos`` must be finite; a fractional entry raises ``ValueError``, on
+    every call.
+    """
     fractional = pos != np.floor(pos)
     if fractional.any():
         raise ValueError(f"shift count must be an integer, got {float(pos[fractional][0])!r}")
@@ -178,8 +187,9 @@ def _roll_rows(q: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Row i of the (t, n) or (s, t, n) float stack ``q`` rolled by shifts[i], in one gather.
 
     ``shifts`` holds (t,) integers already reduced into [-n, n), and
-    nothing is checked here: ``roll_discrete`` and ``mproll`` check their
-    positions once, before they reduce them.
+    nothing is checked here: this is the core of ``roll_discrete`` and
+    ``mproll``, which check their positions once, before they reduce
+    them, and of attention's rolls, on rows its batch has checked.
     """
     n = q.shape[-1]
     # windows[..., i, k] is doubled[..., i, k:k + n], row i rolled by k,

@@ -74,6 +74,14 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
         raise ValueError(
             f"schedule has {sched.planes} planes but v has length {rows.shape[-1]}"
         )
+    return _rotate_pairs(rows, _rope_table(pos, sched)).reshape(shape)
+
+
+def _rope_table(pos: np.ndarray, sched: FrequencySchedule) -> np.ndarray:
+    """The (t, m) phases exp(1j * pos[i] * omega_k) at the (t,) finite ``pos``.
+
+    Raises ``ValueError``, on every call, when an angle p * omega_k overflows.
+    """
     # max |p| * max |omega| bounds every angle, since rounding is monotone
     reach = float(np.abs(pos).max())
     if not math.isfinite(reach * sched._peak):
@@ -81,10 +89,28 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
             f"position * frequency overflows: largest |position| {reach!r}, "
             f"largest |frequency| {sched._peak!r}"
         )
+    return _phases(pos, sched.omegas)
+
+
+def _classic_table(pos: np.ndarray, n: int) -> np.ndarray:
+    """``_rope_table`` of ``classic_schedule(n)``, the rotary table attention encodes with."""
+    return _rope_table(pos, classic_schedule(n))
+
+
+def _sinusoid_table(pos: np.ndarray, n: int) -> np.ndarray:
+    """The (t, n) sinusoidal APE rows: sin at even dims, cos at odd, of the classic phases."""
+    phases = _phases(pos, classic_schedule(n).omegas)
+    table = np.empty((pos.size, 2 * phases.shape[1]))
+    table[:, 0::2] = phases.imag
+    table[:, 1::2] = phases.real
+    return table
+
+
+def _rotate_pairs(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Pair k of each (..., t, 2m) row times its row of the (t, m) ``table``, unchecked."""
     # the table at the pairs' rank: numpy rounds a lone pair against fewer axes another way
     pairs = np.ascontiguousarray(rows).view(complex)
-    phases = _phases(pos, sched.omegas)[(None,) * (pairs.ndim - 2)]
-    return (pairs * phases).view(float).reshape(shape)
+    return (pairs * table[(None,) * (pairs.ndim - 2)]).view(float)
 
 
 def classic_schedule(n: int) -> FrequencySchedule:

@@ -188,14 +188,27 @@ def roll_continuous(
     _check_branch(branch)
     rows, pos, shape = _as_rows(q, p)
     _check_finite(rows, "q")
-    n = rows.shape[-1]
+    return _roll_spectra(rows, _roll_table(pos, rows.shape[-1], lam, branch)).reshape(shape)
+
+
+def _roll_table(pos: np.ndarray, n: int, lam: float, branch: SpectralBranch) -> np.ndarray:
+    """The (t, n/2+1) table that scales the real spectrum of a row at each of the (t,) ``pos``.
+
+    Bin k at position p is exp(2*pi*1j*k*r/n), r = p/lam with p reduced
+    modulo the period lam * n first; RAW folds its factor
+    exp(-1j*pi*r) * cos(pi*r) into every non-DC bin.  Nothing is checked.
+    """
     r = np.fmod(pos, lam * n) / lam
     table = _phases(r, 2.0 * np.pi / n * np.arange(n // 2 + 1))
     if branch is SpectralBranch.RAW:
         table[:, 1:] *= (np.exp(-1j * np.pi * r) * np.cos(np.pi * r))[:, None]
+    return table
+
+
+def _roll_spectra(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """irfft(rfft(rows) * table): the (..., t, n) rows rolled by a ``_roll_table``, unchecked."""
     # one out-of-place product: scaling bins in place rounds a lone bin another way
-    spec = np.fft.rfft(rows, axis=-1) * table
-    return np.fft.irfft(spec, n, axis=-1).reshape(shape)
+    return np.fft.irfft(np.fft.rfft(rows, axis=-1) * table, rows.shape[-1], axis=-1)
 
 
 def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:

@@ -21,6 +21,8 @@ from rollpe.spectral import (
     roll_continuous,
 )
 
+from test_attention import _rope_attention
+
 BOTH_BRANCHES = (SpectralBranch.RAW, SpectralBranch.CENTERED)
 
 
@@ -263,4 +265,35 @@ def test_10_performance_sanity():
         f"roll vs dense-matmul speedup {speedup:.1f}x (min 10x), fft vs dense "
         f"speedup {fft_speedup:.1f}x (min 1x), path agreement {residual:.3e} (tol 1e-9)",
         time.perf_counter() - start, 60.0,
+    )
+
+
+def test_11_roll_is_rope_at_the_layer():
+    """Criterion 5 for the whole layer: roll-continuous attention is rope attention in the
+    realified Fourier basis, the oracle of ``TestRollContinuousIsRopeAtTheLayer``.  Each
+    batch is attended twice, so the second call runs on the position tables the first kept."""
+    start = time.perf_counter()
+    worst, repeats_exact, configs = 0.0, True, 0
+    layouts = [((), False), ((3,), False), ((), True), ((2,), True)]
+    for n in (7, 9, 15, 8):
+        for lam in (1.0, 0.7, 3.3):
+            for lead, axial in layouts:
+                rng = np.random.default_rng([111, n, int(10 * lam), len(lead), int(axial)])
+                t, dim = 12, 2 * n if axial else n
+                q, k, v = rng.standard_normal((3, *lead, t, dim))
+                positions = rng.uniform(-50.0, 50.0, size=(*lead, t, 2) if axial else (*lead, t))
+                batch = AttentionBatch(q, k, v, positions)
+                pe = PEConfig(kind=PEKind.ROLL_CONTINUOUS, lam=lam, axial=axial)
+                want = _rope_attention(batch, lam, axial)
+                first, again = attend(batch, pe), attend(batch, pe)
+                for name, ref in zip(("output", "scores", "logits"), want):
+                    gap = np.abs(getattr(again, name) - ref).max() / np.abs(ref).max()
+                    worst = max(worst, gap)
+                    repeats_exact &= getattr(again, name).tobytes() == getattr(first, name).tobytes()
+                configs += 1
+    _check(
+        11, "roll-as-rope at the layer", worst <= 1e-12 and repeats_exact,
+        f"max relative gap of output, scores and logits = {worst:.3e} (tol 1e-12, "
+        f"{configs} configs attended twice); repeat bit-identical: {repeats_exact}",
+        time.perf_counter() - start, 10.0,
     )

@@ -26,7 +26,10 @@ from rollpe.attention import (
 )
 from rollpe.multiplex import mproll
 from rollpe.roll_core import roll_discrete, shift_matrix
+from rollpe import multiplex, roll_core, rope, spectral
 from rollpe.rope import (
+    FrequencySchedule,
+    _rope_table,
     classic_schedule,
     realified_fourier_basis,
     roll_induced_schedule,
@@ -246,15 +249,17 @@ class TestAttend:
         assert np.isfinite(out.output).all()
 
 
+# each kind's core, the unchecked kernel attention calls on its table; the APE's core is an add
 _KERNEL_CASES = [
-    (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.CENTERED), "roll_continuous"),
-    (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.RAW), "roll_continuous"),
-    (_pe(PEKind.ROPE), "rope_apply"),
-    (_pe(PEKind.ROLL_DISCRETE), "roll_discrete"),
-    (_pe(PEKind.SINUSOIDAL_APE), "sinusoidal_ape"),
-    (_pe(PEKind.MULTIPLEXED_ROLL, waves=1), "mproll"),
-    (_pe(PEKind.MULTIPLEXED_ROLL, waves=3), "mproll"),
+    (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.CENTERED), "_roll_spectra"),
+    (_pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.RAW), "_roll_spectra"),
+    (_pe(PEKind.ROPE), "_rotate_pairs"),
+    (_pe(PEKind.ROLL_DISCRETE), "_roll_rows"),
+    (_pe(PEKind.SINUSOIDAL_APE), None),
+    (_pe(PEKind.MULTIPLEXED_ROLL, waves=1), "_superpose"),
+    (_pe(PEKind.MULTIPLEXED_ROLL, waves=3), "_superpose"),
 ]
+_CORES = ["_roll_spectra", "_rotate_pairs", "_roll_rows", "_superpose"]
 _KERNEL_IDS = [
     "roll-continuous/centered", "roll-continuous/raw", "rope", "roll-discrete",
     "sinusoidal-ape", "multiplexed-roll/W=1", "multiplexed-roll/W=3",
@@ -286,12 +291,9 @@ def _counting(monkeypatch, names):
 
 
 def _count_kernel_calls(monkeypatch, run, pe, axial, b=None):
-    """Kernel calls attention makes in run(batch, pe) on a 64 x 8 batch, or b of them, by name."""
-    calls = _counting(
-        monkeypatch,
-        ["roll_continuous", "rope_apply", "classic_schedule", "roll_discrete",
-         "sinusoidal_ape", "mproll"],
-    )
+    """Table fetches and core calls attention makes in run(batch, pe) on a 64 x 8 batch, or b of
+    them, by name."""
+    calls = _counting(monkeypatch, ["_table", *_CORES])
     rng = np.random.default_rng(26)
     rows = (64,) if b is None else (b, 64)
     positions = rng.integers(-50, 50, size=rows + (2,) if axial else rows).astype(float)
@@ -306,23 +308,25 @@ class TestPhaseKindsEncodeOncePerBatch:
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_kernel_calls_per_attend(self, pe, kernel, axial, monkeypatch):
-        """One call per side would be 2, per axial half 4, per row 2t = 128; B row-sets
-        share the one call too."""
+        """One table fetch and one core call: one per side would be 2, per axial half 4,
+        per row 2t = 128; B row-sets share the one call too."""
         for b in (None, 1, 4):
             calls = _count_kernel_calls(monkeypatch, _attend, pe, axial, b)
             monkeypatch.undo()
-            kernel_calls = calls.pop(kernel)
-            assert kernel_calls == 1
-            assert calls.pop("classic_schedule") <= 1
+            assert calls.pop("_table") == 1
+            if kernel is not None:
+                assert calls.pop(kernel) == 1
             assert set(calls.values()) == {0}
 
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_kernel_calls_per_grad_check(self, pe, kernel, axial, monkeypatch):
-        """One call on the one stack of basis rows, bumped copies of Q, Q and K."""
+        """One table fetch and one core call on the one stack of basis rows, bumped
+        copies of Q, Q and K."""
         calls = _count_kernel_calls(monkeypatch, _grad_check, pe, axial)
-        assert calls.pop(kernel) == 1
-        assert calls.pop("classic_schedule") <= 1
+        assert calls.pop("_table") == 1
+        if kernel is not None:
+            assert calls.pop(kernel) == 1
         assert set(calls.values()) == {0}
 
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
@@ -366,7 +370,8 @@ def _side_encode(x, positions, pe):
         return roll_continuous(x, positions, pe.lam, pe.branch)
     if pe.kind is PEKind.ROPE:
         return rope_apply(x, positions, classic_schedule(n))
-    return mproll(x @ _multiplex_projections(n, pe.waves).swapaxes(1, 2), positions)
+    maps = _multiplex_projections(n, pe.waves)
+    return mproll(np.concatenate([x[None], x @ maps.swapaxes(1, 2)]), positions)
 
 
 class TestAttendMatchesPerSideKernels:
@@ -429,7 +434,7 @@ def _vector_encode(v, p, pe):
         return roll_continuous(v, p, pe.lam, pe.branch)
     if pe.kind is PEKind.ROPE:
         return rope_apply(v, p, classic_schedule(n))
-    return mproll(_multiplex_projections(n, pe.waves) @ v, int(p))
+    return mproll(np.concatenate([v[None], _multiplex_projections(n, pe.waves) @ v]), int(p))
 
 
 class TestEncodeRowsMatchVectorKernels:
@@ -580,12 +585,16 @@ class TestAttentionCore:
             np.testing.assert_allclose(getattr(out, name), want, rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_outputs_alias_nothing(self, kind):
+    def test_outputs_alias_nothing(self, kind, monkeypatch):
+        """Nor a kept position table, which later calls share."""
+        monkeypatch.setattr(attention, "_tables", {})
         batch = _batch(np.random.default_rng(23), 6, 8)
         out = attend(batch, _pe(kind, waves=2))
+        kept = list(attention._tables.values())
+        assert len(kept) == (kind is not PEKind.NONE)
         arrays = [out.output, out.scores, out.logits, batch.q, batch.k, batch.v, batch.positions]
         for i, a in enumerate(arrays[:3]):
-            for b in arrays[i + 1:]:
+            for b in arrays[i + 1:] + kept:
                 assert not np.shares_memory(a, b)
 
     def test_batch_keeps_q_k_v_in_one_read_only_block(self):
@@ -1029,3 +1038,199 @@ class TestRowLocalDifferences:
         """With the bumped copies of Q encoded at -p the differences are wrong and the
         check must fail."""
         assert _grad_check_with_rows_at_minus_p(pe, "bumps", monkeypatch) > 1e-2
+
+
+# every kind with a position table, with the core that encodes with it
+_TABLE_KINDS = [pe for pe, _ in _KERNEL_CASES]
+_LAYOUTS = {"scalar": ((), False), "axial": ((), True), "batched": ((3,), False),
+            "batched-axial": ((2,), True)}
+
+
+def _layout_batch(layout, seed=40, t=6, n=8, positions=None):
+    lead, axial = _LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    q, k, v = rng.standard_normal((3, *lead, t, n))
+    if positions is None:
+        positions = rng.integers(-40, 40, size=(*lead, t, 2) if axial else (*lead, t))
+    return AttentionBatch(q, k, v, np.asarray(positions, dtype=float)), axial
+
+
+def _assert_same_bits(got, want):
+    for name in ("output", "scores", "logits"):
+        have, ref = getattr(got, name), getattr(want, name)
+        assert have.shape == ref.shape and have.tobytes() == ref.tobytes(), name
+
+
+def _uncached(monkeypatch, run):
+    """run() with an empty memo that keeps nothing: every table is built for its call."""
+    with monkeypatch.context() as patch:
+        patch.setattr(attention, "_tables", {})
+        patch.setattr(attention, "_TABLE_BYTES", -1)
+        result = run()
+        assert attention._tables == {}
+    return result
+
+
+def _assert_kept_tables_are_their_builds():
+    for (build, *params, pos), table in attention._tables.items():
+        fresh = build(np.frombuffer(pos), *params)
+        assert table.dtype == fresh.dtype and table.tobytes() == fresh.tobytes()
+        assert not table.flags.writeable
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(attention, "_tables", {})
+    return attention._tables
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("pe", _TABLE_KINDS, ids=_KERNEL_IDS)
+class TestPositionTables:
+    """Each kind's position table is built once per positions and shared, without a bit changing."""
+
+    def test_a_repeat_is_bit_identical_to_the_first_call_and_to_no_memo(
+        self, pe, layout, empty_memo, monkeypatch
+    ):
+        batch, axial = _layout_batch(layout)
+        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+        first = attend(batch, pe)
+        assert len(empty_memo) == 1
+        again = AttentionBatch(batch.q, batch.k, batch.v, batch.positions.copy())
+        _assert_same_bits(attend(again, pe), first)
+        _assert_same_bits(_uncached(monkeypatch, lambda: attend(batch, pe)), first)
+        gap = grad_check(pe, batch)
+        assert gap == grad_check(pe, again) == _uncached(monkeypatch, lambda: grad_check(pe, batch))
+        assert len(empty_memo) == 1
+        _assert_kept_tables_are_their_builds()
+
+    def test_signed_zeros_get_their_own_tables(self, pe, layout, empty_memo, monkeypatch):
+        """0.0 and -0.0 compare and hash equal; a table keyed by value would serve one for both."""
+        batch, axial = _layout_batch(layout)
+        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+        plus = np.zeros(batch.positions.shape)
+        plus.reshape(-1)[1::2] = np.arange(1, plus.size // 2 + 1)
+        for order in ((0.0, -0.0), (-0.0, 0.0)):
+            empty_memo.clear()
+            for zero in order:
+                positions = np.where(plus == 0, zero, plus)
+                signed = AttentionBatch(batch.q, batch.k, batch.v, positions)
+                want = _uncached(monkeypatch, lambda: attend(signed, pe))
+                _assert_same_bits(attend(signed, pe), want)
+            assert len(empty_memo) == 2
+            _assert_kept_tables_are_their_builds()
+
+    def test_kept_tables_are_read_only(self, pe, layout, empty_memo):
+        batch, axial = _layout_batch(layout)
+        attend(batch, PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial))
+        (table,) = empty_memo.values()
+        with pytest.raises(ValueError, match="read-only"):
+            table.reshape(-1)[0] = 1.0
+
+    def test_a_repeat_builds_no_table(self, pe, layout, empty_memo, monkeypatch):
+        """Neither a second attend at the same positions nor a grad_check there."""
+        builders = ["_sinusoid_table", "_float_shifts", "_roll_table", "_classic_table",
+                    "_multiplex_table"]
+        builds = _counting(monkeypatch, builders)
+        batch, axial = _layout_batch(layout)
+        pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+        attend(batch, pe)
+        first = dict(builds)
+        assert sum(first.values()) >= 1
+        attend(AttentionBatch(batch.q, batch.k, batch.v, batch.positions.copy()), pe)
+        grad_check(pe, batch)
+        assert builds == first
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize(
+    "pe", [_pe(PEKind.ROLL_DISCRETE), _pe(PEKind.MULTIPLEXED_ROLL, waves=3)],
+    ids=["roll-discrete", "multiplexed-roll"],
+)
+def test_a_fractional_shift_raises_on_every_call(pe, layout, empty_memo):
+    batch, axial = _layout_batch(layout)
+    positions = np.array(batch.positions)
+    positions.reshape(-1)[-1] += 0.5
+    fractional = AttentionBatch(batch.q, batch.k, batch.v, positions)
+    pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+    for run in (attend, attend, lambda b, pe: grad_check(pe, b)):
+        with pytest.raises(ValueError, match="shift count must be an integer"):
+            run(fractional, pe)
+    assert empty_memo == {}
+
+
+@pytest.mark.parametrize("kind", [PEKind.ROPE, PEKind.SINUSOIDAL_APE])
+def test_an_odd_length_raises_on_every_call(kind, empty_memo):
+    batch, _ = _layout_batch("scalar", n=7)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="even"):
+            attend(batch, _pe(kind))
+    assert empty_memo == {}
+
+
+def test_an_overflowing_rope_angle_raises_on_every_call(empty_memo):
+    """Attention's positions stay below 2**53 and its frequencies at most 1, so the
+    overflow is reached through the memo with a schedule of a huge frequency."""
+
+    def huge(pos, omega):
+        return _rope_table(pos, FrequencySchedule([omega]))
+
+    pos = np.array([0.0, 1e10])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflows"):
+            attention._table(huge, pos, 1e300)
+    assert empty_memo == {}
+    assert attention._table(huge, pos, 1.0).shape == (2, 1)
+    assert len(empty_memo) == 1
+
+
+def test_each_parameter_keys_its_own_table(empty_memo, monkeypatch):
+    """The same positions under another wavelength, branch, wave count or length."""
+    configs = [
+        (8, _pe(PEKind.ROLL_CONTINUOUS)), (8, _pe(PEKind.ROLL_CONTINUOUS, lam=0.7)),
+        (8, _pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.RAW)),
+        (8, _pe(PEKind.MULTIPLEXED_ROLL, waves=2)), (8, _pe(PEKind.MULTIPLEXED_ROLL, waves=3)),
+        (8, _pe(PEKind.ROPE)), (6, _pe(PEKind.ROPE)),
+        (8, _pe(PEKind.ROLL_DISCRETE)), (5, _pe(PEKind.ROLL_DISCRETE)),
+    ]
+    for n, pe in configs:
+        batch, _ = _layout_batch("scalar", n=n)
+        _assert_same_bits(attend(batch, pe), _uncached(monkeypatch, lambda: attend(batch, pe)))
+    assert len(empty_memo) == len(configs)
+
+
+def test_a_long_attend_keeps_no_table(empty_memo):
+    """At t = 1024, n = 64 a table and its key come to 16 KiB or more: built per call."""
+    batch, _ = _layout_batch("scalar", t=1024, n=64)
+    for pe in _TABLE_KINDS:
+        attend(batch, pe)
+    assert empty_memo == {}
+
+
+def test_a_full_memo_starts_over(empty_memo, monkeypatch):
+    monkeypatch.setattr(attention, "_TABLES_KEPT", 3)
+    for offset in range(7):
+        batch, _ = _layout_batch("scalar", positions=np.arange(6) + offset)
+        attend(batch, _pe(PEKind.ROPE))
+        assert len(empty_memo) == offset % 3 + 1
+
+
+_CHECKS = ("_as_rows", "_check_finite", "_as_shifts")
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("pe", _TABLE_KINDS, ids=_KERNEL_IDS)
+def test_attend_and_grad_check_check_the_batch_once(pe, layout, monkeypatch):
+    """The batch checked Q, K, V and the positions; no kernel check scans them again."""
+    calls = []
+    for module in (roll_core, spectral, rope, multiplex, attention):
+        for name in _CHECKS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    batch, axial = _layout_batch(layout)
+    pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+    for _ in range(2):
+        monkeypatch.setattr(attention, "_tables", {})
+        attend(batch, pe)
+        grad_check(pe, batch)
+    assert calls == []
