@@ -4,78 +4,19 @@ Provides the discrete roll encoding, its continuous spectral extension,
 rotary encodings with both classic and roll-induced frequency schedules,
 a numerically checked correspondence between the two, multiplexed
 (superposed-wave) variants, a pluggable attention layer, and smoothness
-diagnostics over the circular latent topology.
+diagnostics over the circular latent topology.  Each module's ``__all__``
+is the one list of its public names; the package's is their union.
 """
 
-from .attention import (
-    AttentionBatch,
-    AttentionOutput,
-    PEConfig,
-    PEKind,
-    attend,
-    grad_check,
-    sinusoidal_ape,
-)
-from .multiplex import (
-    EquivarianceWitness,
-    equivariance_violation_witness,
-    mproll,
-    mproll_score,
-)
-from .regularizer import SmoothnessReport, circular_laplacian_loss, lipschitz_gap
-from .roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
-from .rope import (
-    FrequencySchedule,
-    classic_schedule,
-    equivalence_residual,
-    realified_fourier_basis,
-    roll_induced_schedule,
-    rope_apply,
-)
-from .spectral import (
-    GeneratorResiduals,
-    ShiftGenerator,
-    SpectralBranch,
-    branch_angles,
-    dft_matrix,
-    generator_residuals,
-    log_shift_generator,
-    roll_continuous,
-)
+from . import attention, multiplex, regularizer, roll_core, rope, spectral
+from .attention import *  # noqa: F403
+from .multiplex import *  # noqa: F403
+from .regularizer import *  # noqa: F403
+from .roll_core import *  # noqa: F403
+from .rope import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttentionBatch",
-    "AttentionOutput",
-    "EquivarianceWitness",
-    "FrequencySchedule",
-    "GeneratorResiduals",
-    "PEConfig",
-    "PEKind",
-    "ShiftGenerator",
-    "SmoothnessReport",
-    "SpectralBranch",
-    "attend",
-    "branch_angles",
-    "circular_laplacian_loss",
-    "classic_schedule",
-    "dft_matrix",
-    "equivalence_residual",
-    "equivariance_violation_witness",
-    "generator_residuals",
-    "grad_check",
-    "lipschitz_gap",
-    "log_shift_generator",
-    "mproll",
-    "mproll_score",
-    "realified_fourier_basis",
-    "relative_form_score",
-    "roll_continuous",
-    "roll_discrete",
-    "roll_induced_schedule",
-    "rollpe_score",
-    "rope_apply",
-    "shift_matrix",
-    "sinusoidal_ape",
-]
+_MODULES = (attention, multiplex, regularizer, roll_core, rope, spectral)
+__all__ = sorted(name for module in _MODULES for name in module.__all__)

@@ -60,7 +60,14 @@ from functools import lru_cache
 import numpy as np
 
 from .multiplex import _superpose, _wave_table
-from .roll_core import _as_count, _check_positive, _float_shifts, _roll_rows, _score_scale
+from .roll_core import (
+    _as_count,
+    _as_positions,
+    _check_positive,
+    _float_shifts,
+    _roll_rows,
+    _score_scale,
+)
 from .rope import _classic_table, _rotate_pairs, _sinusoid_table
 from .spectral import SpectralBranch, _roll_spectra, _roll_table
 
@@ -91,9 +98,10 @@ class PEConfig:
     ``axial`` splits the head dimension in half and encodes each half
     with one coordinate of a 2-D position.  ``kind`` and ``branch`` may be
     given as members or as their string values; ``lam`` must be finite and
-    positive and ``waves`` a positive integer, whatever the kind.  The RAW
-    branch keeps each vector's mean and damps the rest by |cos(pi*p/lam)|,
-    so at half-integer p/lam a RAW-encoded row is only its mean.
+    positive (it is stored as a float) and ``waves`` a positive integer,
+    whatever the kind.  The RAW branch keeps each vector's mean and damps
+    the rest by |cos(pi*p/lam)|, so at half-integer p/lam a RAW-encoded row
+    is only its mean.
     """
 
     kind: PEKind = PEKind.NONE
@@ -107,6 +115,7 @@ class PEConfig:
         object.__setattr__(self, "branch", SpectralBranch(self.branch))
         object.__setattr__(self, "waves", _as_count(self.waves, "waves"))
         _check_positive(self.lam, "lambda")
+        object.__setattr__(self, "lam", float(self.lam))
 
 
 # float64 represents every integer of smaller magnitude exactly
@@ -137,7 +146,7 @@ class AttentionBatch:
 
     def __post_init__(self):
         q, k, v = (np.asarray(a, dtype=float) for a in (self.q, self.k, self.v))
-        pos = np.array(self.positions, dtype=float)
+        pos = np.array(_as_positions(self.positions), dtype=float)
         if q.ndim not in (2, 3) or q.shape != k.shape or q.shape != v.shape:
             raise ValueError(
                 "Q, K, V must be (t, n) matrices or (B, t, n) stacks of one shared shape"
@@ -313,8 +322,7 @@ def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     elif pe.kind is PEKind.ROLL_DISCRETE:
         enc = _roll_rows(rows, _table(_float_shifts, p, n))
     elif pe.kind is PEKind.ROLL_CONTINUOUS:
-        # a float lambda, so that lambdas that compare equal, which share a key, build one table
-        enc = _roll_spectra(rows, _table(_roll_table, p, n, float(pe.lam), pe.branch))
+        enc = _roll_spectra(rows, _table(_roll_table, p, n, pe.lam, pe.branch))
     elif pe.kind is PEKind.ROPE:
         enc = _rotate_pairs(rows, _table(_classic_table, p, n))
     else:
@@ -353,11 +361,9 @@ def sinusoidal_ape(positions, n: int) -> np.ndarray:
     imaginary and real parts of rope's phases, f_i = 10000**(-2i/n) (``classic_schedule``).
     Any finite position is accepted; NaN or +-inf positions raise ``ValueError``.
     """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 1:
-        raise ValueError("positions must be a 1-D vector")
-    if not np.isfinite(positions).all():
-        raise ValueError("positions must be finite")
+    positions = np.asarray(_as_positions(positions), dtype=float)
+    if positions.ndim != 1 or not np.isfinite(positions).all():
+        raise ValueError("positions must be a 1-D vector of finite values")
     return _sinusoid_table(positions, n)
 
 

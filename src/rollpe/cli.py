@@ -62,6 +62,8 @@ _EQUIVARIANCE_BLOCK_BYTES = 64 * 2**10
 # capped so a single repeat stays near this, with config.trials as the
 # upper bound.
 _BENCH_TARGET_S = 0.2
+_BENCH_WARMUP = 100  # untimed calls per op, which estimate its per-call time
+_BENCH_REPEATS = 5  # timed repeats per op; the report gives their median
 
 
 @dataclass
@@ -76,21 +78,17 @@ class RunConfig:
     output_path: str | None = None
     format: str = "json"
     d_override: float | None = None
-    bench_repeats: int = 5
-    bench_warmup: int = 100
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        for name in ("n", "t", "waves", "seed", "trials", "bench_repeats", "bench_warmup"):
-            least = 0 if name in ("seed", "bench_warmup") else 1
+        for name in ("n", "t", "waves", "seed", "trials"):
+            least = 0 if name == "seed" else 1
             setattr(self, name, _as_count(getattr(self, name), name, least))
         _check_positive(self.lam, "lambda")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
         _score_scale(self.n, self.d_override)
-        if self.command in ("grad-check", "attention-demo") and self.n % 2 != 0:
-            raise ValueError(f"{self.command} requires an even n (rotary/APE kinds)")
         if self.command == "attention-demo" and self.t > 256:
             raise ValueError("attention-demo supports at most t = 256")
 
@@ -129,14 +127,7 @@ def _summarize_residuals(rows: list, threshold: float | None) -> dict:
 
 
 def _base_row(trial: int, cfg: RunConfig, p_q=None, p_k=None, residual=None) -> dict:
-    return {
-        "trial": trial,
-        "n": cfg.n,
-        "lambda": cfg.lam,
-        "p_q": p_q,
-        "p_k": p_k,
-        "residual": residual,
-    }
+    return dict(zip(_CSV_BASE_COLUMNS, (trial, cfg.n, cfg.lam, p_q, p_k, residual)))
 
 
 def _trial_rows(cfg: RunConfig, p_q, p_k, residuals) -> list:
@@ -149,7 +140,7 @@ def _trial_rows(cfg: RunConfig, p_q, p_k, residuals) -> list:
 
 def _cmd_equivariance_report(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    d = cfg.d_override if cfg.d_override is not None else float(cfg.n)
+    d = cfg.d_override
     pe = PEConfig(kind=PEKind.ROLL_DISCRETE)
     pos = np.arange(cfg.t)
     # each trial draws its inputs in turn, so every row keeps its draws
@@ -229,7 +220,6 @@ def _cmd_grad_check(cfg: RunConfig):
 def _cmd_attention_demo(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     qm, km, vm = rng.standard_normal((3, cfg.t, cfg.n))
-    d = cfg.d_override
     positions = np.arange(cfg.t)
     shift = 5
     # row-set 0 at the positions, row-set 1 shifted: one batched attend per kind
@@ -238,7 +228,7 @@ def _cmd_attention_demo(cfg: RunConfig):
     rows = []
     gaps = {}
     for name, pe in _demo_pe_configs(cfg).items():
-        before, after = attend(pair, pe, d).scores
+        before, after = attend(pair, pe, cfg.d_override).scores
         gaps[name] = float(np.abs(after - before).max())
         for i, j in np.ndindex(cfg.t, cfg.t):   # positions[i] is i
             row = _base_row(len(rows), cfg, i, j, abs(float(after[i, j]) - float(before[i, j])))
@@ -253,12 +243,12 @@ def _cmd_attention_demo(cfg: RunConfig):
 def _bench_one(fn, cfg: RunConfig):
     """Loops per repeat, median repeat time and ops per second of ``fn``."""
     start = time.perf_counter()
-    for _ in range(cfg.bench_warmup):
+    for _ in range(_BENCH_WARMUP):
         fn()
-    per_call = (time.perf_counter() - start) / max(cfg.bench_warmup, 1)
+    per_call = (time.perf_counter() - start) / _BENCH_WARMUP
     loops = max(1, min(cfg.trials, int(_BENCH_TARGET_S / max(per_call, 1e-9))))
     times = []
-    for _ in range(cfg.bench_repeats):
+    for _ in range(_BENCH_REPEATS):
         start = time.perf_counter()
         for _ in range(loops):
             fn()

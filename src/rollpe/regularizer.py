@@ -31,8 +31,7 @@ def lipschitz_gap(q, delta_p: float, lam: float = 1.0) -> SmoothnessReport:
     """Self-correlation and Euclidean gap of ``q`` under a fractional shift.
 
     Whenever the shift is an isometry (integer steps, or odd length), the
-    two views satisfy distance^2 = 2 ||q||^2 (1 - correlation); that
-    identity is verified internally before reporting.
+    two views satisfy distance^2 = 2 ||q||^2 (1 - correlation).
     """
     q = _as_vector(q)
     norm_sq = float(q @ q)
@@ -42,12 +41,6 @@ def lipschitz_gap(q, delta_p: float, lam: float = 1.0) -> SmoothnessReport:
     rolled = roll_continuous(q, delta_p, lam, SpectralBranch.CENTERED)
     correlation = float(q @ rolled) / norm_sq
     distance = float(np.linalg.norm(q - rolled))
-
-    tol = 1e-10 * max(1.0, norm_sq)
-    if abs(float(rolled @ rolled) - norm_sq) <= tol:
-        # isometric case: both measurements describe one gap
-        if abs(distance**2 - 2.0 * norm_sq * (1.0 - correlation)) > tol:
-            raise FloatingPointError("correlation and distance reports disagree")
     return SmoothnessReport(
         correlation=correlation, distance=distance, epsilon_bound=1.0 - correlation
     )

@@ -76,6 +76,20 @@ def _check_finite(x: np.ndarray, name: str) -> None:
         raise FloatingPointError(f"{name} must be finite")
 
 
+def _as_positions(p) -> np.ndarray:
+    """``p`` as an array of its own dtype; ``ValueError`` unless it holds real numbers.
+
+    Strings and bytes, which a float conversion would parse, and complex
+    numbers are refused; an object array, such as Python ints beyond
+    int64, is checked entry by entry.
+    """
+    arr = np.asarray(p)
+    kind = arr.dtype.kind
+    if kind not in "biufO" or (kind == "O" and not all(isinstance(v, _REALS) for v in arr.flat)):
+        raise ValueError(f"positions must be real numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
     """``x`` as rows with (t,) positions ``p``, plus the shape of ``x``.
 
@@ -83,12 +97,12 @@ def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
     (1, n); a (t, n) stack takes one position per row; an (s, t, n) stack
     holds s row-sets that share the (t,) positions, row i of each at p[i].
     A table built over the (t,) positions therefore broadcasts against the
-    rows of every shape.  A wrong shape or a non-finite position raises
-    ``ValueError``, in one reduction whatever t is.  The entries of ``x``
-    are left to the caller to check.
+    rows of every shape.  A wrong shape or a position that is not a finite
+    real raises ``ValueError``, in one reduction whatever t is.  The
+    entries of ``x`` are left to the caller to check.
     """
     arr = np.asarray(x, dtype=float)
-    pos = np.asarray(p, dtype=float)
+    pos = np.asarray(_as_positions(p), dtype=float)
     if arr.ndim not in (1, 2, 3) or arr.size == 0:
         raise ValueError(
             f"{name} must be a non-empty 1-D vector, (t, n) stack of rows "

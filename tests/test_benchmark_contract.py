@@ -1,8 +1,10 @@
 """The benchmark runs end to end and its dense oracles agree with the library.
 
 ``perfbench/test_perfbench.py`` is outside the tier-1 test paths, so this
-runs the benchmark command itself, briefly, on the one workload whose
-positions repeat: the one where attend's kept position tables are used.
+runs the benchmark command itself, briefly, on two workloads:
+``attend-short-axial``, whose positions repeat, so attend's kept position
+tables are used, and ``invariant-sweep``, which runs the CLI commands, the
+regularizer and generator diagnostics through the package's exports.
 """
 
 import json
@@ -10,12 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_attend_short_axial_runs_correct():
+@pytest.mark.parametrize("workload", ["attend-short-axial", "invariant-sweep"])
+def test_workload_runs_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "attend-short-axial",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "3", "--seconds", "0.5", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )

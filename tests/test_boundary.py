@@ -8,8 +8,9 @@ a bad value of that kind.  The stacked kernels, ``roll_discrete``,
 stack), also get one table each for misshapen and non-finite positions;
 the two kernels that are not permutations one more for non-finite rows.
 ``AttentionBatch`` positions, the witness's gap threshold, seeds, values
-that are not real where a positive real belongs, and the even length
-that rope and the APE need get one table each as well.  The
+that are not real where a positive real belongs, positions that are
+not real numbers, and the even length that rope and the APE need get one
+table each as well.  The
 score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
 differ, for misshapen and for non-finite stack positions on each side,
@@ -23,7 +24,7 @@ import pytest
 
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, grad_check, sinusoidal_ape
 from rollpe.cli import RunConfig, run
-from rollpe.multiplex import equivariance_violation_witness, mproll
+from rollpe.multiplex import equivariance_violation_witness, mproll, mproll_score
 from rollpe.regularizer import lipschitz_gap
 from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
 from rollpe.rope import (
@@ -250,6 +251,33 @@ def test_misshapen_positions_raise(kernel, x, p):
     stack of row-sets takes the (t,) positions its row-sets share."""
     with pytest.raises(ValueError):
         kernel(x, p)
+
+
+_STRINGS = ["1", "2", "3"]
+
+
+@_table({
+    "roll_discrete": lambda: roll_discrete(_ROWS, _STRINGS),
+    "roll_continuous": lambda: roll_continuous(Q, "0.5"),
+    "rope_apply": lambda: rope_apply(np.ones(4), "1", _SCHED4),
+    "mproll": lambda: mproll([_ROWS, _ROWS], _STRINGS),
+    "mproll_score": lambda: mproll_score([_ROWS, _ROWS], [_ROWS, _ROWS], _STRINGS, [0, 1, 2]),
+    "rollpe_score": lambda: rollpe_score(_ROWS, _ROWS, _STRINGS, [0, 1, 2]),
+    "relative_form_score": lambda: relative_form_score(_ROWS, _ROWS, _STRINGS),
+    "equivalence_residual": lambda: equivalence_residual(Q, Q, "1", 2.0),
+    "sinusoidal_ape": lambda: sinusoidal_ape(["1"], 4),
+    "AttentionBatch": lambda: AttentionBatch(*_QKV, ["0", "1", "2", "3"]),
+    "roll_discrete/bytes": lambda: roll_discrete(_ROWS, [b"1", b"2", b"3"]),
+    "roll_continuous/bytes": lambda: roll_continuous(Q, b"0.5"),
+    "AttentionBatch/bytes": lambda: AttentionBatch(*_QKV, [b"0", b"1", b"2", b"3"]),
+    "roll_discrete/object": lambda: roll_discrete(_ROWS, np.array([2**70, "1", 0], dtype=object)),
+    "AttentionBatch/object": lambda: AttentionBatch(*_QKV, np.array([0, "1", 2, 3], dtype=object)),
+    "roll_continuous/complex": lambda: roll_continuous(Q, 0.5 + 0j),
+})
+def test_non_real_position_raises(call):
+    """A string or bytes position is refused, not parsed as the number it spells."""
+    with pytest.raises(ValueError, match="positions must be real numbers"):
+        call()
 
 
 @_position_kernels

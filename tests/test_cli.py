@@ -61,9 +61,7 @@ class TestRun:
         }
 
     def test_bench_reports_throughput(self):
-        rep = run(
-            RunConfig(command="bench", n=64, trials=300, seed=0, bench_warmup=20)
-        )
+        rep = run(RunConfig(command="bench", n=64, trials=300, seed=0))
         assert rep.summary["passed"]
         ops = rep.summary["ops_per_sec"]
         for name in (

@@ -4,7 +4,10 @@ No linter ships with the project, so this is the unused-import check:
 an import left behind by a refactor fails here.  ``__init__.py`` is
 skipped, since it imports names only to re-export them.  The export
 check covers ``rollpe`` and each of its modules: a deleted name left in
-an ``__all__`` fails here.  The dead-helper check covers every
+an ``__all__`` fails here.  ``rollpe`` star-imports every module but
+``cli``, so a name in two module lists would be shadowed silently: the
+lists must be disjoint, and the package must export exactly their union,
+each name bound to the object its module defines.  The dead-helper check covers every
 module-level private name (``_name``, dunders aside) defined in the
 package: one that no module refers to besides its definition, such as a
 helper a refactor left behind, fails here.
@@ -51,6 +54,19 @@ def test_every_export_resolves(module):
     """A name in ``__all__`` that the module lacks breaks ``from rollpe import *``."""
     module = importlib.import_module(module)
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_package_exports_the_disjoint_union_of_module_exports():
+    owners = {}
+    for stem in (p.stem for p in MODULES if p.stem != "cli"):
+        module = importlib.import_module(f"rollpe.{stem}")
+        for name in module.__all__:
+            assert name not in owners, f"{name} is exported by {owners[name]} and {stem}"
+            owners[name] = stem
+            obj = getattr(module, name)
+            assert obj.__module__ == module.__name__, f"{stem} exports {name} from elsewhere"
+            assert getattr(rollpe, name) is obj, name
+    assert rollpe.__all__ == sorted(owners)
 
 
 def _dead_helpers(sources: list) -> set:

@@ -1,4 +1,12 @@
-"""Tests for the smoothness diagnostics and the cycle Laplacian loss."""
+"""Tests for the smoothness diagnostics and the cycle Laplacian loss.
+
+``TestLipschitzOracle`` checks ``lipschitz_gap`` against closed forms
+built from ``dft_matrix`` and ``branch_angles`` alone (plus the generator
+for the small-shift limit), with no call into its roll: the distance at
+one full wavelength is the Laplacian loss, the distance at any shift is a
+Parseval sum over the centered spectrum, and at odd n the correlation
+gap of a small shift is its second-order generator term.
+"""
 
 import math
 
@@ -7,6 +15,7 @@ import pytest
 
 from rollpe.regularizer import circular_laplacian_loss, lipschitz_gap
 from rollpe.roll_core import roll_discrete
+from rollpe.spectral import SpectralBranch, branch_angles, dft_matrix, log_shift_generator
 
 
 def _mode(n, k):
@@ -62,6 +71,66 @@ class TestLipschitzGap:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             lipschitz_gap(np.zeros(4), 1.0)
+
+
+def _spectral_distance_sq(q, delta, lam):
+    """||q - roll(q, delta)||^2 from the unitary DFT and the centered angles.
+
+    Each bin k of F q turns by theta_k delta / lam, so it contributes
+    2 |(F q)_k|^2 (1 - cos(theta_k delta / lam)); at even n the real
+    Nyquist bin is scaled by cos(pi delta / lam) instead, contributing
+    |(F q)_N|^2 (1 - cos(pi delta / lam))^2.
+    """
+    n = len(q)
+    power = np.abs(dft_matrix(n) @ q) ** 2
+    gap = 1.0 - np.cos(branch_angles(n, SpectralBranch.CENTERED) * delta / lam)
+    terms = 2.0 * power * gap
+    if n % 2 == 0:
+        terms[n // 2] = power[n // 2] * gap[n // 2] ** 2
+    return math.fsum(terms.tolist())
+
+
+class TestLipschitzOracle:
+    @pytest.mark.parametrize("n", [2, 7, 8, 13])
+    @pytest.mark.parametrize("lam", [1.0, 2.5])
+    def test_one_wavelength_distance_is_the_laplacian_loss(self, n, lam):
+        """A shift of one wavelength is one roll step, whose squared gap is the cycle loss."""
+        q = np.random.default_rng(n).standard_normal(n)
+        got = lipschitz_gap(q, lam, lam).distance ** 2
+        want = circular_laplacian_loss(q)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [5, 8, 9, 16])
+    @pytest.mark.parametrize("lam", [1.0, 0.7])
+    @pytest.mark.parametrize("delta", [0.3, -1.0, 2.5, 11.75])
+    def test_distance_is_the_spectral_sum(self, n, lam, delta):
+        q = np.random.default_rng([n, 1]).standard_normal(n)
+        got = lipschitz_gap(q, delta, lam).distance ** 2
+        want = _spectral_distance_sq(q, delta, lam)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [3, 7, 11])
+    @pytest.mark.parametrize("lam", [1.0, 3.0])
+    def test_small_shift_correlation_gap_is_second_order(self, n, lam):
+        """At odd n the generator A is real and skew, so 1 - c = (delta^2 / 2 lam^2) ||A q||^2 / ||q||^2
+        up to a relative O(delta^2)."""
+        delta = 1e-4
+        q = np.random.default_rng([n, 2]).standard_normal(n)
+        a_q = log_shift_generator(n).matrix @ q
+        predicted = delta**2 / (2.0 * lam**2) * float(np.vdot(a_q, a_q).real) / (q @ q)
+        ratio = lipschitz_gap(q, delta, lam).epsilon_bound / predicted
+        assert abs(ratio - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("n", [5, 9, 15])
+    @pytest.mark.parametrize("delta", [0.37, -2.6, 7.1])
+    def test_distance_squared_identity_odd_fractional_shifts(self, n, delta):
+        """At odd n a fractional shift is an isometry too, so the two views describe one gap."""
+        q = np.random.default_rng([n, 3]).standard_normal(n)
+        rep = lipschitz_gap(q, delta)
+        norm_sq = q @ q
+        assert rep.distance**2 == pytest.approx(
+            2.0 * norm_sq * (1.0 - rep.correlation), abs=1e-10 * max(1.0, norm_sq)
+        )
 
 
 class TestCircularLaplacianLoss:
