@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -59,14 +60,17 @@ def _as_count(n, name: str = "n", least: int = 1) -> int:
 
 # float and int come first: an isinstance check on numbers.Real alone costs about 1 us
 _REALS = (float, int, numbers.Real)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _check_positive(x, name: str) -> None:
     """``ValueError`` unless ``x`` is a finite, positive real: a wavelength, ``d``, a threshold.
 
-    A string, an array or any other value that is not a real number is refused too.
+    A string, an array or any other value that is not a real number is refused too,
+    and so is a Python int beyond the float64 range, which compares below inf but
+    cannot be converted to a float.
     """
-    if not (isinstance(x, _REALS) and 0 < x < math.inf):
+    if not (isinstance(x, _REALS) and 0 < x <= _FLOAT_MAX):
         raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 

@@ -40,11 +40,14 @@ the same read-only object.  The caches hold the 64 most recent DFT sizes
 and the 128 most recent generators, each n*n complex values (16 * n**2
 bytes), so one pass over n = 1..32 and both branches keeps all of its
 entries.  ``generator_residuals`` is not cached: it measures whatever
-generator it is handed.
+generator it is handed, against per-size constants (F^H, the one-step
+shift and a gather index, 32 * n**2 bytes) kept for the 64 most recent
+sizes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -118,6 +121,20 @@ def _dft_matrix(n: int) -> np.ndarray:
     fmat = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
     fmat.setflags(write=False)
     return fmat
+
+
+@lru_cache(maxsize=64)
+def _residual_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F^H, the one-step shift S and the circulant gather index of size n, read-only.
+
+    Row 0 of a circulant matrix gathered at index[i, j] = (j - i) % n
+    rebuilds the whole matrix.
+    """
+    j = np.arange(n)
+    consts = (_dft_matrix(n).conj().T, shift_matrix(n, 1), (j[None, :] - j[:, None]) % n)
+    for arr in consts:
+        arr.setflags(write=False)
+    return consts
 
 
 def branch_angles(n: int, branch: SpectralBranch) -> np.ndarray:
@@ -221,15 +238,20 @@ def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:
     circulant:     || A - circulant reconstruction from row 0 ||_F
     """
     a = gen.matrix
-    n = gen.n
-    skew = float(np.linalg.norm(a + a.conj().T))
+    n = _as_count(gen.n)
+    skew = _frobenius(a + a.conj().T)
 
-    fmat = dft_matrix(n)
+    fmat = _dft_matrix(n)
+    fmat_h, shift, gather = _residual_constants(n)
     eigs = np.sqrt(n) * (fmat @ a[:, 0])
-    exp_a = fmat.conj().T @ (np.exp(eigs)[:, None] * fmat)
-    exp_vs_shift = float(np.linalg.norm(exp_a - shift_matrix(n, 1)))
+    exp_a = fmat_h @ (np.exp(eigs)[:, None] * fmat)
+    exp_vs_shift = _frobenius(exp_a - shift)
 
-    j = np.arange(n)
-    rebuilt = a[0][(j[None, :] - j[:, None]) % n]
-    circulant = float(np.linalg.norm(a - rebuilt))
+    circulant = _frobenius(a - a[0][gather])
     return GeneratorResiduals(skew=skew, exp_vs_shift=exp_vs_shift, circulant=circulant)
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a matrix, by the ravel and dot products it uses, as a float."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))

@@ -1,5 +1,6 @@
 """Tests for the attention layer and its pluggable encodings."""
 
+import dataclasses
 import math
 import platform
 import warnings
@@ -152,7 +153,8 @@ class TestAttend:
         mixed = big.copy()
         mixed[:, ::2] *= -1
         with pytest.raises(FloatingPointError, match="overflow"):
-            # +inf and -inf products meet in one sum: NaN logits
+            # +inf and -inf products meet in one sum: NaN logits, or -inf from a BLAS that fuses
+            # each multiply into its running sum (TestSoftmax pins the NaN case)
             attend(AttentionBatch(big, mixed, np.ones((4, 8)), np.arange(4)), _pe(PEKind.NONE))
 
     def test_encoding_isometries(self):
@@ -247,6 +249,44 @@ class TestAttend:
         frac = AttentionBatch(q, k, v, [1e15 + 0.375, -1e15 - 0.5])
         out = attend(frac, _pe(PEKind.ROLL_CONTINUOUS))
         assert np.isfinite(out.output).all()
+
+
+class TestBatchSurface:
+    """``AttentionBatch`` behaves as a frozen dataclass of its four arguments."""
+
+    def test_keyword_construction(self):
+        q, k, v = np.random.default_rng(39).standard_normal((3, 4, 8))
+        batch = AttentionBatch(positions=np.arange(4), v=v, k=k, q=q)
+        np.testing.assert_array_equal(batch.k, k)
+        np.testing.assert_array_equal(batch.positions, np.arange(4.0))
+        assert batch.positions.dtype == float and batch.dim == 8
+
+    def test_replace_checks_the_new_positions(self):
+        batch = _batch(np.random.default_rng(40), 4, 8)
+        moved = dataclasses.replace(batch, positions=[3, 4, 5, 6])
+        np.testing.assert_array_equal(moved.q, batch.q)
+        np.testing.assert_array_equal(moved.positions, [3.0, 4.0, 5.0, 6.0])
+        assert not moved.positions.flags.writeable and not moved.q.flags.writeable
+        for bad, message in [
+            ([0, np.nan, 1, 2], "positions must be finite"),
+            ([0, 1, 2], "one row per token"),
+            ([0, 2**53, 1, 2], "below 2\\*\\*53"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(batch, positions=bad)
+        with pytest.raises(ValueError, match="k holds non-finite"):
+            dataclasses.replace(batch, k=np.full((4, 8), np.inf))
+
+    @pytest.mark.parametrize("name", ["q", "k", "v", "positions", "_qkv"])
+    def test_fields_cannot_be_assigned(self, name):
+        batch = _batch(np.random.default_rng(41), 2, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(batch, name, np.zeros((2, 4)))
+
+    def test_repr_leaves_out_the_block(self):
+        text = repr(_batch(np.random.default_rng(42), 2, 4))
+        assert text.startswith("AttentionBatch(q=array(")
+        assert "positions=array(" in text and "_qkv" not in text
 
 
 # each kind's core, the unchecked kernel attention calls on its table; the APE's core is an add
@@ -733,6 +773,55 @@ class TestSoftmax:
         for b in range(3):
             np.testing.assert_array_equal(got[b], _softmax_rows(z[b]))
         np.testing.assert_allclose(got.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "edge, width",
+        [(0.0, 0), (-800.0, 64), (709.0, 64), (710.0, 1), (-np.inf, 1)],
+        ids=["no-edge", "sum-underflows", "sum-overflows", "exp-overflows", "minus-inf"],
+    )
+    def test_one_reduction_gives_the_per_row_choices_bits(self, edge, width):
+        """The guarded call equals the per-row path alone, with or without a row to shift."""
+        z = np.random.default_rng(43).standard_normal((2, 5, 64)) * 8
+        z[1, 3, :width] = edge
+        np.testing.assert_array_equal(_softmax_rows(z), attention._softmax_rows_shifted(z, None))
+
+    # The edges of the unshifted rows' guard; each also holds for a two-sided row-sum test.
+
+    def test_nan_logits_raise(self):
+        """Logits of finite Q and K whose products overflow to +inf and -inf in one sum.
+
+        Summed term by term, as the matmul defines them, so inf - inf gives NaN whatever
+        the order; a fused multiply-add BLAS can give -inf there instead.
+        """
+        big = np.full((4, 8), 1e200)
+        mixed = big.copy()
+        mixed[:, ::2] *= -1
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = (big[:, None, :] * mixed[None, :, :]).sum(axis=-1)
+        assert np.isnan(z).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                _softmax_rows(z)
+
+    def test_a_single_plus_inf_logit_raises(self):
+        z = np.random.default_rng(37).standard_normal((3, 6))
+        z[1, 4] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflow"):
+                _softmax_rows(z)
+
+    def test_a_row_sum_that_overflows_on_finite_terms_is_shifted(self):
+        """64 terms of exp(709) each fit a float64; their sum does not."""
+        z = np.random.default_rng(38).standard_normal((3, 64))
+        z[1] = 709.0
+        assert math.exp(709.0) * 64 == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _softmax_rows(z)
+        np.testing.assert_allclose(got, _shifted_softmax(z), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got[1], np.full(64, 1 / 64))
 
 
 def _rope_coordinates(x, positions, lam):

@@ -1,10 +1,12 @@
 """The benchmark runs end to end and its dense oracles agree with the library.
 
 ``perfbench/test_perfbench.py`` is outside the tier-1 test paths, so this
-runs the benchmark command itself, briefly, on two workloads:
-``attend-short-axial``, whose positions repeat, so attend's kept position
-tables are used, and ``invariant-sweep``, which runs the CLI commands, the
-regularizer and generator diagnostics through the package's exports.
+runs the benchmark command itself, briefly, on every workload:
+``attend-long``, whose t = 1024 softmax the harness checks against its
+dense oracle and for rows that sum to 1; ``attend-short-axial``, whose
+positions repeat, so attend's kept position tables are used; and
+``invariant-sweep``, which runs the CLI commands, the regularizer and
+generator diagnostics through the package's exports.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["attend-short-axial", "invariant-sweep"])
+@pytest.mark.parametrize("workload", ["attend-long", "attend-short-axial", "invariant-sweep"])
 def test_workload_runs_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

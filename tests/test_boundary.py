@@ -8,9 +8,9 @@ a bad value of that kind.  The stacked kernels, ``roll_discrete``,
 stack), also get one table each for misshapen and non-finite positions;
 the two kernels that are not permutations one more for non-finite rows.
 ``AttentionBatch`` positions, the witness's gap threshold, seeds, values
-that are not real where a positive real belongs, positions that are
-not real numbers, and the even length that rope and the APE need get one
-table each as well.  The
+that are not real where a positive real belongs, Python ints beyond the
+float range there, positions that are not real numbers, and the even
+length that rope and the APE need get one table each as well.  The
 score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
 differ, for misshapen and for non-finite stack positions on each side,
@@ -147,6 +147,23 @@ _AXIAL = np.stack([np.arange(4.0), np.arange(4.0)], axis=1)
 def test_non_real_positive_value_raises(call):
     """A string or an array where a positive real belongs is refused, not a ``TypeError`` later."""
     with pytest.raises(ValueError, match="must be finite and positive"):
+        call()
+
+
+# a Python int compares below inf however large it is, but float() of it overflows
+_HUGE = 10**400
+
+
+@_table({
+    "roll_continuous": lambda: roll_continuous(Q, 0.5, _HUGE),
+    "roll_induced_schedule": lambda: roll_induced_schedule(5, _HUGE),
+    "equivalence_residual": lambda: equivalence_residual(Q, Q, 0.5, 1.5, _HUGE),
+    "PEConfig": lambda: PEConfig(lam=_HUGE),
+    "attend/d": lambda: attend(AttentionBatch(*_QKV, np.arange(4.0)), PEConfig(), d=_HUGE),
+})
+def test_int_beyond_float_range_raises(call):
+    """Refused as not finite, before a float conversion raises ``OverflowError``."""
+    with pytest.raises(ValueError, match="must be finite and positive, got 1000"):
         call()
 
 

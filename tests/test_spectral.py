@@ -185,6 +185,26 @@ class TestCaches:
             want = fmat.conj().T @ (1j * theta[:, None] * fmat)
             assert log_shift_generator(n, branch).matrix.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_residuals_equal_the_norm_formulas_exactly(self, n):
+        """Kept per-size constants and the ravel-and-dot norm change no bit of the residuals."""
+        for branch in BOTH:
+            gen = log_shift_generator(n, branch)
+            moved = gen.matrix.copy()
+            moved[n // 2, 0] += 1e-3
+            for a in (gen.matrix, moved):
+                fmat = dft_matrix(n)
+                exp_a = fmat.conj().T @ (np.exp(np.sqrt(n) * (fmat @ a[:, 0]))[:, None] * fmat)
+                j = np.arange(n)
+                want = (
+                    float(np.linalg.norm(a + a.conj().T)),
+                    float(np.linalg.norm(exp_a - shift_matrix(n, 1))),
+                    float(np.linalg.norm(a - a[0][(j[None, :] - j[:, None]) % n])),
+                )
+                res = generator_residuals(ShiftGenerator(n, branch, a))
+                assert (res.skew, res.exp_vs_shift, res.circulant) == want
+        assert not any(c.flags.writeable for c in spectral._residual_constants(n))
+
     @pytest.mark.parametrize(
         "call",
         [
