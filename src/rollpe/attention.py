@@ -52,10 +52,7 @@ by row, since bumping Q[i, j] moves only row i of the scores.
 At small t a call's fixed cost is most of its time, so the two steps
 every call pays are kept short: ``AttentionBatch`` checks and copies its
 arguments in one pass, and ``_softmax_rows`` settles the common case,
-every row unshifted, with one reduction over the row sums.  Together
-they took the benchmark's attend-short-axial ``attend_ms.none`` (t = 16,
-n = 32, axial, one BLAS thread) from 0.0382 to 0.0308 ms, the medians
-of 10 pairs.
+every row unshifted, with one reduction over the row sums.
 """
 
 from __future__ import annotations
@@ -161,7 +158,7 @@ class AttentionBatch:
         q = np.asarray(q, dtype=float)
         k = np.asarray(k, dtype=float)
         v = np.asarray(v, dtype=float)
-        pos = np.array(_as_positions(positions), dtype=float)
+        pos = _as_positions(positions)  # a new array, which the batch then owns
         shape = q.shape
         if q.ndim not in (2, 3) or k.shape != shape or v.shape != shape:
             raise ValueError(
@@ -291,8 +288,8 @@ def _softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     (see ``_softmax_unshifted``); any other call goes whole to
     ``_softmax_rows_shifted``, which chooses row by row, so each row takes
     the same path, and gets the same bits, as under a per-row test alone.
-    On 16 x 16 logits that took a call from 7.5 to 6.1 us (one thread on
-    a 2-CPU Xeon VM), against min and max tests over the row sums.
+    One reduction costs less than min and max tests over the row sums,
+    which shows on small logits, where the fixed cost is most of a call.
     Raises ``FloatingPointError`` if a shifted row's maximum is not
     finite: the logits overflowed or hold NaN, and the softmax would be
     NaN.  No warning escapes.
@@ -415,7 +412,7 @@ def sinusoidal_ape(positions, n: int) -> np.ndarray:
     imaginary and real parts of rope's phases, f_i = 10000**(-2i/n) (``classic_schedule``).
     Any finite position is accepted; NaN or +-inf positions raise ``ValueError``.
     """
-    positions = np.asarray(_as_positions(positions), dtype=float)
+    positions = _as_positions(positions)
     if positions.ndim != 1 or not np.isfinite(positions).all():
         raise ValueError("positions must be a 1-D vector of finite values")
     return _sinusoid_table(positions, n)

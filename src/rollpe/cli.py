@@ -20,7 +20,9 @@ import json
 import statistics
 import sys
 import time
+import timeit
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -86,7 +88,7 @@ class RunConfig:
             least = 0 if name == "seed" else 1
             setattr(self, name, _as_count(getattr(self, name), name, least))
         _check_positive(self.lam, "lambda")
-        if self.format not in ("json", "csv"):
+        if self.format not in tuple(_RENDERERS):  # a tuple test refuses an unhashable format too
             raise ValueError(f"unknown format {self.format!r}")
         _score_scale(self.n, self.d_override)
         if self.command == "attention-demo" and self.t > 256:
@@ -211,7 +213,7 @@ def _cmd_grad_check(cfg: RunConfig):
     batch = AttentionBatch(qm, km, vm, np.arange(cfg.t))
     rows = []
     for trial, (name, pe) in enumerate(_demo_pe_configs(cfg).items()):
-        row = _base_row(trial, cfg, residual=grad_check(pe, batch, eps=1e-5))
+        row = _base_row(trial, cfg, residual=grad_check(pe, batch))
         row["kind"] = name
         rows.append(row)
     return rows, _summarize_residuals(rows, _THRESHOLDS[cfg.command])
@@ -241,19 +243,11 @@ def _cmd_attention_demo(cfg: RunConfig):
 
 
 def _bench_one(fn, cfg: RunConfig):
-    """Loops per repeat, median repeat time and ops per second of ``fn``."""
-    start = time.perf_counter()
-    for _ in range(_BENCH_WARMUP):
-        fn()
-    per_call = (time.perf_counter() - start) / _BENCH_WARMUP
+    """Loops per repeat, median repeat time and ops per second of ``fn``, timed by ``timeit``."""
+    timer = timeit.Timer(fn)
+    per_call = timer.timeit(_BENCH_WARMUP) / _BENCH_WARMUP
     loops = max(1, min(cfg.trials, int(_BENCH_TARGET_S / max(per_call, 1e-9))))
-    times = []
-    for _ in range(_BENCH_REPEATS):
-        start = time.perf_counter()
-        for _ in range(loops):
-            fn()
-        times.append(time.perf_counter() - start)
-    median = statistics.median(times)
+    median = statistics.median(timer.repeat(_BENCH_REPEATS, loops))
     return loops, median, loops / median
 
 
@@ -334,24 +328,19 @@ def run(config: RunConfig) -> Report:
         command=config.command, config=asdict(config), rows=rows, summary=summary
     )
     if config.output_path:
-        write_report(report, config.output_path, config.format)
+        text = _RENDERERS[config.format](report)
+        # one final newline: JSON ends without one, CSV's last row in "\r\n"
+        Path(config.output_path).write_text(text.removesuffix("\n") + "\n", encoding="utf-8")
     return report
 
 
 def render_csv(report: Report) -> str:
-    extras = []
-    for row in report.rows:
-        for key in row:
-            if key not in _CSV_BASE_COLUMNS and key not in extras:
-                extras.append(key)
+    # the base columns, then every other key in the order rows first use it
+    columns = dict.fromkeys([*_CSV_BASE_COLUMNS, *(key for row in report.rows for key in row)])
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(list(_CSV_BASE_COLUMNS) + extras)
-    for row in report.rows:
-        writer.writerow(
-            [row.get(col, "") for col in _CSV_BASE_COLUMNS]
-            + [row.get(col, "") for col in extras]
-        )
+    writer = csv.DictWriter(buf, columns, restval="")
+    writer.writeheader()
+    writer.writerows(report.rows)
     return buf.getvalue()
 
 
@@ -359,12 +348,7 @@ def render_json(report: Report) -> str:
     return json.dumps(report.to_dict(), indent=2)
 
 
-def write_report(report: Report, path: str, fmt: str) -> None:
-    text = render_json(report) if fmt == "json" else render_csv(report)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
+_RENDERERS = {"json": render_json, "csv": render_csv}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -383,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--trials", type=int)
     parser.add_argument("--out", dest="output_path", help="report file path (stdout when omitted)")
-    parser.add_argument("--format", choices=("json", "csv"))
+    parser.add_argument("--format", choices=tuple(_RENDERERS))
     parser.add_argument("--d-override", dest="d_override", type=float,
                         help="override the sqrt(d) normalizer (default: n)")
     return parser
@@ -400,8 +384,8 @@ def main(argv=None) -> int:
     if config.output_path:
         print(f"{config.command}: wrote {config.format} report to {config.output_path}")
     else:
-        print(render_json(report) if config.format == "json" else render_csv(report))
-    return 0 if report.summary.get("passed", True) else 1
+        print(_RENDERERS[config.format](report))
+    return 0 if report.summary["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -81,17 +81,21 @@ def _check_finite(x: np.ndarray, name: str) -> None:
 
 
 def _as_positions(p) -> np.ndarray:
-    """``p`` as an array of its own dtype; ``ValueError`` unless it holds real numbers.
+    """``p`` as a new float64 array; ``ValueError`` unless it holds real numbers float64 can hold.
 
     Strings and bytes, which a float conversion would parse, and complex
     numbers are refused; an object array, such as Python ints beyond
-    int64, is checked entry by entry.
+    int64, is checked entry by entry, and a Python int beyond the float64
+    range is refused too, where the conversion would raise ``OverflowError``.
     """
     arr = np.asarray(p)
     kind = arr.dtype.kind
     if kind not in "biufO" or (kind == "O" and not all(isinstance(v, _REALS) for v in arr.flat)):
         raise ValueError(f"positions must be real numbers, got dtype {arr.dtype}")
-    return arr
+    try:
+        return arr.astype(float)
+    except OverflowError:
+        raise ValueError("positions must lie within the float64 range") from None
 
 
 def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -106,7 +110,7 @@ def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:
     entries of ``x`` are left to the caller to check.
     """
     arr = np.asarray(x, dtype=float)
-    pos = np.asarray(_as_positions(p), dtype=float)
+    pos = _as_positions(p)
     if arr.ndim not in (1, 2, 3) or arr.size == 0:
         raise ValueError(
             f"{name} must be a non-empty 1-D vector, (t, n) stack of rows "
@@ -144,10 +148,10 @@ def _as_shifts(q: np.ndarray, p):
 
     A vector takes any integer ``p`` and gets an int.  A (t, n) or
     (s, t, n) stack gets an integer array: positions of an integer dtype,
-    and Python ints beyond int64, are reduced with an integer modulus,
-    exactly at any magnitude; others are read as float64.  A fractional,
-    non-finite or misshapen position raises ``ValueError`` before any
-    reduction.
+    and Python ints beyond int64 but within the float64 range, are reduced
+    with an integer modulus, exactly; others are read as float64.  A
+    fractional, non-finite or misshapen position raises ``ValueError``
+    before any reduction.
     """
     if q.ndim == 1:
         return _as_steps(p) % _as_vector(q).size

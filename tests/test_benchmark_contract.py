@@ -10,6 +10,7 @@ generator diagnostics through the package's exports.
 """
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,9 +18,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("attend-long", "attend-short-axial", "invariant-sweep")
 
 
-@pytest.mark.parametrize("workload", ["attend-long", "attend-short-axial", "invariant-sweep"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_runs_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -29,3 +31,12 @@ def test_workload_runs_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_readme_names_every_workload_run_here():
+    """The README's ``## Tests`` paragraph on this module names exactly the workloads it runs."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Tests\n", 1)[1].split("\n## ", 1)[0]
+    paragraph = next(p for p in section.split("\n\n") if "test_benchmark_contract.py" in p)
+    # workload names are lowercase words joined by hyphens; file paths hold a "/" or a "."
+    assert sorted(re.findall(r"`([a-z]+(?:-[a-z]+)+)`", paragraph)) == sorted(WORKLOADS)

@@ -9,8 +9,9 @@ stack), also get one table each for misshapen and non-finite positions;
 the two kernels that are not permutations one more for non-finite rows.
 ``AttentionBatch`` positions, the witness's gap threshold, seeds, values
 that are not real where a positive real belongs, Python ints beyond the
-float range there, positions that are not real numbers, and the even
-length that rope and the APE need get one table each as well.  The
+float range there and as positions, positions that are not real numbers,
+and the even length that rope and the APE need get one table each as
+well.  The
 score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
 differ, for misshapen and for non-finite stack positions on each side,
@@ -294,6 +295,31 @@ _STRINGS = ["1", "2", "3"]
 def test_non_real_position_raises(call):
     """A string or bytes position is refused, not parsed as the number it spells."""
     with pytest.raises(ValueError, match="positions must be real numbers"):
+        call()
+
+
+_TWO_ROWS = _ROWS[:2]
+_HUGE_POSITIONS = [0, _HUGE]
+
+
+@_table({
+    "AttentionBatch": lambda: AttentionBatch(*np.zeros((3, 2, 4)), _HUGE_POSITIONS),
+    "roll_continuous": lambda: roll_continuous(_TWO_ROWS, _HUGE_POSITIONS),
+    "roll_continuous/vector": lambda: roll_continuous(Q, _HUGE),
+    "rope_apply": lambda: rope_apply(_TWO_ROWS, _HUGE_POSITIONS, _SCHED4),
+    "rope_apply/vector": lambda: rope_apply(np.ones(4), -_HUGE, _SCHED4),
+    "equivalence_residual/p_q":
+        lambda: equivalence_residual(_TWO_ROWS, _TWO_ROWS, _HUGE_POSITIONS, [0, 1]),
+    "equivalence_residual/p_k": lambda: equivalence_residual(Q, Q, 0.0, _HUGE),
+    "sinusoidal_ape": lambda: sinusoidal_ape(_HUGE_POSITIONS, 4),
+    "roll_discrete": lambda: roll_discrete(_TWO_ROWS, _HUGE_POSITIONS),
+    "mproll": lambda: mproll([_TWO_ROWS, _TWO_ROWS], _HUGE_POSITIONS),
+    "rollpe_score": lambda: rollpe_score(_TWO_ROWS, _TWO_ROWS, [0, 1], _HUGE_POSITIONS),
+    "relative_form_score": lambda: relative_form_score(_TWO_ROWS, _TWO_ROWS, _HUGE_POSITIONS),
+})
+def test_position_beyond_float_range_raises(call):
+    """A Python int position beyond the float64 range is refused, not an ``OverflowError``."""
+    with pytest.raises(ValueError, match="positions must lie within the float64 range"):
         call()
 
 

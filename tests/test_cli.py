@@ -1,6 +1,7 @@
 """Tests for the command-line harness and its report contract."""
 
 import csv
+import gc
 import json
 import math
 import re
@@ -59,6 +60,20 @@ class TestRun:
             "rope",
             "multiplexed-roll",
         }
+
+    @pytest.mark.parametrize("gc_enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_bench_times_through_timeit(self, gc_enabled):
+        """Loops stay in [1, trials], and timeit hands back the collector as it found it."""
+        was = gc.isenabled()
+        (gc.enable if gc_enabled else gc.disable)()
+        try:
+            rep = run(RunConfig(command="bench", n=16, trials=300))
+            assert gc.isenabled() is gc_enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        for row in rep.rows:
+            assert 1 <= row["loops"] <= 300
+            assert row["ops_per_sec"] > 0
 
     def test_bench_reports_throughput(self):
         rep = run(RunConfig(command="bench", n=64, trials=300, seed=0))
@@ -163,6 +178,88 @@ class TestReportFiles:
         header = render_csv(rep).splitlines()[0]
         assert header.startswith("trial,n,lambda,p_q,p_k,residual")
         assert "kind" in header
+
+
+# rows with different extra keys, a None value, and keys the first row lacks
+_HAND_ROWS = [
+    {"trial": 0, "p_q": None, "kind": "rope"},
+    {"shift": 5, "residual": 0.25, "alpha": None},
+]
+
+
+def _hand_report() -> Report:
+    return Report(command="rope-equivalence", config={"n": 4}, rows=_HAND_ROWS,
+                  summary={"passed": True})
+
+
+class TestRenderers:
+    def test_csv_bytes(self):
+        """Base columns first, then other keys in first-use order; CRLF rows; None and
+        missing keys are empty cells."""
+        assert render_csv(_hand_report()) == (
+            "trial,n,lambda,p_q,p_k,residual,kind,shift,alpha\r\n"
+            "0,,,,,,rope,,\r\n"
+            ",,,,,0.25,,5,\r\n"
+        )
+
+    def test_json_bytes(self):
+        assert cli.render_json(_hand_report()) == """{
+  "schema_version": "1",
+  "command": "rope-equivalence",
+  "config": {
+    "n": 4
+  },
+  "rows": [
+    {
+      "trial": 0,
+      "p_q": null,
+      "kind": "rope"
+    },
+    {
+      "shift": 5,
+      "residual": 0.25,
+      "alpha": null
+    }
+  ],
+  "summary": {
+    "passed": true
+  }
+}"""
+
+    def test_format_choices_are_the_formats_validate_accepts(self):
+        action = next(a for a in cli._build_parser()._actions if "--format" in a.option_strings)
+        assert tuple(action.choices) == ("json", "csv")
+        for fmt in action.choices:
+            RunConfig(command="bench", format=fmt).validate()
+        for fmt in ("xml", "JSON", "", None, ["json"]):
+            with pytest.raises(ValueError, match="unknown format"):
+                RunConfig(command="bench", format=fmt).validate()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_each_format_goes_through_main(self, fmt, monkeypatch, capsys, tmp_path):
+        """stdout gets the report and print's newline; a file gets it ending in one ``\\n``."""
+        monkeypatch.setitem(cli._RUNNERS, "rope-equivalence",
+                            lambda cfg: ([dict(row) for row in _HAND_ROWS], {"passed": True}))
+        reports = []
+
+        def recording_run(cfg):
+            reports.append(run(cfg))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        render = {"json": cli.render_json, "csv": render_csv}[fmt]
+        argv = ["--command", "rope-equivalence", "--format", fmt]
+
+        assert main(argv) == 0
+        assert capsys.readouterr().out == render(reports[-1]) + "\n"
+
+        path = tmp_path / f"report.{fmt}"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"rope-equivalence: wrote {fmt} report to {path}\n"
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+        text = render(reports[-1])
+        assert data.decode("utf-8") == (text if fmt == "csv" else text + "\n")
 
 
 class TestMain:

@@ -126,6 +126,12 @@ class TestRollDiscreteStack:
             np.testing.assert_array_equal(roll_discrete(q[None], [p])[0], want)
             np.testing.assert_array_equal(roll_discrete(q[None, None], [p])[0, 0], want)
 
+    def test_vector_shift_beyond_float_range_reduces_exactly(self):
+        """A vector's shift is reduced as an int, never read as a float, so 10**400 is a shift."""
+        q = np.arange(7.0)
+        for p in (10**400, -(10**400)):
+            np.testing.assert_array_equal(roll_discrete(q, p), roll_discrete(q, p % 7))
+
     def test_fraction_beside_a_python_int_beyond_int64_raises(self):
         with pytest.raises(ValueError, match="must be an integer"):
             roll_discrete(np.ones((2, 4)), [2**70, 0.5])
