@@ -4,12 +4,10 @@ The layer owns no learned parameters: callers pass Q/K/V directly and a
 ``PEConfig`` naming the encoding.  Encodings are applied to query and key
 rows only (never values), either on the whole row with a scalar position
 or axially, with each half of the row encoded by one coordinate of a 2-D
-position.  Every encoding here is an affine map of the row, which is what
-lets ``grad_check`` compare an analytic input gradient against central
-finite differences.  The analytic gradient reads each row's linear map
-off the forward encoder: with e_j in row-set j of the encoded stack and
-zeros in row-set n, J_i e_j = enc[j, i] - enc[n, i], so no transposed
-encoder is written out.
+position.  Every encoding here is an affine map of the row, so
+``grad_check`` reads the loss's derivative along a direction U off the
+forward encoder, J_i U_i = enc(U)[i] - enc(0)[i]: one kernel call on
+3k + 3 row-sets for k seeded directions, whatever n is.
 
 A batch is (t, n) Q, K, V with (t,) positions, (t, 2) when axial, or B
 row-sets: (B, t, n) arrays with (B, t) or (B, t, 2) positions.  The 2-D
@@ -41,13 +39,7 @@ shifted (see ``_softmax_rows``).  Q and K are encoded straight from the
 batch's one [Q, K, V] block, with no copy.  One allocation rather than
 two lets glibc's malloc keep the memory from call to call: two 8 MiB
 arrays at t = 1024 were handed back to the kernel after each call and
-page-faulted in again by the next.  ``grad_check`` takes every batch
-``attend`` takes and makes one kernel call, on the (3n + 3, B, t, n)
-stack [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j, Q, K] (B-less for
-a 2-D batch), and one softmax call, which scores its 2n + 1 query stacks
-against the encoded keys as one (2n + 1, B, t, t) batch.  The unbumped
-Q gives the analytic gradient; the bumped copies difference the loss row
-by row, since bumping Q[i, j] moves only row i of the scores.
+page-faulted in again by the next.
 
 At small t a call's fixed cost is most of its time, so the two steps
 every call pays are kept short: ``AttentionBatch`` checks and copies its
@@ -418,21 +410,29 @@ def sinusoidal_ape(positions, n: int) -> np.ndarray:
     return _sinusoid_table(positions, n)
 
 
-def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
-    """Max relative gap between analytic and finite-difference input gradients.
+# how many seeded directions grad_check differentiates along, and their seed
+_DIRECTIONS, _DIRECTION_SEED = 4, 0x6772
 
-    The scalar loss is the sum of all attention outputs; the gradient is
-    taken with respect to every entry of Q.  One core call encodes the
-    basis row-sets of the analytic Jacobians, the 2n bumped copies of Q,
-    Q and K as one (3n + 3, t, n) stack at the batch's positions, and one
-    softmax call scores Q and every bumped copy against the encoded keys.
-    Central differences use the given step and are row-local: bumping
-    Q[i, j] changes only row i of the scores, so only row i's loss term is
-    differenced.  The other rows' terms cancel exactly, so this is the
-    whole-loss central difference without its cancellation error.  A
-    batch of B row-sets is checked as one (3n + 3, B, t, n) stack, and
-    its gap is the largest over its row-sets.
+
+@lru_cache(maxsize=32)
+def _directions(t: int, n: int) -> np.ndarray:
+    """Fixed deterministic (k, t, n) directions of unit Frobenius norm, read-only."""
+    u = np.random.default_rng([t, n, _DIRECTION_SEED]).standard_normal((_DIRECTIONS, t, n))
+    u /= np.linalg.norm(u, axis=(1, 2), keepdims=True)
+    u.setflags(write=False)
+    return u
+
+
+def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
+    """Max relative gap between analytic and finite-difference directional derivatives.
+
+    The loss, the sum of all attention outputs, is differentiated in Q
+    along k seeded (t, n) directions U of unit norm, forward-mode (read
+    off the encoded U) and by central differences at Q +- eps U: ``eps``,
+    a real number in [1e-7, 1e-3], is the step along U.  A batch's gap is
+    the largest of its row-sets'.
     """
+    _check_positive(eps, "eps")
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     _check_batch(batch, pe)
@@ -444,34 +444,33 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
 
 
 def _loss_grads(batch: AttentionBatch, pe: PEConfig, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """dL/dQ of L = sum(attend(batch).output), analytic and by row-local central differences.
+    """<dL/dQ, U> of L = sum(attend(batch).output) per direction U, analytic and differenced.
 
-    Both are shaped like Q: (t, n), or (B, t, n) for B row-sets.
+    Both are (k,), or (k, B) for B row-sets, each with its own L.
     """
-    n, rank = batch.dim, batch.q.ndim
-    scale = _score_scale(n, None)
-    eye = np.eye(n).reshape((n,) + (1,) * (rank - 1) + (n,))
-    # entry j holds e_j, entry n zeros, then Q + eps e_j, Q - eps e_j, Q and K
+    scale = _score_scale(batch.dim, None)
+    u = _directions(*batch.q.shape[-2:])
+    k = len(u)
+    if batch.q.ndim == 3:
+        u = u[:, None]  # every row-set takes the same directions
+    # the 3k + 3 entries U_1..U_k, 0, Q + eps U_1..k, Q - eps U_1..k, Q and K
     stack = np.concatenate([
-        np.broadcast_to(eye, (n, *batch.q.shape)), np.zeros((1, *batch.q.shape)),
-        batch.q + eps * eye, batch.q - eps * eye, batch.q[None], batch.k[None],
+        np.broadcast_to(u, (k, *batch.q.shape)), np.zeros((1, *batch.q.shape)),
+        batch.q + eps * u, batch.q - eps * u, batch.q[None], batch.k[None],
     ])
     enc = _encode(stack, batch.positions, pe)
     enc_k = enc[-1]
-    _, scores = _attention_weights(enc[n + 1:-1], enc_k, scale)
+    _, scores = _attention_weights(enc[k + 1:-1], enc_k, scale)
 
     # loss = sum(scores @ V): d loss / d scores[i, j] = sum_m V[j, m], and
     # row i's loss term is scores[i] @ v_sum
     v_sum = batch.v.sum(axis=-1)
     terms = (scores @ v_sum[..., None])[..., 0]
-    # the bump index j leads the (n, ..., t) differences and trails Q's shape
-    to_q = (*range(1, rank), 0)
-    fd = (terms[:n] - terms[n:-1]).transpose(to_q) / (2.0 * eps)
+    # differenced row by row, then summed: the sum's rounding does not enter the difference
+    fd = (terms[:k] - terms[k:-1]).sum(axis=-1) / (2.0 * eps)
 
     g_logits = scores[-1] * (v_sum[..., None, :] - terms[-1][..., None])
     g_enc_q = g_logits @ enc_k / scale
-    # row i's map is affine, enc_i(x) = J_i x + c_i, so column j of J_i is enc[j, i] - enc[n, i]
-    jac = enc[:n] - enc[n]
-    # d loss / d Q[i] = J_i^T g_enc_q[i], whose entry j is (J_i e_j) . g_enc_q[i]
-    analytic = (jac.transpose(*to_q, rank) @ g_enc_q[..., None])[..., 0]
+    # row i's map is affine, enc_i(x) = J_i x + c_i, so J_i U_i = enc(U)[i] - enc(0)[i]
+    analytic = (g_enc_q * (enc[:k] - enc[k])).sum(axis=(-2, -1))
     return analytic, fd

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import platform
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -361,7 +362,7 @@ class TestPhaseKindsEncodeOncePerBatch:
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_kernel_calls_per_grad_check(self, pe, kernel, axial, monkeypatch):
-        """One table fetch and one core call on the one stack of basis rows, bumped
+        """One table fetch and one core call on the one stack of direction rows, stepped
         copies of Q, Q and K."""
         calls = _count_kernel_calls(monkeypatch, _grad_check, pe, axial)
         assert calls.pop("_table") == 1
@@ -657,7 +658,7 @@ class TestAttentionCore:
 
     @pytest.mark.parametrize("b", [None, 3])
     def test_grad_check_scores_its_stack_in_one_block(self, b, monkeypatch):
-        """The (2n + 1, B, t, t) logits and scores of the bumped and unbumped Q."""
+        """The (2k + 1, B, t, t) logits and scores of the stepped and unstepped Q."""
         seen = []
 
         def recording(*args):
@@ -1012,6 +1013,14 @@ class TestGradCheck:
         with pytest.raises(ValueError):
             grad_check(_pe(PEKind.NONE), batch, eps=1e-2)
 
+    @pytest.mark.parametrize(
+        "eps", ["1e-5", None, np.array([1e-5, 1e-4])], ids=["str", "none", "array"]
+    )
+    def test_eps_must_be_a_real_number(self, eps):
+        batch = _batch(np.random.default_rng(19), 2, 4)
+        with pytest.raises(ValueError, match="eps"):
+            grad_check(_pe(PEKind.NONE), batch, eps=eps)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_raises(self):
         big = np.full((3, 8), 1e200)
@@ -1062,10 +1071,13 @@ def _grad_batch(pe, axial):
 class TestAnalyticGradient:
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe", _GRAD_CONFIGS, ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}")
-    def test_matches_whole_attend_differences(self, pe, axial):
-        """The Jacobian read off the forward map gives dL/dQ of the whole attend."""
+    def test_matches_whole_attend_differences(self, pe, axial, monkeypatch):
+        """Along the t*n unit basis the forward-mode side is dL/dQ of the whole attend,
+        entry by entry."""
         batch, pe = _grad_batch(pe, axial)
-        got = _loss_grads(batch, pe, 1e-5)[0]
+        t, n = batch.q.shape
+        monkeypatch.setattr(attention, "_directions", lambda t, n: np.eye(t * n).reshape(-1, t, n))
+        got = _loss_grads(batch, pe, 1e-5)[0].reshape(t, n)
         np.testing.assert_allclose(got, _whole_attend_fd(batch, pe, 1e-5), rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize(
@@ -1079,19 +1091,20 @@ class TestAnalyticGradient:
         ids=lambda pe: pe.kind.value,
     )
     def test_catch_a_wrong_jacobian(self, pe, monkeypatch):
-        """With the basis row-sets encoded at -p the Jacobians are wrong and the check must fail."""
+        """With the direction row-sets encoded at -p the Jacobians are wrong and the check must
+        fail."""
         assert _grad_check_with_rows_at_minus_p(pe, "basis", monkeypatch) > 1e-2
 
 
 def _grad_check_with_rows_at_minus_p(pe, part, monkeypatch):
     """grad_check on a 4 x 8 batch with one part of its one stack encoded at -p.
 
-    The stack is [e_0, ..., e_(n-1), 0, Q + eps e_j, Q - eps e_j, Q, K]: "basis" is
-    its first n + 1 row-sets and "bumps" the 2n after them.
+    The stack is [U_1..U_k, 0, Q + eps U_1..k, Q - eps U_1..k, Q, K]: "basis" is its
+    first k + 1 row-sets and "bumps" the 2k after them.
     """
     forward = attention._encode
-    n = 8
-    rows = {"basis": slice(0, n + 1), "bumps": slice(n + 1, 3 * n + 1)}[part]
+    n, k = 8, attention._DIRECTIONS
+    rows = {"basis": slice(0, k + 1), "bumps": slice(k + 1, 3 * k + 1)}[part]
 
     def wrong(x, positions, pe):
         enc = forward(x, positions, pe)
@@ -1104,13 +1117,16 @@ def _grad_check_with_rows_at_minus_p(pe, part, monkeypatch):
     return grad_check(pe, AttentionBatch(q, k, v, np.array([0.0, 1.0, 3.0, 6.0])))
 
 
-class TestRowLocalDifferences:
+class TestDirectionalDifferences:
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe", _GRAD_CONFIGS, ids=lambda pe: f"{pe.kind.value}/{pe.branch.value}")
     def test_match_whole_attend_differences(self, pe, axial):
+        """The central difference along each seeded U is <whole-attend differences, U>."""
         batch, pe = _grad_batch(pe, axial)
         got = _loss_grads(batch, pe, 1e-5)[1]
-        np.testing.assert_allclose(got, _whole_attend_fd(batch, pe, 1e-5), rtol=0, atol=1e-8)
+        u = attention._directions(*batch.q.shape)
+        want = (u * _whole_attend_fd(batch, pe, 1e-5)).sum(axis=(1, 2))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize(
         "pe",
@@ -1127,6 +1143,35 @@ class TestRowLocalDifferences:
         """With the bumped copies of Q encoded at -p the differences are wrong and the
         check must fail."""
         assert _grad_check_with_rows_at_minus_p(pe, "bumps", monkeypatch) > 1e-2
+
+
+class TestGradCheckSize:
+    """A grad_check's stack, and so its memory, does not grow with n."""
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_encodes_3k_plus_3_row_sets(self, n, monkeypatch):
+        seen = []
+        forward = attention._encode
+
+        def recording(x, positions, pe):
+            seen.append(len(x))
+            return forward(x, positions, pe)
+
+        monkeypatch.setattr(attention, "_encode", recording)
+        grad_check(_pe(PEKind.ROPE), _batch(np.random.default_rng(30), 6, n))
+        assert seen == [3 * attention._DIRECTIONS + 3]
+
+    def test_peak_memory_at_t_128_n_64(self):
+        """One step per entry of Q, 3n + 3 = 195 row-sets, peaks at 65 MiB here."""
+        batch = _batch(np.random.default_rng(31), 128, 64)
+        tracemalloc.start()
+        try:
+            gap = grad_check(_pe(PEKind.ROPE), batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap < 1e-5
+        assert peak <= 16 * 2**20
 
 
 # every kind with a position table, with the core that encodes with it
