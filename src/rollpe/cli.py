@@ -54,10 +54,11 @@ _THRESHOLDS = {
 
 _CSV_BASE_COLUMNS = ("trial", "n", "lambda", "p_q", "p_k", "residual")
 
-# equivariance-report attends in blocks whose (2*block, t, t) and (2*block,
-# t, n) arrays each fit this budget, so memory does not grow with --trials.
-# 32 trials at t = n = 8 share a call, and glibc malloc reuses heap memory
-# (on x86-64 Linux, 8 MiB blocks took ~200 page faults every default pass).
+# The sweeps draw and score their trials in blocks sized by this budget, so
+# memory does not grow with --trials: equivariance-report's (2*block, t, t)
+# and (2*block, t, n) arrays each fit it.  32 trials at t = n = 8 share an
+# attend, and glibc malloc reuses heap memory (on x86-64 Linux, 8 MiB blocks
+# took ~200 page faults every default pass).
 _EQUIVARIANCE_BLOCK_BYTES = 64 * 2**10
 
 # Target duration of one timed benchmark repeat; per-op loop counts are
@@ -140,35 +141,41 @@ def _trial_rows(cfg: RunConfig, p_q, p_k, residuals) -> list:
     ]
 
 
+def _blocks(trials: int, trial_bytes: int):
+    """(block, used) per block of a sweep: its full size and the trials it runs.
+
+    A block holds as many trials as fit ``trial_bytes`` each in the byte
+    budget.  Every block is drawn at its full size, one generator call per
+    quantity, and only its first ``used`` trials run, so a trial's inputs
+    depend on the seed, the shape and its index, never on --trials.
+    """
+    block = max(1, _EQUIVARIANCE_BLOCK_BYTES // trial_bytes)
+    return [(block, min(block, trials - start)) for start in range(0, trials, block)]
+
+
 def _cmd_equivariance_report(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     d = cfg.d_override
     pe = PEConfig(kind=PEKind.ROLL_DISCRETE)
     pos = np.arange(cfg.t)
-    # each trial draws its inputs in turn, so every row keeps its draws
-    # whatever the trial count or block size; each block's unshifted and
-    # shifted copies are scored by one batched attend, and the two score
-    # checks then run over all trials at once
-    block = max(1, _EQUIVARIANCE_BLOCK_BYTES // (16 * cfg.t * (cfg.t + cfg.n)))
-    pairs, ints, res_mat = [], [], np.empty(cfg.trials)
-    for start in range(0, cfg.trials, block):
-        size = min(block, cfg.trials - start)
-        qkv = np.empty((3, 2 * size, cfg.t, cfg.n))   # row-set i and its shifted copy size + i
-        for i in range(size):
-            pairs.append(rng.standard_normal((2, cfg.n)))
-            ints.append(rng.integers(-2 * cfg.n, 2 * cfg.n + 1, size=3))  # p_q, p_k, shift
-            qkv[:, i] = rng.standard_normal((3, cfg.t, cfg.n))
-        qkv[:, size:] = qkv[:, :size]
-        shifts = np.stack(ints[start:])[:, 2:]
-        positions = np.concatenate([np.broadcast_to(pos, (size, cfg.t)), pos + shifts])
+    # each block's unshifted and shifted copies are scored by one batched
+    # attend, and the two score checks then run over all trials at once
+    pairs, ints, res_mat = [], [], []
+    for block, used in _blocks(cfg.trials, 16 * cfg.t * (cfg.t + cfg.n)):
+        pairs.append(rng.standard_normal((block, 2, cfg.n))[:used])
+        # each row of ints: p_q, p_k, shift
+        ints.append(rng.integers(-2 * cfg.n, 2 * cfg.n + 1, size=(block, 3))[:used])
+        qkv = rng.standard_normal((3, block, cfg.t, cfg.n))[:, :used]
+        qkv = np.concatenate([qkv, qkv], axis=1)   # row-set i and its shifted copy used + i
+        positions = np.concatenate([np.broadcast_to(pos, (used, cfg.t)), pos + ints[-1][:, 2:]])
         scores = attend(AttentionBatch(*qkv, positions), pe, d).scores
-        res_mat[start : start + size] = np.abs(scores[size:] - scores[:size]).max(axis=(1, 2))
-    q, k = np.stack(pairs, axis=1)
-    p_q, p_k, shift = np.stack(ints, axis=1)
+        res_mat.append(np.abs(scores[used:] - scores[:used]).max(axis=(1, 2)))
+    q, k = np.concatenate(pairs).transpose(1, 0, 2)
+    p_q, p_k, shift = np.concatenate(ints).T
     base = rollpe_score(q, k, p_q, p_k, d)
     res_shift = np.abs(rollpe_score(q, k, p_q + shift, p_k + shift, d) - base)
     res_rel = np.abs(base - relative_form_score(q, k, p_k - p_q, d))
-    residuals = np.maximum(np.maximum(res_shift, res_rel), res_mat)
+    residuals = np.maximum(np.maximum(res_shift, res_rel), np.concatenate(res_mat))
     rows = _trial_rows(cfg, p_q, p_k, residuals)
     return rows, _summarize_residuals(rows, _THRESHOLDS[cfg.command])
 
@@ -176,11 +183,11 @@ def _cmd_equivariance_report(cfg: RunConfig):
 def _cmd_rope_equivalence(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     pairs, positions = [], []
-    for _ in range(cfg.trials):
-        pairs.append(rng.standard_normal((2, cfg.n)))
-        positions.append(rng.uniform(-3.0 * cfg.n, 3.0 * cfg.n, size=2))
-    q, k = np.stack(pairs, axis=1)
-    p_q, p_k = np.stack(positions, axis=1)
+    for block, used in _blocks(cfg.trials, 16 * (cfg.n + 1)):
+        pairs.append(rng.standard_normal((block, 2, cfg.n))[:used])
+        positions.append(rng.uniform(-3.0 * cfg.n, 3.0 * cfg.n, size=(block, 2))[:used])
+    q, k = np.concatenate(pairs).transpose(1, 0, 2)
+    p_q, p_k = np.concatenate(positions).T
     residuals = equivalence_residual(q, k, p_q, p_k, cfg.lam)
     rows = _trial_rows(cfg, p_q, p_k, residuals)
     return rows, _summarize_residuals(rows, _THRESHOLDS[cfg.command])

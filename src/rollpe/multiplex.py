@@ -108,10 +108,13 @@ def equivariance_violation_witness(
 
     Draws banks and positions from a deterministic generator until
     |score(p_q + t, p_k + t) - score(p_q, p_k)| exceeds ``gap_threshold``.
-    Each attempt draws its inputs in turn, so a larger budget keeps every
-    earlier attempt; blocks of 1, 2, 4, ... attempts are scored with two
-    stacked ``mproll_score`` calls each.  The result is the first attempt
-    over the threshold, else the first with the largest gap.  A
+    Attempts run in blocks of 1, 2, 4, ... (at most 2**16 // (waves * n)
+    each).  A block draws its banks, positions and shifts in one generator
+    call each, always at its full size, and runs only the attempts the
+    budget has left, so an attempt's inputs never depend on the budget.
+    Each block is scored with two stacked ``mproll_score`` calls.  The
+    result is the first attempt over the threshold, else the first with
+    the largest gap.  A
     single-wave bank never produces a witness; the search then exhausts
     its budget.  ``gap_threshold`` must be finite and positive, ``seed``
     an integer of at least 0.
@@ -123,16 +126,15 @@ def equivariance_violation_witness(
     rng = np.random.default_rng(_as_count(seed, "seed", least=0))
     best = EquivarianceWitness(found=False, attempts=budget, gap=0.0)
     done, size = 0, 1
+    # a block holds at most 2**16 draws of each side, whatever the budget
+    most = max(1, 2**16 // (waves * n))
     while done < budget:
-        # a block holds at most 2**16 draws of each side, whatever the budget
-        size = min(size, budget - done, max(1, 2**16 // (waves * n)))
-        banks = np.empty((size, 2, waves, n))   # attempt i: its query and key banks
-        ints = np.empty((size, 3), dtype=np.int64)   # attempt i: p_q, p_k, t
-        for i in range(size):
-            rng.standard_normal(out=banks[i])
-            ints[i, :2] = rng.integers(0, n, size=2)
-            ints[i, 2] = rng.integers(1, n)
-        stacks, (p_q, p_k, t) = banks.transpose(1, 2, 0, 3), ints.T
+        size = min(size, most)
+        used = min(size, budget - done)
+        banks = rng.standard_normal((size, 2, waves, n))[:used]   # attempt i: query and key banks
+        p_q, p_k = rng.integers(0, n, size=(size, 2))[:used].T
+        t = rng.integers(1, n, size=size)[:used]
+        stacks = banks.transpose(1, 2, 0, 3)
         before = mproll_score(*stacks, p_q, p_k)
         after = mproll_score(*stacks, p_q + t, p_k + t)
         gaps = np.abs(after - before)
@@ -148,6 +150,6 @@ def equivariance_violation_witness(
             return witness
         if witness.gap > best.gap:
             best = witness
-        done += size
+        done += used
         size *= 2
     return replace(best, attempts=budget)

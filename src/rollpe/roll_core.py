@@ -51,9 +51,13 @@ def _as_steps(p, name: str = "shift count") -> int:
     return steps
 
 
+# True compares as 1 and is a Real, but a bool is a flag, not a count or a length
+_BOOLS = (bool, np.bool_)
+
+
 def _as_count(n, name: str = "n", least: int = 1) -> int:
-    """``n`` as an int >= ``least``; fractions, NaN, inf and less raise ``ValueError``."""
-    if not n >= least:
+    """``n`` as an int >= ``least``; fractions, NaN, inf, bools and less raise ``ValueError``."""
+    if isinstance(n, _BOOLS) or not n >= least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {n!r}")
     return _as_steps(n, name)
 
@@ -66,11 +70,11 @@ _FLOAT_MAX = sys.float_info.max
 def _check_positive(x, name: str) -> None:
     """``ValueError`` unless ``x`` is a finite, positive real: a wavelength, ``d``, a threshold.
 
-    A string, an array or any other value that is not a real number is refused too,
-    and so is a Python int beyond the float64 range, which compares below inf but
-    cannot be converted to a float.
+    A string, an array, a bool or any other value that is not a real number is
+    refused too, and so is a Python int beyond the float64 range, which compares
+    below inf but cannot be converted to a float.
     """
-    if not (isinstance(x, _REALS) and 0 < x <= _FLOAT_MAX):
+    if not (isinstance(x, _REALS) and not isinstance(x, _BOOLS) and 0 < x <= _FLOAT_MAX):
         raise ValueError(f"{name} must be finite and positive, got {x!r}")
 
 

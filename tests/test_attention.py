@@ -668,12 +668,13 @@ class TestAttentionCore:
         weights = attention._attention_weights
         monkeypatch.setattr(attention, "_attention_weights", recording)
         rng = np.random.default_rng(29)
-        shape = (5, 4) if b is None else (b, 5, 4)
+        # n = 6, where 2n + 1 = 13 and 2k + 1 = 9 differ
+        shape = (5, 6) if b is None else (b, 5, 6)
         q, k, v = rng.standard_normal((3, *shape))
         positions = np.arange(5.0) + np.zeros(shape[:-1])
         grad_check(_pe(PEKind.ROPE), AttentionBatch(q, k, v, positions))
         (logits, scores), = seen
-        assert logits.shape == (9, *shape[:-1], 5)
+        assert logits.shape == (2 * attention._DIRECTIONS + 1, *shape[:-1], 5)
         _assert_halves_of_one_block(logits, scores)
 
 

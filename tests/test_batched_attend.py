@@ -7,6 +7,7 @@ from rollpe import cli
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
 from rollpe.cli import RunConfig, run
 from rollpe.spectral import SpectralBranch
+from test_cli import _per_trial_equivariance_rows
 
 _CONFIGS = [
     *[PEConfig(kind=kind, lam=1.3, waves=3) for kind in PEKind],
@@ -123,18 +124,22 @@ def _record_attends(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("budget", [1, 16 * 5 * (5 + 8) * 3], ids=["block=1", "block=3"])
+@pytest.mark.parametrize(
+    "budget", [1, 16 * 5 * (5 + 8) * 3, cli._EQUIVARIANCE_BLOCK_BYTES],
+    ids=["block=1", "block=3", "block=63"],
+)
 def test_equivariance_blocks_give_the_single_block_rows(budget, monkeypatch):
-    """Scoring the trials in blocks changes no row: each row-set attends on its own."""
-    cfg = dict(command="equivariance-report", n=8, t=5, trials=10, seed=7)
-    whole = run(RunConfig(**cfg))
+    """Scoring the trials in blocks changes no row: each row-set attends on its own,
+    bit for bit the trial-by-trial oracle on the same blocks of draws."""
+    cfg = RunConfig(command="equivariance-report", n=8, t=5, trials=10, seed=7)
+    block = max(1, budget // (16 * 5 * (5 + 8)))
+    want = _per_trial_equivariance_rows(cfg, block)
     monkeypatch.setattr(cli, "_EQUIVARIANCE_BLOCK_BYTES", budget)
     calls = _record_attends(monkeypatch)
-    split = run(RunConfig(**cfg))
-    block = 1 if budget == 1 else 3
-    assert calls[0] == (2 * block, 5, 8)
+    split = run(cfg)
+    assert calls[0] == (2 * min(block, 10), 5, 8)
     assert len(calls) == -(-10 // block)
-    assert split.rows == whole.rows
+    assert [{key: row[key] for key in want[0]} for row in split.rows] == want
 
 
 @pytest.mark.parametrize("t, trials", [(8, 100), (40, 12)], ids=["t=8", "t=40"])

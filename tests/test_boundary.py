@@ -10,8 +10,8 @@ the two kernels that are not permutations one more for non-finite rows.
 ``AttentionBatch`` positions, the witness's gap threshold, seeds, values
 that are not real where a positive real belongs, Python ints beyond the
 float range there and as positions, positions that are not real numbers,
-and the even length that rope and the APE need get one table each as
-well.  The
+bools where a count or a positive real belongs, and the even length that
+rope and the APE need get one table each as well.  The
 score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
 differ, for misshapen and for non-finite stack positions on each side,
@@ -166,6 +166,40 @@ def test_int_beyond_float_range_raises(call):
     """Refused as not finite, before a float conversion raises ``OverflowError``."""
     with pytest.raises(ValueError, match="must be finite and positive, got 1000"):
         call()
+
+
+_flags = pytest.mark.parametrize("flag", [True, np.True_], ids=["bool", "numpy-bool"])
+
+
+@_flags
+@_table({
+    "shift_matrix": lambda flag: shift_matrix(flag),
+    "PEConfig/waves": lambda flag: PEConfig(kind=PEKind.MULTIPLEXED_ROLL, waves=flag),
+    "RunConfig/n": lambda flag: RunConfig(command="rope-equivalence", n=flag).validate(),
+    "RunConfig/seed": lambda flag: RunConfig(command="rope-equivalence", seed=flag).validate(),
+    "equivariance_violation_witness/budget":
+        lambda flag: equivariance_violation_witness(8, 2, seed=0, budget=flag),
+})
+def test_bool_count_raises(call, flag):
+    """True compares as 1 and is a Real, but a flag is not a count: refused, not run as 1."""
+    with pytest.raises(ValueError, match=r"must be an integer of at least [01], got (np\.)?True"):
+        call(flag)
+
+
+@_flags
+@_table({
+    "PEConfig/lambda": lambda flag: PEConfig(lam=flag),
+    "RunConfig/lambda": lambda flag: RunConfig(command="rope-equivalence", lam=flag).validate(),
+    "roll_continuous/lambda": lambda flag: roll_continuous(Q, 0.5, flag),
+    "attend/d":
+        lambda flag: attend(AttentionBatch(*_QKV, np.arange(4.0)), PEConfig(), d=flag),
+    "equivariance_violation_witness/gap_threshold":
+        lambda flag: equivariance_violation_witness(8, 2, seed=0, gap_threshold=flag),
+})
+def test_bool_positive_real_raises(call, flag):
+    """A flag where a wavelength, ``d`` or a threshold belongs is refused, not stored as 1.0."""
+    with pytest.raises(ValueError, match=r"must be finite and positive, got (np\.)?True"):
+        call(flag)
 
 
 @_table({

@@ -7,6 +7,7 @@ import math
 import re
 import shlex
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend
 from rollpe.cli import COMMANDS, Report, RunConfig, main, render_csv, run
 from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score
 from rollpe.rope import equivalence_residual
+from test_multiplex import _attempt_inputs
 
 
 def _residuals(report: Report):
@@ -322,42 +324,59 @@ class TestMain:
         assert ",2.0," in capsys.readouterr().out
 
 
-def _parent_equivariance_rows(cfg: RunConfig) -> list:
-    """The per-trial loop the equivariance report ran before it scored trials in one call."""
+def _equivariance_block(cfg: RunConfig) -> int:
+    """The report's trials per block: the byte budget over 16 t (t + n) bytes a trial."""
+    return max(1, cli._EQUIVARIANCE_BLOCK_BYTES // (16 * cfg.t * (cfg.t + cfg.n)))
+
+
+def _rope_block(cfg: RunConfig) -> int:
+    """The rope check's trials per block: the byte budget over 16 (n + 1) bytes a trial."""
+    return max(1, cli._EQUIVARIANCE_BLOCK_BYTES // (16 * (cfg.n + 1)))
+
+
+def _per_trial_equivariance_rows(cfg: RunConfig, block: int) -> list:
+    """Oracle: the report's whole blocks of draws, each trial scored alone by vector calls
+    and an unshifted and a shifted 2-D attend."""
     rng = np.random.default_rng(cfg.seed)
     d = cfg.d_override if cfg.d_override is not None else float(cfg.n)
     pe = PEConfig(kind=PEKind.ROLL_DISCRETE)
+    pos = np.arange(cfg.t)
     rows = []
-    for trial in range(cfg.trials):
-        q, k = rng.standard_normal((2, cfg.n))
-        p_q, p_k, shift = (int(x) for x in rng.integers(-2 * cfg.n, 2 * cfg.n + 1, size=3))
-        base = rollpe_score(q, k, p_q, p_k, d)
-        res_shift = abs(rollpe_score(q, k, p_q + shift, p_k + shift, d) - base)
-        res_rel = abs(base - relative_form_score(q, k, p_k - p_q, d))
-        qm, km, vm = rng.standard_normal((3, cfg.t, cfg.n))
-        pos = np.arange(cfg.t)
-        before = attend(AttentionBatch(qm, km, vm, pos), pe, d).scores
-        after = attend(AttentionBatch(qm, km, vm, pos + shift), pe, d).scores
-        res_mat = float(np.abs(after - before).max())
-        rows.append(dict(trial=trial, p_q=p_q, p_k=p_k, residual=max(res_shift, res_rel, res_mat)))
+    for start in range(0, cfg.trials, block):
+        pairs = rng.standard_normal((block, 2, cfg.n))
+        ints = rng.integers(-2 * cfg.n, 2 * cfg.n + 1, size=(block, 3))
+        qkv = rng.standard_normal((3, block, cfg.t, cfg.n))
+        for i in range(min(block, cfg.trials - start)):
+            q, k = pairs[i]
+            p_q, p_k, shift = (int(x) for x in ints[i])
+            base = rollpe_score(q, k, p_q, p_k, d)
+            res_shift = abs(rollpe_score(q, k, p_q + shift, p_k + shift, d) - base)
+            res_rel = abs(base - relative_form_score(q, k, p_k - p_q, d))
+            qm, km, vm = qkv[:, i]
+            before = attend(AttentionBatch(qm, km, vm, pos), pe, d).scores
+            after = attend(AttentionBatch(qm, km, vm, pos + shift), pe, d).scores
+            res_mat = float(np.abs(after - before).max())
+            rows.append(dict(trial=len(rows), p_q=p_q, p_k=p_k,
+                             residual=max(res_shift, res_rel, res_mat)))
     return rows
 
 
-def _parent_rope_rows(cfg: RunConfig) -> list:
-    """The per-trial loop the rope-equivalence check ran before it scored trials in one call."""
+def _per_trial_rope_rows(cfg: RunConfig, block: int) -> list:
+    """Oracle: the check's whole blocks of draws, each trial scored alone by a vector call."""
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    for trial in range(cfg.trials):
-        q, k = rng.standard_normal((2, cfg.n))
-        p_q, p_k = rng.uniform(-3.0 * cfg.n, 3.0 * cfg.n, size=2)
-        residual = equivalence_residual(q, k, p_q, p_k, cfg.lam)
-        rows.append(dict(trial=trial, p_q=float(p_q), p_k=float(p_k), residual=residual))
+    for start in range(0, cfg.trials, block):
+        pairs = rng.standard_normal((block, 2, cfg.n))
+        positions = rng.uniform(-3.0 * cfg.n, 3.0 * cfg.n, size=(block, 2))
+        for i in range(min(block, cfg.trials - start)):
+            (q, k), (p_q, p_k) = pairs[i], positions[i]
+            residual = equivalence_residual(q, k, p_q, p_k, cfg.lam)
+            rows.append(dict(trial=len(rows), p_q=float(p_q), p_k=float(p_k), residual=residual))
     return rows
 
 
-def _parent_witness_rows(cfg: RunConfig) -> list:
-    """The per-attempt search multiplex-witness ran before it scored attempts in blocks."""
-    rng = np.random.default_rng(cfg.seed)
+def _per_attempt_witness_rows(cfg: RunConfig) -> list:
+    """Oracle: the search's attempts in turn, each scored alone by summed vector rolls."""
 
     def score(bank_q, bank_k, p_q, p_k):
         enc_q, enc_k = (
@@ -367,15 +386,12 @@ def _parent_witness_rows(cfg: RunConfig) -> list:
         return float(enc_q @ enc_k / math.sqrt(cfg.n))
 
     best = dict(trial=0, p_q=0, p_k=0, residual=0.0, found=False, shift=0)
-    for attempt in range(cfg.trials):
-        bank_q = rng.standard_normal((cfg.waves, cfg.n))
-        bank_k = rng.standard_normal((cfg.waves, cfg.n))
-        p_q, p_k = (int(x) for x in rng.integers(0, cfg.n, size=2))
-        t = int(rng.integers(1, cfg.n))
+    attempts = islice(_attempt_inputs(cfg.n, cfg.waves, cfg.seed), cfg.trials)
+    for attempt, (bank_q, bank_k, p_q, p_k, t) in enumerate(attempts, start=1):
         gap = abs(score(bank_q, bank_k, p_q + t, p_k + t) - score(bank_q, bank_k, p_q, p_k))
         row = dict(trial=0, p_q=p_q, p_k=p_k, residual=gap, found=gap > 1e-3, shift=t)
         if row["found"]:
-            return [{**row, "attempts": attempt + 1}]
+            return [{**row, "attempts": attempt}]
         if gap > best["residual"]:
             best = row
     return [{**best, "attempts": cfg.trials}]
@@ -385,21 +401,24 @@ def _parent_witness_rows(cfg: RunConfig) -> list:
     "cfg, loop",
     [
         *[pytest.param(RunConfig(command="equivariance-report", n=n, t=4, trials=30, seed=seed),
-                       _parent_equivariance_rows, id=f"equivariance-report/n={n}")
+                       lambda cfg: _per_trial_equivariance_rows(cfg, _equivariance_block(cfg)),
+                       id=f"equivariance-report/n={n}")
           for n, seed in ((8, 0), (9, 1), (16, 2))],
         *[pytest.param(RunConfig(command="rope-equivalence", n=n, lam=lam, trials=40, seed=seed),
-                       _parent_rope_rows, id=f"rope-equivalence/n={n}/lambda={lam}")
+                       lambda cfg: _per_trial_rope_rows(cfg, _rope_block(cfg)),
+                       id=f"rope-equivalence/n={n}/lambda={lam}")
           for n, lam, seed in ((8, 1.0, 0), (9, 1.0, 1), (8, 0.7, 2), (5, 2.5, 3))],
         *[pytest.param(RunConfig(command="multiplex-witness", n=n, waves=waves, trials=100,
                                  seed=seed),
-                       _parent_witness_rows, id=f"multiplex-witness/n={n}/W={waves}/seed={seed}")
+                       _per_attempt_witness_rows,
+                       id=f"multiplex-witness/n={n}/W={waves}/seed={seed}")
           for n in (3, 8) for waves in (2, 3) for seed in (0, 1, 5)],
     ],
 )
 def test_batched_sweep_matches_the_per_trial_loop(cfg, loop):
-    """Each sweep draws each trial's inputs in turn, then scores them in one call (the
-    witness search in blocks): every row keeps its (trial, p_q, p_k) and the witness its
-    shift and attempt count, while residuals move by rounding only."""
+    """Each sweep draws its inputs a block at a time, then scores them in one call (the
+    witness search in blocks): every row keeps the (trial, p_q, p_k) of the trial-by-trial
+    oracle and the witness its shift and attempt count, while residuals move by rounding only."""
     want = loop(cfg)
     got = run(cfg).rows
     assert len(got) == len(want)
@@ -412,9 +431,59 @@ def test_batched_sweep_matches_the_per_trial_loop(cfg, loop):
 def test_default_equivariance_report_equals_the_per_trial_loop():
     """At the default config (n = t = 8, 100 trials) the batched attends change no bit."""
     cfg = RunConfig(command="equivariance-report")
-    want = _parent_equivariance_rows(cfg)
+    want = _per_trial_equivariance_rows(cfg, _equivariance_block(cfg))
     got = run(cfg).rows
     assert [{key: row[key] for key in want[0]} for row in got] == want
+
+
+@pytest.mark.parametrize(
+    "command, trials, more",
+    [("equivariance-report", 20, 70), ("equivariance-report", 40, 70),
+     ("rope-equivalence", 20, 500), ("rope-equivalence", 460, 500)],
+)
+def test_rows_do_not_depend_on_the_trial_count(command, trials, more):
+    """A run's rows are the first rows of a longer run whose last block crosses a boundary."""
+    cfg = RunConfig(command=command, seed=4)
+    block = (_equivariance_block if command == "equivariance-report" else _rope_block)(cfg)
+    assert trials < more and block < more
+    short = run(RunConfig(command=command, trials=trials, seed=4)).rows
+    long = run(RunConfig(command=command, trials=more, seed=4)).rows
+    assert long[:trials] == short
+
+
+class _CountingGenerator:
+    """A ``numpy.random.Generator`` that records the name of each method call."""
+
+    def __init__(self, rng, draws: list):
+        self._rng, self._draws = rng, draws
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            self._draws.append(name)
+            return method(*args, **kwargs)
+
+        return draw
+
+
+@pytest.mark.parametrize(
+    "cfg, draws",
+    [
+        (RunConfig(command="equivariance-report"), 3 * 4),   # 4 blocks of 32 trials
+        (RunConfig(command="rope-equivalence"), 2 * 1),   # 1 block of 455 trials
+        (RunConfig(command="multiplex-witness", waves=1), 3 * 7),   # blocks of 1, 2, ..., 64
+    ],
+    ids=lambda x: x.command if isinstance(x, RunConfig) else str(x),
+)
+def test_sweeps_draw_each_quantity_once_per_block(cfg, draws, monkeypatch):
+    """No sweep draws its inputs trial by trial: one generator call per quantity per block."""
+    calls = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingGenerator(make(seed), calls))
+    assert run(cfg).summary["passed"]
+    assert len(calls) == draws
 
 
 def test_attention_demo_equals_two_attends_per_kind():

@@ -1,5 +1,7 @@
 """Tests for multiplexed rolls and the equivariance-violation search."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,14 +172,26 @@ class TestMprollScore:
             mproll_score(bank, bank, 0, 1, d=np.inf)
 
 
-def _per_attempt_witness(n, waves, seed, budget, gap_threshold):
-    """Oracle: score each attempt alone with bank calls, in the search's draw order."""
+def _attempt_inputs(n, waves, seed):
+    """Each attempt's (bank_q, bank_k, p_q, p_k, t) as the search draws them, without end:
+    whole blocks of 1, 2, 4, ... attempts (at most 2**16 // (waves * n)), one call per quantity."""
     rng = np.random.default_rng(seed)
+    size = 1
+    while True:
+        size = min(size, max(1, 2**16 // (waves * n)))
+        banks = rng.standard_normal((size, 2, waves, n))
+        positions = rng.integers(0, n, size=(size, 2))
+        shifts = rng.integers(1, n, size=size)
+        for (bank_q, bank_k), (p_q, p_k), t in zip(banks, positions, shifts):
+            yield bank_q, bank_k, int(p_q), int(p_k), int(t)
+        size *= 2
+
+
+def _per_attempt_witness(n, waves, seed, budget, gap_threshold):
+    """Oracle: score each attempt alone with bank calls, on the search's inputs."""
     best = (0.0, None)
-    for attempt in range(1, budget + 1):
-        bank_q, bank_k = rng.standard_normal((2, waves, n))
-        p_q, p_k = (int(x) for x in rng.integers(0, n, size=2))
-        t = int(rng.integers(1, n))
+    attempts = islice(_attempt_inputs(n, waves, seed), budget)
+    for attempt, (bank_q, bank_k, p_q, p_k, t) in enumerate(attempts, start=1):
         before = mproll_score(bank_q, bank_k, p_q, p_k)
         after = mproll_score(bank_q, bank_k, p_q + t, p_k + t)
         fields = (abs(after - before), bank_q, bank_k, p_q, p_k, t, before, after)
@@ -186,6 +200,25 @@ def _per_attempt_witness(n, waves, seed, budget, gap_threshold):
         if fields[0] > best[0]:
             best = fields
     return False, budget, best
+
+
+def _searched_inputs(monkeypatch, n, waves, seed, budget):
+    """The (bank_q, bank_k, p_q, p_k, t) of every attempt a search scores, read off its
+    ``mproll_score`` calls: each block's unshifted call, then its shifted one."""
+    calls = []
+    score = multiplex.mproll_score
+
+    def recording(*args):
+        calls.append(args)
+        return score(*args)
+
+    monkeypatch.setattr(multiplex, "mproll_score", recording)
+    equivariance_violation_witness(n, waves, seed, budget=budget, gap_threshold=1e3)
+    return [
+        (stack_q[:, i], stack_k[:, i], int(p_q[i]), int(p_k[i]), int(shifted[i] - p_q[i]))
+        for (stack_q, stack_k, p_q, p_k), (_, _, shifted, _) in zip(calls[::2], calls[1::2])
+        for i in range(len(p_q))
+    ]
 
 
 class TestEquivarianceViolationWitness:
@@ -203,6 +236,20 @@ class TestEquivarianceViolationWitness:
         assert [w.p_q, w.p_k, w.t, w.score_before, w.score_after] == rest
         np.testing.assert_array_equal(w.bank_q, bank_q)
         np.testing.assert_array_equal(w.bank_k, bank_k)
+
+    @pytest.mark.parametrize("waves", [1, 2, 3])
+    @pytest.mark.parametrize("n, seed", [(3, 4), (8, 3)])
+    def test_attempts_keep_their_inputs_whatever_the_budget(self, n, seed, waves, monkeypatch):
+        """Budgets 37 and 100 score every attempt within 37 on the same inputs, the oracle's:
+        a block is drawn whole even when the budget ends inside it."""
+        want = list(islice(_attempt_inputs(n, waves, seed), 100))
+        for budget in (37, 100):
+            got = _searched_inputs(monkeypatch, n, waves, seed, budget)
+            assert len(got) == budget
+            for (bank_q, bank_k, *ints), (want_q, want_k, *want_ints) in zip(got, want):
+                np.testing.assert_array_equal(bank_q, want_q)
+                np.testing.assert_array_equal(bank_k, want_k)
+                assert ints == want_ints
 
     def test_two_waves_find_witness(self):
         w = equivariance_violation_witness(8, 2, seed=0)
