@@ -436,7 +436,9 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     _check_batch(batch, pe)
-    analytic, fd = _loss_grads(batch, pe, eps)
+    # an overflow shows as a non-finite derivative below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        analytic, fd = _loss_grads(batch, pe, eps)
     if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(fd))):
         raise FloatingPointError("non-finite values encountered in gradient check")
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))

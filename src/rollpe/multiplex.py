@@ -14,7 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .roll_core import _as_count, _as_pair, _as_shifts, _check_positive, _roll_rows, _score_scale
+from .roll_core import (
+    _as_count,
+    _as_pair,
+    _as_shifts,
+    _check_finite,
+    _check_positive,
+    _roll_rows,
+    _score_scale,
+)
 
 __all__ = [
     "EquivarianceWitness",
@@ -44,8 +52,7 @@ def mproll(components, p) -> np.ndarray:
 def _wave_table(steps, waves: int, n: int) -> np.ndarray:
     """The (W, t) shifts w * steps mod n of waves w = 1..W, from (t,) steps reduced mod n.
 
-    A scalar step is the one-row case, (W, 1).  w * (p mod n) is reduced
-    again, so the gather takes it unchecked.
+    w * (p mod n) is reduced again, so the gather takes it unchecked.
     """
     return np.arange(1, waves + 1)[:, None] * steps % n
 
@@ -65,14 +72,18 @@ def _superpose(comps: np.ndarray, table: np.ndarray) -> np.ndarray:
     return _roll_rows(rows, shifts.reshape(-1)).reshape(comps.shape).sum(axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mproll_score(bank_q, bank_k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     """Scaled dot product of the multiplexed encodings of query and key.
 
     Two (W, n) banks with integer positions give a float; two (W, T, n)
     stacks with (T,) positions give (T,) scores, each bit for bit its bank call.
+    A score that is not finite, from sums or products that overflow or from
+    a NaN or +-inf entry, raises ``FloatingPointError``; no warning escapes.
     """
     enc_q, enc_k = _as_pair(mproll(bank_q, p_q), mproll(bank_k, p_k))
     scores = (enc_q * enc_k).sum(axis=-1) / _score_scale(enc_q.shape[-1], d)
+    _check_finite(scores, "score")
     return float(scores) if enc_q.ndim == 1 else scores
 
 

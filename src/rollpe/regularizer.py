@@ -27,11 +27,14 @@ class SmoothnessReport:
     epsilon_bound: float  # 1 - correlation
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def lipschitz_gap(q, delta_p: float, lam: float = 1.0) -> SmoothnessReport:
     """Self-correlation and Euclidean gap of ``q`` under a fractional shift.
 
     Whenever the shift is an isometry (integer steps, or odd length), the
-    two views satisfy distance^2 = 2 ||q||^2 (1 - correlation).
+    two views satisfy distance^2 = 2 ||q||^2 (1 - correlation).  A NaN or
+    +-inf in ``q``, and finite entries whose squares overflow, raise
+    ``FloatingPointError``; no warning escapes.
     """
     q = _as_vector(q)
     norm_sq = float(q @ q)
@@ -41,6 +44,7 @@ def lipschitz_gap(q, delta_p: float, lam: float = 1.0) -> SmoothnessReport:
     rolled = roll_continuous(q, delta_p, lam, SpectralBranch.CENTERED)
     correlation = float(q @ rolled) / norm_sq
     distance = float(np.linalg.norm(q - rolled))
+    _check_finite(np.array([norm_sq, correlation, distance]), "||q||^2, correlation and distance")
     return SmoothnessReport(
         correlation=correlation, distance=distance, epsilon_bound=1.0 - correlation
     )

@@ -40,19 +40,19 @@ def _as_vector(x, name: str = "q") -> np.ndarray:
     return arr
 
 
+# True compares as 1 and is a Real, but a bool is a flag, not a count, a shift or a length
+_BOOLS = (bool, np.bool_)
+
+
 def _as_steps(p, name: str = "shift count") -> int:
-    """``p`` as an int; fractions, NaN, +-inf and arrays raise ``ValueError``."""
+    """``p`` as an int; fractions, NaN, +-inf, bools and arrays raise ``ValueError``."""
     try:
-        steps = int(p)
+        steps = None if isinstance(p, _BOOLS) else int(p)
     except (OverflowError, TypeError, ValueError):
         steps = None
     if steps is None or steps != p:
         raise ValueError(f"{name} must be an integer, got {p!r}")
     return steps
-
-
-# True compares as 1 and is a Real, but a bool is a flag, not a count or a length
-_BOOLS = (bool, np.bool_)
 
 
 def _as_count(n, name: str = "n", least: int = 1) -> int:
@@ -87,14 +87,17 @@ def _check_finite(x: np.ndarray, name: str) -> None:
 def _as_positions(p) -> np.ndarray:
     """``p`` as a new float64 array; ``ValueError`` unless it holds real numbers float64 can hold.
 
-    Strings and bytes, which a float conversion would parse, and complex
-    numbers are refused; an object array, such as Python ints beyond
-    int64, is checked entry by entry, and a Python int beyond the float64
-    range is refused too, where the conversion would raise ``OverflowError``.
+    Strings and bytes, which a float conversion would parse, bools, which
+    are a mask rather than positions, and complex numbers are refused; an
+    object array, such as Python ints beyond int64, is checked entry by
+    entry, and a Python int beyond the float64 range is refused too, where
+    the conversion would raise ``OverflowError``.
     """
     arr = np.asarray(p)
     kind = arr.dtype.kind
-    if kind not in "biufO" or (kind == "O" and not all(isinstance(v, _REALS) for v in arr.flat)):
+    if kind not in "iufO" or (kind == "O" and not all(
+        isinstance(v, _REALS) and not isinstance(v, _BOOLS) for v in arr.flat
+    )):
         raise ValueError(f"positions must be real numbers, got dtype {arr.dtype}")
     try:
         return arr.astype(float)
@@ -147,18 +150,18 @@ def _as_pair(q, k) -> tuple[np.ndarray, np.ndarray]:
     return q, k
 
 
-def _as_shifts(q: np.ndarray, p):
-    """The shift of vector ``q``, or the (t,) shifts of a stack, reduced mod n.
+def _as_shifts(q: np.ndarray, p) -> np.ndarray:
+    """The (t,) integer shifts of ``q``'s rows, reduced mod n; a vector is the one-row case.
 
-    A vector takes any integer ``p`` and gets an int.  A (t, n) or
-    (s, t, n) stack gets an integer array: positions of an integer dtype,
-    and Python ints beyond int64 but within the float64 range, are reduced
-    with an integer modulus, exactly; others are read as float64.  A
-    fractional, non-finite or misshapen position raises ``ValueError``
-    before any reduction.
+    A vector takes any integer ``p``, reduced exactly whatever its
+    magnitude, into a (1,) array.  A (t, n) or (s, t, n) stack takes (t,)
+    positions: those of an integer dtype, and Python ints beyond int64 but
+    within the float64 range, are reduced with an integer modulus,
+    exactly; others are read as float64.  A fractional, non-finite or
+    misshapen position raises ``ValueError`` before any reduction.
     """
     if q.ndim == 1:
-        return _as_steps(p) % _as_vector(q).size
+        return np.array([_as_steps(p) % _as_vector(q).size])
     _, pos, _ = _as_rows(q, p)
     n = q.shape[-1]
     ints = np.asarray(p)
@@ -187,26 +190,22 @@ def _float_shifts(pos: np.ndarray, n: int) -> np.ndarray:
 def roll_discrete(q, p) -> np.ndarray:
     """Roll ``q`` by ``p`` steps: output[i] = q[(i + p) % n].
 
-    ``q`` is one vector with an integer ``p``, rolled by two slice
-    copies; a (t, n) stack of rows with (t,) integer positions, row i
-    rolled by p[i]; or an (s, t, n) stack of s row-sets sharing those
-    positions.  A stack is rolled in one gather (see ``_as_shifts`` for
-    how positions are read).  Pure index permutation, exact in floating
-    point, so NaN and +-inf entries move like any other.  A fractional,
-    non-finite or misshapen position raises ``ValueError``.  Always
-    returns a fresh array.
+    ``q`` is one vector with an integer ``p``; a (t, n) stack of rows
+    with (t,) integer positions, row i rolled by p[i]; or an (s, t, n)
+    stack of s row-sets sharing those positions (see ``_as_shifts`` for
+    how positions are read).  Row i is the window doubled[i, s:s + n] of
+    its row doubled, s = p[i]: a stack reads every window in one gather,
+    and a vector, the one-row case, reads its window as a slice.  Pure
+    index permutation, exact in floating point, so NaN and +-inf entries
+    move like any other.  A fractional, non-finite or misshapen position
+    raises ``ValueError``.  Always returns a fresh array.
     """
     q = np.asarray(q, dtype=float)
-    s = _as_shifts(q, p)
+    shifts = _as_shifts(q, p)
     if q.ndim > 1:
-        return _roll_rows(q, s)
-    n = q.size
-    if s == 0:
-        return q.copy()
-    out = np.empty_like(q)
-    out[: n - s] = q[s:]
-    out[n - s :] = q[:s]
-    return out
+        return _roll_rows(q, shifts)
+    # one slice, not the one-row gather, whose window view and index double a vector's time
+    return np.concatenate((q, q))[shifts[0] : shifts[0] + q.size]
 
 
 def _roll_rows(q: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -252,6 +251,7 @@ def _score_scale(n: int, d: float | None) -> float:
     return math.sqrt(d)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rollpe_score(q, k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     """Attention score between ``q`` rolled to ``p_q`` and ``k`` rolled to ``p_k``.
 
@@ -260,14 +260,18 @@ def rollpe_score(q, k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     pair is returned as a (T,) array; a vector is the one-row case and
     returns a float.  Each side is rolled by one ``roll_discrete`` call.
     ``d`` is the softmax normalizer (score is divided by sqrt(d));
-    defaults to the vector length.
+    defaults to the vector length.  A score that is not finite, from
+    products that overflow or from a NaN or +-inf entry, raises
+    ``FloatingPointError``; no warning escapes.
     """
     q, k = _as_pair(q, k)
     scale = _score_scale(q.shape[-1], d)
     scores = (roll_discrete(q, p_q) * roll_discrete(k, p_k)).sum(axis=-1) / scale
+    _check_finite(scores, "score")
     return float(scores) if q.ndim == 1 else scores
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def relative_form_score(q, k, delta, d: float | None = None) -> float | np.ndarray:
     """Closed-form rolled score from the position difference alone.
 
@@ -277,12 +281,13 @@ def relative_form_score(q, k, delta, d: float | None = None) -> float | np.ndarr
     scored row by row into a (T,) array.  Each distinct S^delta is built
     once and contracted with the rows that use it, so memory stays
     O(T*n + n^2).  Deliberately not routed through ``roll_discrete`` so
-    it stays an independent check.
+    it stays an independent check.  A score that is not finite raises
+    ``FloatingPointError``, as in ``rollpe_score``.
     """
     q, k = _as_pair(q, k)
     n = q.shape[-1]
     scale = _score_scale(n, d)
-    shifts = np.reshape(_as_shifts(q, delta), -1) % n
+    shifts = _as_shifts(q, delta) % n
     q_rows, k_rows = q.reshape(-1, n), k.reshape(-1, n)
     scores = np.empty(len(shifts))
     # a set, not np.unique: its first call costs the process 1.5 MiB of resident memory
@@ -292,4 +297,5 @@ def relative_form_score(q, k, delta, d: float | None = None) -> float | np.ndarr
             "ti,ij,tj->t", q_rows[rows], shift_matrix(n, shift).astype(float), k_rows[rows]
         )
     scores /= scale
+    _check_finite(scores, "score")
     return float(scores[0]) if q.ndim == 1 else scores

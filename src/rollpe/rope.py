@@ -157,6 +157,7 @@ def realified_fourier_basis(n: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray:
     """Score gap between the roll path and the rotary path on the same inputs.
 
@@ -171,7 +172,9 @@ def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray
     stack [Q; K] at the concatenated positions, and the basis and the
     schedule are built once.  A non-finite or misshapen position raises
     ``ValueError``, as does a ``lam`` so small that pi * max(1, |p|) / lam
-    overflows; a NaN or +-inf in ``q`` or ``k`` raises ``FloatingPointError``.
+    overflows; a NaN or +-inf in ``q`` or ``k`` raises ``FloatingPointError``,
+    as does a residual that is not finite, from scores that overflow.  No
+    warning escapes.
     """
     q, k = _as_pair(q, k)
     q_rows, pos_q, _ = _as_rows(q, p_q, "q")
@@ -204,4 +207,5 @@ def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray
         nyquist = np.cos(np.pi * positions / lam) * coords[:, -1]
         score_b += nyquist[:t] * nyquist[t:]
     residual = np.abs(score_a - score_b)
+    _check_finite(residual, "residual")
     return float(residual[0]) if q.ndim == 1 else residual

@@ -29,10 +29,12 @@ phase on bins 0..n/2 (RAW adds one per-bin factor), so no n-by-n matrix
 is built and the output is real by construction.  A (t, n) stack of rows,
 or an (s, t, n) stack of row-sets at shared positions, is rolled in one
 pass over a (t, n/2+1) table of unit phases, from the ``_phases`` that
-rope's rotations come from too.  The dense DFT matrix serves the generator
-and its residual diagnostics, which exponentiate through the unitary
-diagonalization; no general-purpose (Pade / scaling-squaring) matrix
-exponential is used anywhere in the library.
+rope's rotations come from too.  The dense DFT matrix builds the
+generator; the generator's residual diagnostics read exp(A) off A's first
+column through numpy's FFT, as circulants allow, so they check it by a
+path that shares no matrix with its construction.  No general-purpose
+(Pade / scaling-squaring) matrix exponential is used anywhere in the
+library.
 
 The DFT matrix of a size and the generator of a (size, branch) are
 constants: each is built once, on first use, and every later call returns
@@ -40,9 +42,8 @@ the same read-only object.  The caches hold the 64 most recent DFT sizes
 and the 128 most recent generators, each n*n complex values (16 * n**2
 bytes), so one pass over n = 1..32 and both branches keeps all of its
 entries.  ``generator_residuals`` is not cached: it measures whatever
-generator it is handed, against per-size constants (F^H, the one-step
-shift and a gather index, 32 * n**2 bytes) kept for the 64 most recent
-sizes.
+generator it is handed, against a per-size circulant gather index
+(8 * n**2 bytes) kept for the 64 most recent sizes.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .roll_core import _as_count, _as_rows, _check_finite, _check_positive, shift_matrix
+from .roll_core import _as_count, _as_rows, _check_finite, _check_positive
 
 __all__ = [
     "SpectralBranch",
@@ -113,8 +114,9 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 # An LRU cache smaller than a cycle of keys misses on every call of the cycle.
-# The invariant sweep cycles through n = 1..32 on both branches, 32 DFT sizes
-# and 64 generators, so each cache here holds twice its share of that cycle.
+# The invariant sweep's generator checks cycle through n = 1..32 on both
+# branches: 64 generators, whose builds read 32 DFT sizes, and 32 gather
+# indices.  Each cache here holds twice its share of that cycle.
 @lru_cache(maxsize=64)
 def _dft_matrix(n: int) -> np.ndarray:
     j = np.arange(n)
@@ -124,17 +126,12 @@ def _dft_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _residual_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F^H, the one-step shift S and the circulant gather index of size n, read-only.
-
-    Row 0 of a circulant matrix gathered at index[i, j] = (j - i) % n
-    rebuilds the whole matrix.
-    """
+def _circulant_gather(n: int) -> np.ndarray:
+    """The read-only index[i, j] = (j - i) % n that rebuilds a circulant from its row 0."""
     j = np.arange(n)
-    consts = (_dft_matrix(n).conj().T, shift_matrix(n, 1), (j[None, :] - j[:, None]) % n)
-    for arr in consts:
-        arr.setflags(write=False)
-    return consts
+    index = (j[None, :] - j[:, None]) % n
+    index.setflags(write=False)
+    return index
 
 
 def branch_angles(n: int, branch: SpectralBranch) -> np.ndarray:
@@ -233,25 +230,27 @@ def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:
 
     skew:          || A + A^H ||_F
     exp_vs_shift:  || exp(A) - S ||_F, with exp taken through the Fourier
-                   spectrum of the stored matrix (eigenvalues recovered
-                   from its first column, valid because A is circulant)
+                   spectrum of the stored matrix's first column, valid
+                   because A is circulant
     circulant:     || A - circulant reconstruction from row 0 ||_F
+
+    exp(A) and S are circulant, with first columns ifft(exp(fft(A[:, 0])))
+    and e_{n-1}, and two circulants lie sqrt(n) times their first columns'
+    distance apart, so no n-by-n product is formed.
     """
     a = gen.matrix
     n = _as_count(gen.n)
     skew = _frobenius(a + a.conj().T)
 
-    fmat = _dft_matrix(n)
-    fmat_h, shift, gather = _residual_constants(n)
-    eigs = np.sqrt(n) * (fmat @ a[:, 0])
-    exp_a = fmat_h @ (np.exp(eigs)[:, None] * fmat)
-    exp_vs_shift = _frobenius(exp_a - shift)
+    exp_col = np.fft.ifft(np.exp(np.fft.fft(a[:, 0])))
+    exp_col[-1] -= 1.0
+    exp_vs_shift = math.sqrt(n) * _frobenius(exp_col)
 
-    circulant = _frobenius(a - a[0][gather])
+    circulant = _frobenius(a - a[0][_circulant_gather(n)])
     return GeneratorResiduals(skew=skew, exp_vs_shift=exp_vs_shift, circulant=circulant)
 
 
 def _frobenius(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)`` of a matrix, by the ravel and dot products it uses, as a float."""
+    """``np.linalg.norm(x)`` of an array, by the ravel and dot products it uses, as a float."""
     x = x.ravel(order="K")
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))

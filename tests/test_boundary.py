@@ -10,15 +10,19 @@ the two kernels that are not permutations one more for non-finite rows.
 ``AttentionBatch`` positions, the witness's gap threshold, seeds, values
 that are not real where a positive real belongs, Python ints beyond the
 float range there and as positions, positions that are not real numbers,
-bools where a count or a positive real belongs, and the even length that
-rope and the APE need get one table each as well.  The
+bools where a count, a positive real, a shift or positions belong, and the
+even length that rope and the APE need get one table each as well.  The
 score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
-differ, for misshapen and for non-finite stack positions on each side,
-and ``equivalence_residual`` one more for non-finite stack rows.
+differ or that no score takes, for misshapen and for non-finite stack
+positions on each side, and ``equivalence_residual`` one more for
+non-finite stack rows.  Finite inputs whose scores, residuals or
+derivatives overflow raise ``FloatingPointError`` with no warning, in one
+table over every function that reduces them.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from rollpe.multiplex import equivariance_violation_witness, mproll, mproll_scor
 from rollpe.regularizer import lipschitz_gap
 from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
 from rollpe.rope import (
+    FrequencySchedule,
     classic_schedule,
     equivalence_residual,
     realified_fourier_basis,
@@ -199,6 +204,38 @@ def test_bool_count_raises(call, flag):
 def test_bool_positive_real_raises(call, flag):
     """A flag where a wavelength, ``d`` or a threshold belongs is refused, not stored as 1.0."""
     with pytest.raises(ValueError, match=r"must be finite and positive, got (np\.)?True"):
+        call(flag)
+
+
+@_flags
+@_table({
+    "roll_discrete": lambda flag: roll_discrete(Q, flag),
+    "shift_matrix": lambda flag: shift_matrix(4, flag),
+    "rollpe_score": lambda flag: rollpe_score(Q, Q, flag, 0),
+    "relative_form_score": lambda flag: relative_form_score(Q, Q, flag),
+    "mproll": lambda flag: mproll(Q[None], flag),
+})
+def test_bool_shift_raises(call, flag):
+    """A flag where a vector's shift belongs is refused, not rolled by 1."""
+    with pytest.raises(ValueError, match=r"shift count must be an integer, got (np\.)?True"):
+        call(flag)
+
+
+@_flags
+@_table({
+    "AttentionBatch": lambda flag: AttentionBatch(*_QKV, [flag, False, flag, False]),
+    "AttentionBatch/object":
+        lambda flag: AttentionBatch(*_QKV, np.array([0, flag, 2, 3], dtype=object)),
+    "roll_discrete": lambda flag: roll_discrete(np.eye(2), np.array([flag, False])),
+    "roll_discrete/object": lambda flag: roll_discrete(_ROWS, np.array([0, flag, 2], dtype=object)),
+    "roll_continuous": lambda flag: roll_continuous(Q, flag),
+    "rope_apply": lambda flag: rope_apply(np.ones(4), flag, _SCHED4),
+    "mproll": lambda flag: mproll([_ROWS, _ROWS], [flag, False, flag]),
+    "sinusoidal_ape": lambda flag: sinusoidal_ape([flag, False], 4),
+})
+def test_bool_positions_raise(call, flag):
+    """A mask where positions belong is refused, not read as positions 1 and 0."""
+    with pytest.raises(ValueError, match="positions must be real numbers, got dtype (bool|object)"):
         call(flag)
 
 
@@ -431,3 +468,44 @@ def test_stacked_equivalence_residual_non_finite_row_raises(side, bad):
     qk[side, 2, 1] = bad
     with pytest.raises(FloatingPointError):
         equivalence_residual(qk[0], qk[1], _P3, _P3)
+
+
+@_table({
+    "rollpe_score/row-sets":
+        lambda: rollpe_score(np.zeros((2, 2, 4)), np.zeros((2, 2, 4)), [0, 1], [0, 1]),
+    "relative_form_score/empty": lambda: relative_form_score([], [], 0),
+    "equivalence_residual/row-sets":
+        lambda: equivalence_residual(np.zeros((2, 2, 4)), np.zeros((2, 2, 4)), [0, 1], [0, 1]),
+})
+def test_score_of_row_sets_or_an_empty_vector_raises(call):
+    """The score functions take two vectors or two (T, n) stacks, and nothing else."""
+    with pytest.raises(ValueError, match=r"q must be a non-empty 1-D vector or \(T, n\) stack"):
+        call()
+
+
+def test_frequency_schedule_of_a_matrix_raises():
+    with pytest.raises(ValueError, match="omegas must be a 1-D vector"):
+        FrequencySchedule(np.ones((2, 2)))
+
+
+# finite entries whose products overflow: 1e200 * 1e200 is inf, and +inf meets -inf in a sum
+_BIG, _BIG_MIXED = [1e200, 1e200], [1e200, -1e200]
+
+
+@_table({
+    "rollpe_score": lambda: rollpe_score(_BIG, _BIG_MIXED, 0, 0),
+    "relative_form_score": lambda: relative_form_score(_BIG, _BIG_MIXED, 0),
+    "mproll_score": lambda: mproll_score([_BIG], [_BIG_MIXED], 0, 0),
+    "equivalence_residual":
+        lambda: equivalence_residual([1e200] * 3, [1e200, -1e200, 0.0], 0.3, 0.1),
+    "lipschitz_gap": lambda: lipschitz_gap([1e200] * 3, 0.5),
+    "grad_check": lambda: grad_check(
+        PEConfig(), AttentionBatch(*_QKV[:2], np.full((4, 6), 1e308), np.arange(4.0))
+    ),
+})
+def test_finite_inputs_that_overflow_raise(call):
+    """An overflow raises ``FloatingPointError``, not a NaN result or a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            call()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rollpe import roll_core
 from rollpe.roll_core import (
     relative_form_score,
     roll_discrete,
@@ -57,6 +58,13 @@ class TestRollDiscrete:
         with pytest.raises(ValueError):
             # a stack takes one position per row, not a scalar
             roll_discrete(np.ones((2, 2)), 1)
+
+    @pytest.mark.parametrize("p", [0, 3, -7, 10**30, -10**25, np.int8(-5), np.uint64(2**63 + 5)])
+    def test_a_vector_shift_is_the_one_row_stack_of_shifts(self, p):
+        """A vector's shift comes back as the (1,) shifts of its one-row stack, exactly reduced."""
+        shifts = roll_core._as_shifts(np.arange(5.0), p)
+        assert shifts.shape == (1,) and shifts.dtype.kind == "i"
+        assert shifts[0] == int(p) % 5
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(

@@ -187,23 +187,45 @@ class TestCaches:
 
     @pytest.mark.parametrize("n", range(1, 33))
     def test_residuals_equal_the_norm_formulas_exactly(self, n):
-        """Kept per-size constants and the ravel-and-dot norm change no bit of the residuals."""
+        """The cached gather index and the ravel-and-dot norm change no bit of the residuals.
+
+        exp_vs_shift is pinned to its first-column FFT formula, and held
+        within 1e-13 of the dense F^H diag(e^lambda) F - S it stands for.
+        """
+        shift_col = np.zeros(n)
+        shift_col[-1] = 1.0
         for branch in BOTH:
             gen = log_shift_generator(n, branch)
             moved = gen.matrix.copy()
             moved[n // 2, 0] += 1e-3
             for a in (gen.matrix, moved):
-                fmat = dft_matrix(n)
-                exp_a = fmat.conj().T @ (np.exp(np.sqrt(n) * (fmat @ a[:, 0]))[:, None] * fmat)
+                exp_col = np.fft.ifft(np.exp(np.fft.fft(a[:, 0])))
                 j = np.arange(n)
                 want = (
                     float(np.linalg.norm(a + a.conj().T)),
-                    float(np.linalg.norm(exp_a - shift_matrix(n, 1))),
+                    math.sqrt(n) * float(np.linalg.norm(exp_col - shift_col)),
                     float(np.linalg.norm(a - a[0][(j[None, :] - j[:, None]) % n])),
                 )
                 res = generator_residuals(ShiftGenerator(n, branch, a))
                 assert (res.skew, res.exp_vs_shift, res.circulant) == want
-        assert not any(c.flags.writeable for c in spectral._residual_constants(n))
+                fmat = dft_matrix(n)
+                exp_a = fmat.conj().T @ (np.exp(np.sqrt(n) * (fmat @ a[:, 0]))[:, None] * fmat)
+                dense = float(np.linalg.norm(exp_a - shift_matrix(n, 1)))
+                assert res.exp_vs_shift == pytest.approx(dense, rel=0, abs=1e-13)
+        assert not spectral._circulant_gather(n).flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
+    @pytest.mark.parametrize("branch", BOTH)
+    def test_residuals_of_a_built_generator_use_no_dft_matrix(self, monkeypatch, n, branch):
+        """exp(A) is read off A's first column by numpy's FFT, never rebuilt through F."""
+        gen = log_shift_generator(n, branch)
+        want = generator_residuals(gen)
+
+        def refuse(size):
+            raise AssertionError(f"dense DFT matrix of size {size} read")
+
+        monkeypatch.setattr(spectral, "_dft_matrix", refuse)
+        assert generator_residuals(gen) == want
 
     @pytest.mark.parametrize(
         "call",
