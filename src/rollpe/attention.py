@@ -284,7 +284,10 @@ def _softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     which shows on small logits, where the fixed cost is most of a call.
     Raises ``FloatingPointError`` if a shifted row's maximum is not
     finite: the logits overflowed or hold NaN, and the softmax would be
-    NaN.  No warning escapes.
+    NaN.  Callers run it with overflow and invalid operations raising
+    (``np.errstate(over="raise", invalid="raise")``, as ``attend`` and
+    ``grad_check`` do), which the unshifted case's guard needs; then no
+    warning escapes.
     """
     try:
         return _softmax_unshifted(z, out)
@@ -293,15 +296,14 @@ def _softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _softmax_rows_shifted(z, out)
 
 
-@np.errstate(over="raise", invalid="raise")
 def _softmax_unshifted(z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """exp(z) times each row sum's reciprocal, or ``FloatingPointError``.
 
     It raises unless every row sum is finite and at least 1, and one test,
-    min(sum) >= 1, stands for both bounds: an exp or a row sum that
-    overflows raises here, and so does a +inf logit, whose row sum is inf
-    and scales it by 0 to NaN; a NaN sum fails the test.  ``out`` is left
-    holding anything when this raises.
+    min(sum) >= 1, stands for both bounds: under the caller's errstate an
+    exp or a row sum that overflows raises here, and so does a +inf logit,
+    whose row sum is inf and scales it by 0 to NaN; a NaN sum fails the
+    test.  ``out`` is left holding anything when this raises.
     """
     e = np.exp(z, out)
     total = e.sum(axis=-1, keepdims=True)
@@ -379,13 +381,17 @@ def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     return enc.reshape(x.shape)
 
 
+@np.errstate(over="raise", invalid="raise")
 def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> AttentionOutput:
     """softmax(enc(Q) enc(K)^T / sqrt(d)) V with the configured encoding.
 
     A batch of B row-sets gives (B, t, n) outputs and (B, t, t) scores
     and logits, row-set b at its own positions, from the same one kernel
     call.  ``d`` defaults to the head dimension and must be finite and positive.
-    Raises ``FloatingPointError`` if the logits overflow.
+    The call runs with overflow and invalid operations raising, so finite
+    inputs whose encodings, logits or outputs overflow raise
+    ``FloatingPointError`` where they overflow, for every kind, and no
+    warning escapes.
     """
     _check_batch(batch, pe)
     scale = _score_scale(batch.dim, d)
@@ -430,17 +436,16 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     along k seeded (t, n) directions U of unit norm, forward-mode (read
     off the encoded U) and by central differences at Q +- eps U: ``eps``,
     a real number in [1e-7, 1e-3], is the step along U.  A batch's gap is
-    the largest of its row-sets'.
+    the largest of its row-sets'.  As in ``attend``, finite inputs whose
+    derivatives overflow raise ``FloatingPointError``, with no warning.
     """
     _check_positive(eps, "eps")
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     _check_batch(batch, pe)
-    # an overflow shows as a non-finite derivative below, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # as in attend: an overflow raises FloatingPointError where it happens, not a warning
+    with np.errstate(over="raise", invalid="raise"):
         analytic, fd = _loss_grads(batch, pe, eps)
-    if not (np.all(np.isfinite(analytic)) and np.all(np.isfinite(fd))):
-        raise FloatingPointError("non-finite values encountered in gradient check")
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
     return float((np.abs(analytic - fd) / denom).max())
 

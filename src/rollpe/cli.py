@@ -30,6 +30,7 @@ from .attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
 from .multiplex import equivariance_violation_witness
 from .roll_core import (
     _as_count,
+    _blocks,
     _check_positive,
     _score_scale,
     relative_form_score,
@@ -53,13 +54,6 @@ _THRESHOLDS = {
 }
 
 _CSV_BASE_COLUMNS = ("trial", "n", "lambda", "p_q", "p_k", "residual")
-
-# The sweeps draw and score their trials in blocks sized by this budget, so
-# memory does not grow with --trials: equivariance-report's (2*block, t, t)
-# and (2*block, t, n) arrays each fit it.  32 trials at t = n = 8 share an
-# attend, and glibc malloc reuses heap memory (on x86-64 Linux, 8 MiB blocks
-# took ~200 page faults every default pass).
-_EQUIVARIANCE_BLOCK_BYTES = 64 * 2**10
 
 # Target duration of one timed benchmark repeat; per-op loop counts are
 # capped so a single repeat stays near this, with config.trials as the
@@ -141,33 +135,23 @@ def _trial_rows(cfg: RunConfig, p_q, p_k, residuals) -> list:
     ]
 
 
-def _blocks(trials: int, trial_bytes: int):
-    """(block, used) per block of a sweep: its full size and the trials it runs.
-
-    A block holds as many trials as fit ``trial_bytes`` each in the byte
-    budget.  Every block is drawn at its full size, one generator call per
-    quantity, and only its first ``used`` trials run, so a trial's inputs
-    depend on the seed, the shape and its index, never on --trials.
-    """
-    block = max(1, _EQUIVARIANCE_BLOCK_BYTES // trial_bytes)
-    return [(block, min(block, trials - start)) for start in range(0, trials, block)]
-
-
 def _cmd_equivariance_report(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     d = cfg.d_override
     pe = PEConfig(kind=PEKind.ROLL_DISCRETE)
-    pos = np.arange(cfg.t)
+    t, n = cfg.t, cfg.n
+    pos = np.arange(t)
     # each block's unshifted and shifted copies are scored by one batched
     # attend, and the two score checks then run over all trials at once
     pairs, ints, res_mat = [], [], []
-    for block, used in _blocks(cfg.trials, 16 * cfg.t * (cfg.t + cfg.n)):
-        pairs.append(rng.standard_normal((block, 2, cfg.n))[:used])
+    # a trial's bytes: its draws, or its two (t, t) scores and (t, n) rows if more
+    for block, used in _blocks(cfg.trials, 8 * max(3 * t * n + 2 * n + 3, 2 * t * (t + n))):
+        pairs.append(rng.standard_normal((block, 2, n))[:used])
         # each row of ints: p_q, p_k, shift
-        ints.append(rng.integers(-2 * cfg.n, 2 * cfg.n + 1, size=(block, 3))[:used])
-        qkv = rng.standard_normal((3, block, cfg.t, cfg.n))[:, :used]
+        ints.append(rng.integers(-2 * n, 2 * n + 1, size=(block, 3))[:used])
+        qkv = rng.standard_normal((3, block, t, n))[:, :used]
         qkv = np.concatenate([qkv, qkv], axis=1)   # row-set i and its shifted copy used + i
-        positions = np.concatenate([np.broadcast_to(pos, (used, cfg.t)), pos + ints[-1][:, 2:]])
+        positions = np.concatenate([np.broadcast_to(pos, (used, t)), pos + ints[-1][:, 2:]])
         scores = attend(AttentionBatch(*qkv, positions), pe, d).scores
         res_mat.append(np.abs(scores[used:] - scores[:used]).max(axis=(1, 2)))
     q, k = np.concatenate(pairs).transpose(1, 0, 2)

@@ -18,6 +18,7 @@ from .roll_core import (
     _as_count,
     _as_pair,
     _as_shifts,
+    _blocks,
     _check_finite,
     _check_positive,
     _roll_rows,
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 
+@np.errstate(over="raise", invalid="ignore")
 def mproll(components, p) -> np.ndarray:
     """Sum of components[w-1] rolled by w*p, w = 1..W.
 
@@ -41,7 +43,10 @@ def mproll(components, p) -> np.ndarray:
     checks it, once, then reduced mod n, so w*p stays an exact integer at
     any magnitude.  All W*t rows roll in the one gather ``roll_discrete``
     uses and the waves are summed in order 1..W.  Any other shape raises
-    ``ValueError``.
+    ``ValueError``.  A NaN or +-inf component enters the sum as it is, as
+    a roll moves it (+inf meeting -inf gives NaN), while finite
+    components whose sum overflows raise ``FloatingPointError``; no
+    warning escapes.
     """
     comps = np.asarray(components, dtype=float)
     if comps.ndim not in (2, 3) or comps.size == 0:
@@ -119,16 +124,16 @@ def equivariance_violation_witness(
 
     Draws banks and positions from a deterministic generator until
     |score(p_q + t, p_k + t) - score(p_q, p_k)| exceeds ``gap_threshold``.
-    Attempts run in blocks of 1, 2, 4, ... (at most 2**16 // (waves * n)
-    each).  A block draws its banks, positions and shifts in one generator
-    call each, always at its full size, and runs only the attempts the
-    budget has left, so an attempt's inputs never depend on the budget.
-    Each block is scored with two stacked ``mproll_score`` calls.  The
-    result is the first attempt over the threshold, else the first with
-    the largest gap.  A
-    single-wave bank never produces a witness; the search then exhausts
-    its budget.  ``gap_threshold`` must be finite and positive, ``seed``
-    an integer of at least 0.
+    Attempts run in the blocks the CLI's sweeps use (``roll_core._blocks``):
+    as many as fit 64 KiB of draws, at most 32.  A block draws its banks,
+    positions and shifts in one generator call each, always at its full
+    size, and runs only the attempts the budget has left, so an attempt's
+    inputs never depend on the budget.  Each block is scored with two
+    stacked ``mproll_score`` calls.  The result is the first attempt over
+    the threshold, else the first with the largest gap.  A single-wave
+    bank never produces a witness; the search then exhausts its budget.
+    ``gap_threshold`` must be finite and positive, ``seed`` an integer of
+    at least 0.
     """
     _check_positive(gap_threshold, "gap_threshold")
     n = _as_count(n, least=3)
@@ -136,12 +141,8 @@ def equivariance_violation_witness(
     budget = _as_count(budget, "budget")
     rng = np.random.default_rng(_as_count(seed, "seed", least=0))
     best = EquivarianceWitness(found=False, attempts=budget, gap=0.0)
-    done, size = 0, 1
-    # a block holds at most 2**16 draws of each side, whatever the budget
-    most = max(1, 2**16 // (waves * n))
-    while done < budget:
-        size = min(size, most)
-        used = min(size, budget - done)
+    # an attempt draws two (W, n) banks, two positions and a shift
+    for b, (size, used) in enumerate(_blocks(budget, 16 * waves * n + 24)):
         banks = rng.standard_normal((size, 2, waves, n))[:used]   # attempt i: query and key banks
         p_q, p_k = rng.integers(0, n, size=(size, 2))[:used].T
         t = rng.integers(1, n, size=size)[:used]
@@ -152,7 +153,7 @@ def equivariance_violation_witness(
         over = np.flatnonzero(gaps > gap_threshold)
         i = int(over[0]) if over.size else int(np.argmax(gaps))
         witness = EquivarianceWitness(
-            found=bool(over.size), attempts=done + i + 1, gap=float(gaps[i]),
+            found=bool(over.size), attempts=b * size + i + 1, gap=float(gaps[i]),
             bank_q=banks[i, 0].copy(), bank_k=banks[i, 1].copy(),
             p_q=int(p_q[i]), p_k=int(p_k[i]), t=int(t[i]),
             score_before=float(before[i]), score_after=float(after[i]),
@@ -161,6 +162,4 @@ def equivariance_violation_witness(
             return witness
         if witness.gap > best.gap:
             best = witness
-        done += used
-        size *= 2
     return replace(best, attempts=budget)

@@ -84,18 +84,33 @@ def _check_finite(x: np.ndarray, name: str) -> None:
         raise FloatingPointError(f"{name} must be finite")
 
 
+def _holds_bool(p: list | tuple) -> bool:
+    """Whether the list or tuple ``p`` holds a bool at any depth, also inside an array in it."""
+    # an object array keeps each number's type, so one pass in C finds a bool;
+    # only a 0-d array stays an array in it
+    entries = np.array(p, dtype=object).reshape(-1)
+    types = set(map(type, entries))
+    return not types.isdisjoint(_BOOLS) or (np.ndarray in types and any(
+        v.dtype.kind == "b" for v in entries if isinstance(v, np.ndarray)
+    ))
+
+
 def _as_positions(p) -> np.ndarray:
     """``p`` as a new float64 array; ``ValueError`` unless it holds real numbers float64 can hold.
 
     Strings and bytes, which a float conversion would parse, bools, which
-    are a mask rather than positions, and complex numbers are refused; an
-    object array, such as Python ints beyond int64, is checked entry by
+    are a mask rather than positions, and complex numbers are refused, also
+    inside a list or tuple, where a bool among numbers would read as 0 or 1;
+    an object array, such as Python ints beyond int64, is checked entry by
     entry, and a Python int beyond the float64 range is refused too, where
     the conversion would raise ``OverflowError``.
     """
     arr = np.asarray(p)
     kind = arr.dtype.kind
-    if kind not in "iufO" or (kind == "O" and not all(
+    # an array's dtype already shows a bool (asarray returns an array itself,
+    # which keeps this cheap); a list or tuple is searched for one
+    listed = arr is not p and isinstance(p, (list, tuple))
+    if kind not in "iufO" or (listed and _holds_bool(p)) or (kind == "O" and not all(
         isinstance(v, _REALS) and not isinstance(v, _BOOLS) for v in arr.flat
     )):
         raise ValueError(f"positions must be real numbers, got dtype {arr.dtype}")
@@ -185,6 +200,28 @@ def _float_shifts(pos: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"shift count must be an integer, got {float(pos[fractional][0])!r}")
     # fmod is exact, so every integer-valued float reduces to the right step
     return np.fmod(pos, n).astype(np.intp)
+
+
+# The seeded sweeps (the CLI's checks and the witness search) draw and score
+# their trials in blocks of at most this many bytes and trials, so memory does
+# not grow with the trial count.  32 trials at t = n = 8 share one attend, and
+# glibc malloc reuses heap memory (on x86-64 Linux, 8 MiB blocks took ~200
+# page faults every default report).
+_BLOCK_BYTES = 64 * 2**10
+_BLOCK_TRIALS = 32
+
+
+def _blocks(trials: int, trial_bytes: int):
+    """(block, used) per block of a seeded sweep, lazily: its full size and the trials it runs.
+
+    A block holds as many trials of ``trial_bytes`` each as fit
+    ``_BLOCK_BYTES``, at most ``_BLOCK_TRIALS`` and at least one.  Every
+    block is drawn at its full size, one generator call per quantity,
+    and only its first ``used`` trials run, so a trial's inputs depend on
+    the seed, the shape and its index, never on the trial count.
+    """
+    block = max(1, min(_BLOCK_TRIALS, _BLOCK_BYTES // trial_bytes))
+    return ((block, min(block, trials - start)) for start in range(0, trials, block))
 
 
 def roll_discrete(q, p) -> np.ndarray:

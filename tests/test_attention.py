@@ -143,7 +143,6 @@ class TestAttend:
             with pytest.raises(ValueError, match="finite and positive"):
                 attend(batch, _pe(PEKind.NONE), d=bad)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("kind", [PEKind.NONE, PEKind.ROLL_DISCRETE, PEKind.ROPE])
     def test_overflowing_logits_raise(self, kind):
         """Finite Q/K whose products overflow must not come back as NaN scores."""
@@ -711,6 +710,13 @@ def test_long_attend_reuses_its_memory(kind):
 
 
 class TestSoftmax:
+    @pytest.fixture(autouse=True)
+    def _raising(self):
+        """Every caller of the softmax, attend and grad_check, runs it with overflow and
+        invalid operations raising; so does each test here."""
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+
     def test_into_out(self):
         rng = np.random.default_rng(14)
         z = rng.standard_normal((2, 5, 7)) * 30
@@ -1022,7 +1028,6 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="eps"):
             grad_check(_pe(PEKind.NONE), batch, eps=eps)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_raises(self):
         big = np.full((3, 8), 1e200)
         batch = AttentionBatch(big, big, np.ones((3, 8)), np.arange(3))

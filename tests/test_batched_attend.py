@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from rollpe import cli
+from rollpe import cli, roll_core
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
 from rollpe.cli import RunConfig, run
 from rollpe.spectral import SpectralBranch
-from test_cli import _per_trial_equivariance_rows
+from test_cli import _equivariance_block, _per_trial_equivariance_rows
 
 _CONFIGS = [
     *[PEConfig(kind=kind, lam=1.3, waves=3) for kind in PEKind],
@@ -90,7 +90,6 @@ def test_arity_is_checked_on_batches(axial, positions):
         attend(AttentionBatch(q, q, q, positions), PEConfig(kind=PEKind.ROPE, axial=axial))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("kind", [PEKind.NONE, PEKind.ROLL_DISCRETE, PEKind.ROPE])
 def test_overflow_in_one_row_set_raises(kind):
     q = np.random.default_rng(4).standard_normal((3, 4, 8))
@@ -125,16 +124,18 @@ def _record_attends(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    "budget", [1, 16 * 5 * (5 + 8) * 3, cli._EQUIVARIANCE_BLOCK_BYTES],
-    ids=["block=1", "block=3", "block=63"],
+    "budget, block",
+    # a trial at t = 5, n = 8 draws 8 (3 t n + 2 n + 3) = 1112 bytes
+    [(1, 1), (1112 * 3, 3), (roll_core._BLOCK_BYTES, 32)],
+    ids=["block=1", "block=3", "block=32"],
 )
-def test_equivariance_blocks_give_the_single_block_rows(budget, monkeypatch):
+def test_equivariance_blocks_give_the_single_block_rows(budget, block, monkeypatch):
     """Scoring the trials in blocks changes no row: each row-set attends on its own,
     bit for bit the trial-by-trial oracle on the same blocks of draws."""
     cfg = RunConfig(command="equivariance-report", n=8, t=5, trials=10, seed=7)
-    block = max(1, budget // (16 * 5 * (5 + 8)))
+    monkeypatch.setattr(roll_core, "_BLOCK_BYTES", budget)
+    assert _equivariance_block(cfg) == block
     want = _per_trial_equivariance_rows(cfg, block)
-    monkeypatch.setattr(cli, "_EQUIVARIANCE_BLOCK_BYTES", budget)
     calls = _record_attends(monkeypatch)
     split = run(cfg)
     assert calls[0] == (2 * min(block, 10), 5, 8)
@@ -144,11 +145,13 @@ def test_equivariance_blocks_give_the_single_block_rows(budget, monkeypatch):
 
 @pytest.mark.parametrize("t, trials", [(8, 100), (40, 12)], ids=["t=8", "t=40"])
 def test_equivariance_blocks_stay_under_the_byte_budget(t, trials, monkeypatch):
-    """Each block's (2*block, t, t) scores fit the budget, so memory does not grow with trials."""
+    """Each block's (2*block, t, t) scores fit the budget and it holds at most 32 trials,
+    so memory does not grow with trials."""
     calls = _record_attends(monkeypatch)
     rep = run(RunConfig(command="equivariance-report", n=8, t=t, trials=trials, seed=0))
     assert rep.summary["passed"]
     assert len(calls) > 1
     assert sum(rows for rows, _, _ in calls) == 2 * trials
     for rows, _, _ in calls:
-        assert 8 * rows * t * t <= cli._EQUIVARIANCE_BLOCK_BYTES
+        assert 8 * rows * t * t <= roll_core._BLOCK_BYTES
+        assert rows <= 2 * roll_core._BLOCK_TRIALS

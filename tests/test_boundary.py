@@ -239,6 +239,27 @@ def test_bool_positions_raise(call, flag):
         call(flag)
 
 
+@_flags
+@_table({
+    "AttentionBatch/list": lambda flag: AttentionBatch(*_QKV, [flag, 0, 1, 2]),
+    "AttentionBatch/tuple": lambda flag: AttentionBatch(*_QKV, (0, 1.5, flag, 2)),
+    "AttentionBatch/axial":
+        lambda flag: AttentionBatch(*_QKV, [[0, 1], [flag, 0], [1, 1], [2, 2]]),
+    "AttentionBatch/array-in-list":
+        lambda flag: AttentionBatch(*_QKV, [np.arange(2), np.array([flag, False]), [1, 1], [2, 2]]),
+    "AttentionBatch/zero-d-in-list": lambda flag: AttentionBatch(*_QKV, [0, np.array(flag), 2, 3]),
+    "roll_discrete": lambda flag: roll_discrete(_ROWS, [0, flag, 2]),
+    "roll_continuous": lambda flag: roll_continuous(_ROWS, [0.5, flag, 2.0]),
+    "rope_apply": lambda flag: rope_apply(_ROWS, (flag, 0.5, 1.0), _SCHED4),
+    "mproll": lambda flag: mproll([_ROWS, _ROWS], [flag, 0, 1]),
+    "sinusoidal_ape": lambda flag: sinusoidal_ape([flag, 1.5], 4),
+})
+def test_bool_among_listed_positions_raises(call, flag):
+    """A bool inside a list or tuple of numbers is refused, not read as position 1."""
+    with pytest.raises(ValueError, match="positions must be real numbers"):
+        call(flag)
+
+
 @_table({
     "scalar": lambda: AttentionBatch(*_QKV, 3.0),
     "zero-d": lambda: AttentionBatch(*_QKV, np.array(3.0)),
@@ -502,6 +523,19 @@ _BIG, _BIG_MIXED = [1e200, 1e200], [1e200, -1e200]
     "grad_check": lambda: grad_check(
         PEConfig(), AttentionBatch(*_QKV[:2], np.full((4, 6), 1e308), np.arange(4.0))
     ),
+    "mproll": lambda: mproll([[1e308, 1e308], [1e308, 1e308]], 0),
+    # Q = 1e308 against K = 1 overflows each kind's encoding or logits, and the
+    # multiplexed roll's seeded maps
+    **{
+        f"attend/{kind.value}/{'axial' if axial else 'scalar'}": (
+            lambda kind=kind, axial=axial: attend(
+                AttentionBatch(np.full((4, 8), 1e308), np.ones((4, 8)), np.ones((4, 8)),
+                               np.zeros((4, 2)) if axial else np.arange(4.0)),
+                PEConfig(kind=kind, waves=3, axial=axial),
+            )
+        )
+        for kind in PEKind for axial in (False, True)
+    },
 })
 def test_finite_inputs_that_overflow_raise(call):
     """An overflow raises ``FloatingPointError``, not a NaN result or a warning."""

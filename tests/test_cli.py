@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rollpe import cli
+from rollpe import cli, roll_core
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend
 from rollpe.cli import COMMANDS, Report, RunConfig, main, render_csv, run
 from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score
@@ -324,14 +324,21 @@ class TestMain:
         assert ",2.0," in capsys.readouterr().out
 
 
+def _block(trial_bytes: int) -> int:
+    """A sweep's trials per block: as many as fit the 64 KiB budget, at most 32, at least 1."""
+    return max(1, min(roll_core._BLOCK_TRIALS, roll_core._BLOCK_BYTES // trial_bytes))
+
+
 def _equivariance_block(cfg: RunConfig) -> int:
-    """The report's trials per block: the byte budget over 16 t (t + n) bytes a trial."""
-    return max(1, cli._EQUIVARIANCE_BLOCK_BYTES // (16 * cfg.t * (cfg.t + cfg.n)))
+    """The report's trials per block: a trial takes 8 (3 t n + 2 n + 3) bytes of draws,
+    or 16 t (t + n) bytes of unshifted and shifted (t, t) scores and (t, n) rows if more."""
+    t, n = cfg.t, cfg.n
+    return _block(8 * max(3 * t * n + 2 * n + 3, 2 * t * (t + n)))
 
 
 def _rope_block(cfg: RunConfig) -> int:
-    """The rope check's trials per block: the byte budget over 16 (n + 1) bytes a trial."""
-    return max(1, cli._EQUIVARIANCE_BLOCK_BYTES // (16 * (cfg.n + 1)))
+    """The rope check's trials per block: a trial draws 16 (n + 1) bytes."""
+    return _block(16 * (cfg.n + 1))
 
 
 def _per_trial_equivariance_rows(cfg: RunConfig, block: int) -> list:
@@ -452,7 +459,7 @@ def test_rows_do_not_depend_on_the_trial_count(command, trials, more):
 
 
 class _CountingGenerator:
-    """A ``numpy.random.Generator`` that records the name of each method call."""
+    """A ``numpy.random.Generator`` that records each draw: its method and its array."""
 
     def __init__(self, rng, draws: list):
         self._rng, self._draws = rng, draws
@@ -461,29 +468,62 @@ class _CountingGenerator:
         method = getattr(self._rng, name)
 
         def draw(*args, **kwargs):
-            self._draws.append(name)
-            return method(*args, **kwargs)
+            out = method(*args, **kwargs)
+            self._draws.append((name, out))
+            return out
 
         return draw
+
+
+def _recorded_draws(monkeypatch) -> list:
+    """The (method, array) of every draw the generators made from now on."""
+    calls = []
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingGenerator(make(seed), calls))
+    return calls
 
 
 @pytest.mark.parametrize(
     "cfg, draws",
     [
         (RunConfig(command="equivariance-report"), 3 * 4),   # 4 blocks of 32 trials
-        (RunConfig(command="rope-equivalence"), 2 * 1),   # 1 block of 455 trials
-        (RunConfig(command="multiplex-witness", waves=1), 3 * 7),   # blocks of 1, 2, ..., 64
+        (RunConfig(command="rope-equivalence"), 2 * 4),   # 4 blocks of 32 trials
+        (RunConfig(command="multiplex-witness", waves=1), 3 * 4),   # 4 blocks of 32 attempts
     ],
     ids=lambda x: x.command if isinstance(x, RunConfig) else str(x),
 )
 def test_sweeps_draw_each_quantity_once_per_block(cfg, draws, monkeypatch):
     """No sweep draws its inputs trial by trial: one generator call per quantity per block."""
-    calls = []
-    make = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: _CountingGenerator(make(seed), calls))
+    calls = _recorded_draws(monkeypatch)
     assert run(cfg).summary["passed"]
     assert len(calls) == draws
+
+
+@pytest.mark.parametrize(
+    "cfg, per_block",
+    [
+        *[pytest.param(RunConfig(command="equivariance-report", t=t, n=n, trials=70), 3,
+                       id=f"equivariance-report/t={t}/n={n}")
+          for t, n in ((8, 8), (16, 4), (2, 64), (40, 8))],
+        *[pytest.param(RunConfig(command="rope-equivalence", n=n, trials=100), 2,
+                       id=f"rope-equivalence/n={n}")
+          for n in (8, 300)],
+        *[pytest.param(RunConfig(command="multiplex-witness", n=n, waves=waves, trials=100), 3,
+                       id=f"multiplex-witness/n={n}/W={waves}")
+          for n, waves in ((8, 1), (64, 3), (300, 1))],
+    ],
+)
+def test_every_block_fits_64_kib_of_draws_and_32_trials(cfg, per_block, monkeypatch):
+    """All three seeded sweeps size their blocks by one rule: a block's draws, every
+    quantity together, take at most 64 KiB, and it holds between 1 and 32 trials."""
+    calls = _recorded_draws(monkeypatch)
+    assert run(cfg).summary["passed"]
+    assert calls and len(calls) % per_block == 0
+    for start in range(0, len(calls), per_block):
+        block = [draw for _, draw in calls[start:start + per_block]]
+        assert sum(draw.nbytes for draw in block) <= 64 * 2**10
+        assert 1 <= len(block[0]) <= 32   # the first draw holds one row per trial
 
 
 def test_attention_demo_equals_two_attends_per_kind():

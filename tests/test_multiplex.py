@@ -172,19 +172,24 @@ class TestMprollScore:
             mproll_score(bank, bank, 0, 1, d=np.inf)
 
 
+def _attempt_block(n, waves):
+    """The search's attempts per block: as many as fit 64 KiB of draws, at most 32.
+
+    An attempt draws two (W, n) banks of float64 and three int64s."""
+    return max(1, min(roll_core._BLOCK_TRIALS, roll_core._BLOCK_BYTES // (16 * waves * n + 24)))
+
+
 def _attempt_inputs(n, waves, seed):
     """Each attempt's (bank_q, bank_k, p_q, p_k, t) as the search draws them, without end:
-    whole blocks of 1, 2, 4, ... attempts (at most 2**16 // (waves * n)), one call per quantity."""
+    whole blocks of ``_attempt_block`` attempts, one call per quantity."""
     rng = np.random.default_rng(seed)
-    size = 1
+    size = _attempt_block(n, waves)
     while True:
-        size = min(size, max(1, 2**16 // (waves * n)))
         banks = rng.standard_normal((size, 2, waves, n))
         positions = rng.integers(0, n, size=(size, 2))
         shifts = rng.integers(1, n, size=size)
         for (bank_q, bank_k), (p_q, p_k), t in zip(banks, positions, shifts):
             yield bank_q, bank_k, int(p_q), int(p_k), int(t)
-        size *= 2
 
 
 def _per_attempt_witness(n, waves, seed, budget, gap_threshold):
@@ -226,7 +231,7 @@ class TestEquivarianceViolationWitness:
     @pytest.mark.parametrize("waves", [1, 2, 3])
     @pytest.mark.parametrize("n, seed", [(3, 0), (8, 1), (16, 2)])
     def test_blocks_score_as_single_attempts(self, n, seed, waves, gap_threshold):
-        """Scoring in blocks of 1, 2, 4, ... picks the attempt the one-by-one loop picks:
+        """Scoring in blocks picks the attempt the one-by-one loop picks:
         the first over the threshold, or else the first with the largest gap, bit for bit."""
         w = equivariance_violation_witness(n, waves, seed, budget=100, gap_threshold=gap_threshold)
         found, attempts, (gap, bank_q, bank_k, *rest) = _per_attempt_witness(
@@ -242,6 +247,7 @@ class TestEquivarianceViolationWitness:
     def test_attempts_keep_their_inputs_whatever_the_budget(self, n, seed, waves, monkeypatch):
         """Budgets 37 and 100 score every attempt within 37 on the same inputs, the oracle's:
         a block is drawn whole even when the budget ends inside it."""
+        assert 37 % _attempt_block(n, waves) != 0
         want = list(islice(_attempt_inputs(n, waves, seed), 100))
         for budget in (37, 100):
             got = _searched_inputs(monkeypatch, n, waves, seed, budget)
