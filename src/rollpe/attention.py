@@ -62,6 +62,7 @@ from .roll_core import (
     _as_positions,
     _check_positive,
     _float_shifts,
+    _raising,
     _roll_rows,
     _score_scale,
 )
@@ -284,9 +285,8 @@ def _softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     which shows on small logits, where the fixed cost is most of a call.
     Raises ``FloatingPointError`` if a shifted row's maximum is not
     finite: the logits overflowed or hold NaN, and the softmax would be
-    NaN.  Callers run it with overflow and invalid operations raising
-    (``np.errstate(over="raise", invalid="raise")``, as ``attend`` and
-    ``grad_check`` do), which the unshifted case's guard needs; then no
+    NaN.  Callers run it under ``roll_core._raising``, as ``attend`` and
+    ``grad_check`` do, which the unshifted case's guard needs; then no
     warning escapes.
     """
     try:
@@ -317,9 +317,9 @@ def _softmax_unshifted(z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 def _softmax_rows_shifted(z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """``_softmax_rows``, choosing per row: shifted where the unshifted sum is inf, NaN or below 1.
 
-    Overflow raises no warning: an overflowed exp fails the row-sum test,
-    and a z - max(z) that overflows to -inf gives the 0 the score rounds
-    to anyway.
+    The one exception to ``roll_core._raising``: overflow raises nothing
+    here, since an overflowed exp fails the row-sum test, and a z - max(z)
+    that overflows to -inf gives the 0 the score rounds to anyway.
     """
     e = np.exp(z, out)
     total = e.sum(axis=-1, keepdims=True)
@@ -381,17 +381,15 @@ def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     return enc.reshape(x.shape)
 
 
-@np.errstate(over="raise", invalid="raise")
+@_raising()
 def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> AttentionOutput:
     """softmax(enc(Q) enc(K)^T / sqrt(d)) V with the configured encoding.
 
     A batch of B row-sets gives (B, t, n) outputs and (B, t, t) scores
     and logits, row-set b at its own positions, from the same one kernel
     call.  ``d`` defaults to the head dimension and must be finite and positive.
-    The call runs with overflow and invalid operations raising, so finite
-    inputs whose encodings, logits or outputs overflow raise
-    ``FloatingPointError`` where they overflow, for every kind, and no
-    warning escapes.
+    Finite inputs whose encodings, logits or outputs overflow raise
+    ``FloatingPointError`` where they overflow, for every kind.
     """
     _check_batch(batch, pe)
     scale = _score_scale(batch.dim, d)
@@ -429,6 +427,7 @@ def _directions(t: int, n: int) -> np.ndarray:
     return u
 
 
+@_raising()
 def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     """Max relative gap between analytic and finite-difference directional derivatives.
 
@@ -437,15 +436,13 @@ def grad_check(pe: PEConfig, batch: AttentionBatch, eps: float = 1e-5) -> float:
     off the encoded U) and by central differences at Q +- eps U: ``eps``,
     a real number in [1e-7, 1e-3], is the step along U.  A batch's gap is
     the largest of its row-sets'.  As in ``attend``, finite inputs whose
-    derivatives overflow raise ``FloatingPointError``, with no warning.
+    derivatives overflow raise ``FloatingPointError``.
     """
     _check_positive(eps, "eps")
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError("eps must lie in [1e-7, 1e-3]")
     _check_batch(batch, pe)
-    # as in attend: an overflow raises FloatingPointError where it happens, not a warning
-    with np.errstate(over="raise", invalid="raise"):
-        analytic, fd = _loss_grads(batch, pe, eps)
+    analytic, fd = _loss_grads(batch, pe, eps)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
     return float((np.abs(analytic - fd) / denom).max())
 

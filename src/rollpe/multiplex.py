@@ -21,6 +21,7 @@ from .roll_core import (
     _blocks,
     _check_finite,
     _check_positive,
+    _raising,
     _roll_rows,
     _score_scale,
 )
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 
-@np.errstate(over="raise", invalid="ignore")
+@_raising()
 def mproll(components, p) -> np.ndarray:
     """Sum of components[w-1] rolled by w*p, w = 1..W.
 
@@ -43,14 +44,13 @@ def mproll(components, p) -> np.ndarray:
     checks it, once, then reduced mod n, so w*p stays an exact integer at
     any magnitude.  All W*t rows roll in the one gather ``roll_discrete``
     uses and the waves are summed in order 1..W.  Any other shape raises
-    ``ValueError``.  A NaN or +-inf component enters the sum as it is, as
-    a roll moves it (+inf meeting -inf gives NaN), while finite
-    components whose sum overflows raise ``FloatingPointError``; no
-    warning escapes.
+    ``ValueError``.  A NaN or +-inf component, and finite components whose
+    sum overflows, raise ``FloatingPointError``.
     """
     comps = np.asarray(components, dtype=float)
     if comps.ndim not in (2, 3) or comps.size == 0:
         raise ValueError("components must be a non-empty (W, n) bank or (W, t, n) stack")
+    _check_finite(comps, "components")
     return _superpose(comps, _wave_table(_as_shifts(comps[0], p), len(comps), comps.shape[-1]))
 
 
@@ -77,14 +77,14 @@ def _superpose(comps: np.ndarray, table: np.ndarray) -> np.ndarray:
     return _roll_rows(rows, shifts.reshape(-1)).reshape(comps.shape).sum(axis=0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_raising()
 def mproll_score(bank_q, bank_k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     """Scaled dot product of the multiplexed encodings of query and key.
 
     Two (W, n) banks with integer positions give a float; two (W, T, n)
     stacks with (T,) positions give (T,) scores, each bit for bit its bank call.
-    A score that is not finite, from sums or products that overflow or from
-    a NaN or +-inf entry, raises ``FloatingPointError``; no warning escapes.
+    A NaN or +-inf entry, and sums or products that overflow, raise
+    ``FloatingPointError``.
     """
     enc_q, enc_k = _as_pair(mproll(bank_q, p_q), mproll(bank_k, p_k))
     scores = (enc_q * enc_k).sum(axis=-1) / _score_scale(enc_q.shape[-1], d)

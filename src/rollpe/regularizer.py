@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roll_core import _as_vector, _check_finite
+from .roll_core import _as_vector, _check_finite, _raising
 from .spectral import SpectralBranch, roll_continuous
 
 __all__ = ["SmoothnessReport", "lipschitz_gap", "circular_laplacian_loss"]
@@ -27,14 +27,14 @@ class SmoothnessReport:
     epsilon_bound: float  # 1 - correlation
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_raising()
 def lipschitz_gap(q, delta_p: float, lam: float = 1.0) -> SmoothnessReport:
     """Self-correlation and Euclidean gap of ``q`` under a fractional shift.
 
     Whenever the shift is an isometry (integer steps, or odd length), the
     two views satisfy distance^2 = 2 ||q||^2 (1 - correlation).  A NaN or
     +-inf in ``q``, and finite entries whose squares overflow, raise
-    ``FloatingPointError``; no warning escapes.
+    ``FloatingPointError``.
     """
     q = _as_vector(q)
     norm_sq = float(q @ q)
@@ -50,11 +50,13 @@ def lipschitz_gap(q, delta_p: float, lam: float = 1.0) -> SmoothnessReport:
     )
 
 
+@_raising()
 def circular_laplacian_loss(q) -> float:
     """Cycle-graph Laplacian quadratic form: sum_i (q[i] - q[(i+1) % n])^2.
 
     Summed with ``math.fsum`` so the value is exactly invariant under
-    cyclic relabeling of the coordinates.  A NaN or +-inf in ``q`` raises
+    cyclic relabeling of the coordinates.  A NaN or +-inf in ``q``, and
+    finite neighbors whose squared difference overflows, raise
     ``FloatingPointError``.
     """
     q = _as_vector(q)

@@ -14,6 +14,7 @@ sweep checks all its trials in one call; a vector is the one-row case.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -26,6 +27,17 @@ __all__ = [
     "rollpe_score",
     "relative_form_score",
 ]
+
+
+# The library's one floating-point policy (README, "Floating-point policy"):
+# every public entry point that does arithmetic on values the caller supplies
+# runs under ``@_raising()``, so finite inputs that overflow, or an invalid
+# operation such as inf - inf, raise ``FloatingPointError`` where it happens,
+# with no warning.  A NaN input sets no flag, so outputs keep their
+# ``_check_finite``.  A partial, not one shared errstate: under numpy < 2 a
+# shared instance entered again by a nested call leaves the raising state set
+# after the call returns.
+_raising = functools.partial(np.errstate, over="raise", invalid="raise")
 
 
 # One check per argument kind, shared by every public entry point.  The
@@ -108,9 +120,12 @@ def _as_positions(p) -> np.ndarray:
     arr = np.asarray(p)
     kind = arr.dtype.kind
     # an array's dtype already shows a bool (asarray returns an array itself,
-    # which keeps this cheap); a list or tuple is searched for one
+    # which keeps this cheap), as does a list of bools alone; a list or tuple
+    # of numbers is searched for one
     listed = arr is not p and isinstance(p, (list, tuple))
-    if kind not in "iufO" or (listed and _holds_bool(p)) or (kind == "O" and not all(
+    if kind in "iufO" and listed and _holds_bool(p):
+        raise ValueError(f"positions must be real numbers, got a bool in the {type(p).__name__}")
+    if kind not in "iufO" or (kind == "O" and not all(
         isinstance(v, _REALS) and not isinstance(v, _BOOLS) for v in arr.flat
     )):
         raise ValueError(f"positions must be real numbers, got dtype {arr.dtype}")
@@ -288,7 +303,7 @@ def _score_scale(n: int, d: float | None) -> float:
     return math.sqrt(d)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_raising()
 def rollpe_score(q, k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     """Attention score between ``q`` rolled to ``p_q`` and ``k`` rolled to ``p_k``.
 
@@ -299,7 +314,7 @@ def rollpe_score(q, k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     ``d`` is the softmax normalizer (score is divided by sqrt(d));
     defaults to the vector length.  A score that is not finite, from
     products that overflow or from a NaN or +-inf entry, raises
-    ``FloatingPointError``; no warning escapes.
+    ``FloatingPointError``.
     """
     q, k = _as_pair(q, k)
     scale = _score_scale(q.shape[-1], d)
@@ -308,7 +323,7 @@ def rollpe_score(q, k, p_q, p_k, d: float | None = None) -> float | np.ndarray:
     return float(scores) if q.ndim == 1 else scores
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_raising()
 def relative_form_score(q, k, delta, d: float | None = None) -> float | np.ndarray:
     """Closed-form rolled score from the position difference alone.
 

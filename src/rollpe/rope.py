@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .roll_core import _as_count, _as_pair, _as_rows, _check_finite, _check_positive
+from .roll_core import _as_count, _as_pair, _as_rows, _check_finite, _check_positive, _raising
 from .spectral import SpectralBranch, _phases, dft_matrix, roll_continuous
 
 __all__ = [
@@ -56,6 +56,7 @@ class FrequencySchedule:
         return int(self.omegas.size)
 
 
+@_raising()
 def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
     """Rotate each pair (v[2k], v[2k+1]) by angle p * omega_k (counterclockwise).
 
@@ -66,7 +67,8 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
     one (t, m) phase table.  The schedule needs one plane per pair.  A
     non-finite or misshapen position raises ``ValueError``, as does a
     position and frequency whose product p * omega_k overflows; a NaN or
-    +-inf in ``v`` raises ``FloatingPointError``.
+    +-inf in ``v``, and finite pairs whose rotation overflows, raise
+    ``FloatingPointError``.
     """
     rows, pos, shape = _as_rows(v, p, "v")
     _check_finite(rows, "v")
@@ -126,12 +128,14 @@ def _classic_schedule(n: int) -> FrequencySchedule:
     return FrequencySchedule(omegas=10000.0 ** (-2.0 * np.arange(n // 2) / n))
 
 
+@_raising()
 def roll_induced_schedule(n: int, lam: float = 1.0) -> FrequencySchedule:
     """Rotation frequencies induced by a fractional roll of dimension ``n``.
 
     One plane per conjugate frequency pair of the centered shift
     logarithm: omega_k = 2*pi*k / (lam*n) for k = 1..ceil(n/2)-1.  The DC
     coordinate (and, for even n, the Nyquist coordinate) carry no plane.
+    A ``lam`` so small that a frequency overflows raises ``FloatingPointError``.
     """
     n = _as_count(n)
     _check_positive(lam, "lambda")
@@ -157,7 +161,7 @@ def realified_fourier_basis(n: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@_raising()
 def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray:
     """Score gap between the roll path and the rotary path on the same inputs.
 
@@ -173,8 +177,7 @@ def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray
     schedule are built once.  A non-finite or misshapen position raises
     ``ValueError``, as does a ``lam`` so small that pi * max(1, |p|) / lam
     overflows; a NaN or +-inf in ``q`` or ``k`` raises ``FloatingPointError``,
-    as does a residual that is not finite, from scores that overflow.  No
-    warning escapes.
+    as do finite scores that overflow.
     """
     q, k = _as_pair(q, k)
     q_rows, pos_q, _ = _as_rows(q, p_q, "q")

@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .roll_core import _as_count, _as_rows, _check_finite, _check_positive
+from .roll_core import _as_count, _as_rows, _check_finite, _check_positive, _raising
 
 __all__ = [
     "SpectralBranch",
@@ -173,6 +173,7 @@ def _phases(pos: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return np.exp(1j * pos[:, None] * angles)
 
 
+@_raising()
 def roll_continuous(
     q,
     p,
@@ -195,8 +196,8 @@ def roll_continuous(
     lam * n in p, so p is first reduced modulo that period, which keeps
     huge positions as accurate as small ones.  At integer p/lam this
     reproduces the discrete roll for both branches.  A non-finite or
-    misshapen position raises ``ValueError``; a NaN or +-inf in ``q``
-    raises ``FloatingPointError`` rather than silently corrupting scores.
+    misshapen position raises ``ValueError``; a NaN or +-inf in ``q``, and
+    finite rows whose spectra overflow, raise ``FloatingPointError``.
     """
     _check_positive(lam, "lambda")
     _check_branch(branch)
@@ -225,6 +226,7 @@ def _roll_spectra(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(rows, axis=-1) * table, rows.shape[-1], axis=-1)
 
 
+@_raising()
 def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:
     """Measure how well a generator satisfies its defining invariants.
 
@@ -236,7 +238,8 @@ def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:
 
     exp(A) and S are circulant, with first columns ifft(exp(fft(A[:, 0])))
     and e_{n-1}, and two circulants lie sqrt(n) times their first columns'
-    distance apart, so no n-by-n product is formed.
+    distance apart, so no n-by-n product is formed.  A hand-built matrix
+    whose entries overflow a residual raises ``FloatingPointError``.
     """
     a = gen.matrix
     n = _as_count(gen.n)

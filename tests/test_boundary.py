@@ -6,7 +6,7 @@ one table here: a row names an entry point and makes a call that hands it
 a bad value of that kind.  The stacked kernels, ``roll_discrete``,
 ``roll_continuous``, ``rope_apply`` and ``mproll`` (here on a two-wave
 stack), also get one table each for misshapen and non-finite positions;
-the two kernels that are not permutations one more for non-finite rows.
+all but ``roll_discrete``, a permutation, one more for non-finite rows.
 ``AttentionBatch`` positions, the witness's gap threshold, seeds, values
 that are not real where a positive real belongs, Python ints beyond the
 float range there and as positions, positions that are not real numbers,
@@ -16,11 +16,13 @@ score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
 differ or that no score takes, for misshapen and for non-finite stack
 positions on each side, and ``equivalence_residual`` one more for
-non-finite stack rows.  Finite inputs whose scores, residuals or
-derivatives overflow raise ``FloatingPointError`` with no warning, in one
-table over every function that reduces them.
+non-finite stack rows.  Finite inputs that overflow raise
+``FloatingPointError`` with no warning, in one table over every entry point
+under the floating-point policy (``roll_core._raising``), and each of them
+leaves the caller's error state as it found it, whether it returns or raises.
 """
 
+import contextlib
 import math
 import warnings
 
@@ -30,7 +32,7 @@ import pytest
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, grad_check, sinusoidal_ape
 from rollpe.cli import RunConfig, run
 from rollpe.multiplex import equivariance_violation_witness, mproll, mproll_score
-from rollpe.regularizer import lipschitz_gap
+from rollpe.regularizer import circular_laplacian_loss, lipschitz_gap
 from rollpe.roll_core import relative_form_score, roll_discrete, rollpe_score, shift_matrix
 from rollpe.rope import (
     FrequencySchedule,
@@ -41,9 +43,11 @@ from rollpe.rope import (
     rope_apply,
 )
 from rollpe.spectral import (
+    ShiftGenerator,
     SpectralBranch,
     branch_angles,
     dft_matrix,
+    generator_residuals,
     log_shift_generator,
     roll_continuous,
 )
@@ -256,7 +260,7 @@ def test_bool_positions_raise(call, flag):
 })
 def test_bool_among_listed_positions_raises(call, flag):
     """A bool inside a list or tuple of numbers is refused, not read as position 1."""
-    with pytest.raises(ValueError, match="positions must be real numbers"):
+    with pytest.raises(ValueError, match="positions must be real numbers, got a bool in the "):
         call(flag)
 
 
@@ -317,14 +321,16 @@ _STACKED_KERNELS = {
     "roll_continuous": roll_continuous,
     "rope_apply": lambda x, p: rope_apply(x, p, _SCHED4),
 }
-_kernels = pytest.mark.parametrize(
-    "kernel", list(_STACKED_KERNELS.values()), ids=list(_STACKED_KERNELS)
-)
-# the discrete rolls are permutations: they pass non-finite rows through
+# the kernels of integer positions; roll_discrete alone is a permutation,
+# which passes non-finite rows through, and every other kernel refuses them
 _INTEGER_KERNELS = {
     "roll_discrete": roll_discrete,
     "mproll": lambda x, p: mproll([x, x], p),
 }
+_FINITE_KERNELS = {**_STACKED_KERNELS, "mproll": _INTEGER_KERNELS["mproll"]}
+_kernels = pytest.mark.parametrize(
+    "kernel", list(_FINITE_KERNELS.values()), ids=list(_FINITE_KERNELS)
+)
 _position_kernels = pytest.mark.parametrize(
     "kernel",
     [*_STACKED_KERNELS.values(), *_INTEGER_KERNELS.values()],
@@ -513,7 +519,8 @@ def test_frequency_schedule_of_a_matrix_raises():
 _BIG, _BIG_MIXED = [1e200, 1e200], [1e200, -1e200]
 
 
-@_table({
+# one call per entry point under roll_core._raising whose finite inputs overflow
+_OVERFLOWS = {
     "rollpe_score": lambda: rollpe_score(_BIG, _BIG_MIXED, 0, 0),
     "relative_form_score": lambda: relative_form_score(_BIG, _BIG_MIXED, 0),
     "mproll_score": lambda: mproll_score([_BIG], [_BIG_MIXED], 0, 0),
@@ -524,6 +531,16 @@ _BIG, _BIG_MIXED = [1e200, 1e200], [1e200, -1e200]
         PEConfig(), AttentionBatch(*_QKV[:2], np.full((4, 6), 1e308), np.arange(4.0))
     ),
     "mproll": lambda: mproll([[1e308, 1e308], [1e308, 1e308]], 0),
+    # a spectrum's DC bin sums eight entries of 1.7e308
+    "roll_continuous": lambda: roll_continuous(np.full(8, 1.7e308), 0.5),
+    "roll_continuous/stack": lambda: roll_continuous(np.full((2, 8), 1.7e308), [0.5, -2.0]),
+    "rope_apply": lambda: rope_apply(np.full(8, 1.7e308), 0.7, classic_schedule(8)),
+    "circular_laplacian_loss": lambda: circular_laplacian_loss([1e300, -1e300, 0.0]),
+    "generator_residuals": lambda: generator_residuals(
+        ShiftGenerator(4, SpectralBranch.CENTERED, np.full((4, 4), 1e308 + 0j))
+    ),
+    # 2*pi*k / (lam*n) overflows before FrequencySchedule can refuse it
+    "roll_induced_schedule": lambda: roll_induced_schedule(8, 5e-324),
     # Q = 1e308 against K = 1 overflows each kind's encoding or logits, and the
     # multiplexed roll's seeded maps
     **{
@@ -536,10 +553,59 @@ _BIG, _BIG_MIXED = [1e200, 1e200], [1e200, -1e200]
         )
         for kind in PEKind for axial in (False, True)
     },
-})
+}
+
+
+@_table(_OVERFLOWS)
 def test_finite_inputs_that_overflow_raise(call):
     """An overflow raises ``FloatingPointError``, not a NaN result or a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError):
             call()
+
+
+# one call per entry point under roll_core._raising that returns; equivalence_residual,
+# mproll_score and lipschitz_gap run entry points under it in turn
+_RETURNS = {
+    "rollpe_score": lambda: rollpe_score(Q, Q[::-1], 1, 3),
+    "relative_form_score": lambda: relative_form_score(Q, Q[::-1], 2),
+    "roll_continuous": lambda: roll_continuous(Q, 0.5),
+    "generator_residuals": lambda: generator_residuals(log_shift_generator(5)),
+    "rope_apply": lambda: rope_apply(np.ones(4), 0.7, _SCHED4),
+    "roll_induced_schedule": lambda: roll_induced_schedule(8, 0.5),
+    "equivalence_residual": lambda: equivalence_residual(Q, Q[::-1], 0.3, 1.2),
+    "mproll": lambda: mproll([Q, Q], 2),
+    "mproll_score": lambda: mproll_score([Q, Q], [Q, -Q], 1, 2),
+    "attend": lambda: attend(AttentionBatch(*_QKV, np.arange(4.0)), PEConfig(kind=PEKind.ROPE)),
+    "grad_check": lambda: grad_check(PEConfig(), AttentionBatch(*_QKV, np.arange(4.0))),
+    "lipschitz_gap": lambda: lipschitz_gap(Q, 0.5),
+    "circular_laplacian_loss": lambda: circular_laplacian_loss(Q),
+}
+# overflows that raise inside the nested entry point, not in the caller's own arithmetic
+_NESTED_OVERFLOWS = {
+    "equivalence_residual/in-roll_continuous":
+        lambda: equivalence_residual(np.full(8, 1.7e308), np.ones(8), 0.3, 0.1),
+    "mproll_score/in-mproll":
+        lambda: mproll_score([[1e308, 1e308], [1e308, 1e308]], [[1.0, 1.0]] * 2, 0, 0),
+}
+_RAISES = {**_OVERFLOWS, **_NESTED_OVERFLOWS}
+
+
+@pytest.mark.parametrize("outer", [{}, {"all": "ignore"}], ids=["default", "ignore"])
+@_table({
+    **{f"{name}/returns": (call, False) for name, call in _RETURNS.items()},
+    **{f"{name}/raises": (call, True) for name, call in _RAISES.items()},
+})
+def test_entry_points_restore_the_error_state(call, outer):
+    """The caller's error state holds again once an entry point returns or raises.
+
+    Under a caller that ignores every floating-point error, an overflow
+    still raises: the policy is the entry point's, not the caller's.
+    """
+    call, raises = call
+    with np.errstate(**outer):
+        before = np.geterr()
+        with pytest.raises(FloatingPointError) if raises else contextlib.nullcontext():
+            call()
+        assert np.geterr() == before

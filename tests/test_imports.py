@@ -11,10 +11,17 @@ each name bound to the object its module defines.  The dead-helper check covers 
 module-level private name (``_name``, dunders aside) defined in the
 package: one that no module refers to besides its definition, such as a
 helper a refactor left behind, fails here.
+
+The floating-point policy is guarded here too: ``np.errstate`` is named
+only by ``roll_core._raising``, the policy, and by
+``attention._softmax_rows_shifted``, its one exception; and every public
+function is decorated with ``@_raising()`` unless it is one of the named
+exemptions, which do no arithmetic on values the caller supplies.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -105,3 +112,53 @@ def test_an_orphaned_helper_is_caught():
     caller = "from .helpers import _used\n_used(1)\n"
     assert _dead_helpers([helpers, caller]) == {"_orphan"}
     assert _dead_helpers([helpers]) == {"_orphan"}
+
+
+def _errstate_owners(path: Path) -> set:
+    """(module, top-level definition) pairs whose source names ``errstate``."""
+    owners = set()
+    for node in ast.parse(path.read_text()).body:
+        names = {getattr(sub, "attr", getattr(sub, "id", None)) for sub in ast.walk(node)}
+        if "errstate" in names:
+            targets = getattr(node, "targets", [node])
+            owners.update((path.stem, getattr(t, "name", getattr(t, "id", None))) for t in targets)
+    return owners
+
+
+def test_errstate_is_named_only_by_the_policy_and_its_exception():
+    owners = set().union(*map(_errstate_owners, MODULES))
+    assert owners == {("roll_core", "_raising"), ("attention", "_softmax_rows_shifted")}
+
+
+# public functions that run without the policy: a permutation, constants built
+# from n alone, a table of finite positions, and a search that draws its own inputs
+_UNRAISING = {
+    "roll_discrete",
+    "shift_matrix",
+    "dft_matrix",
+    "branch_angles",
+    "log_shift_generator",
+    "classic_schedule",
+    "realified_fourier_basis",
+    "sinusoidal_ape",
+    "equivariance_violation_witness",
+}
+
+
+def _raising_functions(path: Path) -> set:
+    """Top-level functions of ``path`` decorated with ``@_raising()``."""
+    return {
+        node.name for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_raising"
+            for d in node.decorator_list
+        )
+    }
+
+
+def test_every_public_function_runs_under_the_policy_or_is_exempt():
+    raising = set().union(*map(_raising_functions, MODULES))
+    functions = {name for name in rollpe.__all__ if inspect.isfunction(getattr(rollpe, name))}
+    assert sorted(functions - raising) == sorted(_UNRAISING)
+    # the private cores stay bare, so attend enters the error state once a call
+    assert raising <= functions
