@@ -120,7 +120,7 @@ class PEConfig:
 _POSITION_LIMIT = 2.0**53
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class AttentionBatch:
     """Q/K/V row matrices (t tokens by head dim n) with per-token positions.
 
@@ -145,7 +145,7 @@ class AttentionBatch:
     v: np.ndarray
     positions: np.ndarray
     # the (3, ..., t, n) block [Q, K, V] that q, k and v are views of
-    _qkv: np.ndarray = field(init=False, repr=False, compare=False)
+    _qkv: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, q, k, v, positions):
         q = np.asarray(q, dtype=float)
@@ -187,7 +187,7 @@ class AttentionBatch:
         return self.q.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionOutput:
     """``attend``'s result.
 
@@ -277,40 +277,28 @@ def _softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     below 1, take the shifted softmax exp(z - max(z)).  The choice is made
     per row, so a row-set of a stack scores as its 2-D slice would.
 
-    The common case, every row unshifted, is guarded by one reduction
-    (see ``_softmax_unshifted``); any other call goes whole to
+    The common case, every row unshifted, is settled by one reduction,
+    min(sum) >= 1, which a NaN sum fails too; under ``roll_core._raising``,
+    as ``attend`` and ``grad_check`` run it, an exp or a row sum that
+    overflows raises, and so does a +inf logit, whose row sum is inf and
+    scales it by 0 to NaN.  Any other call goes whole to
     ``_softmax_rows_shifted``, which chooses row by row, so each row takes
     the same path, and gets the same bits, as under a per-row test alone.
     One reduction costs less than min and max tests over the row sums,
     which shows on small logits, where the fixed cost is most of a call.
     Raises ``FloatingPointError`` if a shifted row's maximum is not
     finite: the logits overflowed or hold NaN, and the softmax would be
-    NaN.  Callers run it under ``roll_core._raising``, as ``attend`` and
-    ``grad_check`` do, which the unshifted case's guard needs; then no
-    warning escapes.
+    NaN.
     """
     try:
-        return _softmax_unshifted(z, out)
+        e = np.exp(z, out)
+        total = e.sum(axis=-1, keepdims=True)
+        if total.min() >= 1.0:
+            e *= np.reciprocal(total, out=total)
+            return e
     except FloatingPointError:
         pass  # outside the handler, so a shifted row's own error is not chained to this one
     return _softmax_rows_shifted(z, out)
-
-
-def _softmax_unshifted(z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """exp(z) times each row sum's reciprocal, or ``FloatingPointError``.
-
-    It raises unless every row sum is finite and at least 1, and one test,
-    min(sum) >= 1, stands for both bounds: under the caller's errstate an
-    exp or a row sum that overflows raises here, and so does a +inf logit,
-    whose row sum is inf and scales it by 0 to NaN; a NaN sum fails the
-    test.  ``out`` is left holding anything when this raises.
-    """
-    e = np.exp(z, out)
-    total = e.sum(axis=-1, keepdims=True)
-    if not total.min() >= 1.0:
-        raise FloatingPointError("a row sum is below 1 or NaN")
-    e *= np.reciprocal(total, out=total)
-    return e
 
 
 @np.errstate(over="ignore")
@@ -401,6 +389,7 @@ def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> Atten
     return AttentionOutput(scores @ batch.v, scores, logits)
 
 
+@_raising()
 def sinusoidal_ape(positions, n: int) -> np.ndarray:
     """Fixed sin/cos absolute position table, one row per position.
 

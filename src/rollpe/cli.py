@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttentionBatch, PEConfig, PEKind, attend, grad_check
-from .multiplex import equivariance_violation_witness
+from .multiplex import _WITNESS_GAP, equivariance_violation_witness
 from .roll_core import (
     _as_count,
     _blocks,
@@ -48,7 +48,7 @@ SCHEMA_VERSION = "1"
 _THRESHOLDS = {
     "equivariance-report": 1e-12,
     "rope-equivalence": 1e-9,
-    "multiplex-witness": 1e-3,   # minimum witness gap
+    "multiplex-witness": _WITNESS_GAP,
     "grad-check": 1e-5,
     "bench": 1e-9,  # fft_vs_dense_residual
 }

@@ -92,7 +92,11 @@ def mproll_score(bank_q, bank_k, p_q, p_k, d: float | None = None) -> float | np
     return float(scores) if enc_q.ndim == 1 else scores
 
 
-@dataclass(frozen=True)
+# the smallest score gap that counts as a witness: the search's default and the CLI's threshold
+_WITNESS_GAP = 1e-3
+
+
+@dataclass(frozen=True, eq=False)
 class EquivarianceWitness:
     """Outcome of the translation-invariance violation search.
 
@@ -118,7 +122,7 @@ def equivariance_violation_witness(
     waves: int,
     seed: int,
     budget: int = 10_000,
-    gap_threshold: float = 1e-3,
+    gap_threshold: float = _WITNESS_GAP,
 ) -> EquivarianceWitness:
     """Search seeded random banks/offsets for a score that moves under a common shift.
 

@@ -30,14 +30,17 @@ __all__ = [
 
 
 # The library's one floating-point policy (README, "Floating-point policy"):
-# every public entry point that does arithmetic on values the caller supplies
-# runs under ``@_raising()``, so finite inputs that overflow, or an invalid
-# operation such as inf - inf, raise ``FloatingPointError`` where it happens,
-# with no warning.  A NaN input sets no flag, so outputs keep their
-# ``_check_finite``.  A partial, not one shared errstate: under numpy < 2 a
-# shared instance entered again by a nested call leaves the raising state set
-# after the call returns.
-_raising = functools.partial(np.errstate, over="raise", invalid="raise")
+# every public entry point that can set a floating-point flag runs under
+# ``@_raising()``, which sets all four flags, so no error state the caller
+# has set changes what it returns or raises.  Finite inputs that overflow,
+# an invalid operation such as inf - inf, and a division by zero raise
+# ``FloatingPointError`` where they happen, with no warning.  Underflow is
+# ignored: its error is below the smallest subnormal step, and the softmax
+# meets it on every negligible term.  A NaN input sets no flag, so outputs
+# keep their ``_check_finite``.  A partial, not one shared errstate: under
+# numpy < 2 a shared instance entered again by a nested call leaves the
+# raising state set after the call returns.
+_raising = functools.partial(np.errstate, all="raise", under="ignore")
 
 
 # One check per argument kind, shared by every public entry point.  The
@@ -272,6 +275,9 @@ def _roll_rows(q: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     # windows[..., i, k] is doubled[..., i, k:k + n], row i rolled by k,
     # so the gather needs no (t, n) index table and no integer modulo
     doubled = np.concatenate([q, q], axis=-1)
+    if not doubled.flags.c_contiguous:
+        # concatenate keeps a Fortran or permuted layout, but the windows step one entry at a time
+        doubled = np.ascontiguousarray(doubled)
     windows = np.ndarray((*q.shape, n), float, doubled, 0, (*doubled.strides, doubled.itemsize))
     return windows[..., np.arange(len(shifts)), shifts, :]
 
@@ -286,7 +292,7 @@ def shift_matrix(n: int, p: int = 1) -> np.ndarray:
     n = _as_count(n)
     mat = np.zeros((n, n), dtype=np.int64)
     idx = np.arange(n)
-    mat[idx, (idx + _as_steps(p)) % n] = 1
+    mat[idx, (idx + _as_steps(p) % n) % n] = 1
     return mat
 
 

@@ -33,13 +33,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencySchedule:
     """Per-plane rotation frequencies omega_k (one entry per 2-D plane)."""
 
     omegas: np.ndarray
     # max |omega_k|, so that rope_apply bounds every angle with one product
-    _peak: float = field(init=False, repr=False, compare=False)
+    _peak: float = field(init=False, repr=False)
 
     def __post_init__(self):
         omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))

@@ -75,7 +75,7 @@ class SpectralBranch(Enum):
     CENTERED = "centered"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftGenerator:
     """Matrix logarithm of the one-step shift in a given spectral branch.
 

@@ -20,15 +20,18 @@ non-finite stack rows.  Finite inputs that overflow raise
 ``FloatingPointError`` with no warning, in one table over every entry point
 under the floating-point policy (``roll_core._raising``), and each of them
 leaves the caller's error state as it found it, whether it returns or raises.
+No error state the caller sets changes what they return, bit for bit, also
+on inputs whose arithmetic underflows.
 """
 
-import contextlib
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from rollpe import attention
 from rollpe.attention import AttentionBatch, PEConfig, PEKind, attend, grad_check, sinusoidal_ape
 from rollpe.cli import RunConfig, run
 from rollpe.multiplex import equivariance_violation_witness, mproll, mproll_score
@@ -565,6 +568,10 @@ def test_finite_inputs_that_overflow_raise(call):
             call()
 
 
+# (8, 8) Q, K and V; 30 Q against itself gives off-diagonal logits down to about -1e3
+_QKV8 = np.random.default_rng(32).standard_normal((3, 8, 8))
+
+
 # one call per entry point under roll_core._raising that returns; equivalence_residual,
 # mproll_score and lipschitz_gap run entry points under it in turn
 _RETURNS = {
@@ -581,6 +588,25 @@ _RETURNS = {
     "grad_check": lambda: grad_check(PEConfig(), AttentionBatch(*_QKV, np.arange(4.0))),
     "lipschitz_gap": lambda: lipschitz_gap(Q, 0.5),
     "circular_laplacian_loss": lambda: circular_laplacian_loss(Q),
+    # logits whose exp underflows to 0 off the diagonal, which leads each row
+    **{
+        f"attend/{kind.value}/underflow": (
+            lambda kind=kind: attend(
+                AttentionBatch(30 * _QKV8[0], 30 * _QKV8[0], _QKV8[2], np.arange(8.0)),
+                PEConfig(kind=kind, waves=3),
+            )
+        )
+        for kind in PEKind
+    },
+    # subnormal positions, whose phases underflow
+    "attend/sinusoidal-ape/subnormal": lambda: attend(
+        AttentionBatch(*_QKV8, 1e-310 * np.arange(8.0)),
+        PEConfig(kind=PEKind.SINUSOIDAL_APE),
+    ),
+    "rollpe_score/underflow": lambda: rollpe_score(np.full(4, 1e-300), np.full(4, 1e-300), 1, 2),
+    "equivalence_residual/underflow":
+        lambda: equivalence_residual(np.full(4, 1e-300), np.full(4, 1e-300), 0.3, 1.2),
+    "sinusoidal_ape": lambda: sinusoidal_ape([1e-310, 3.0], 8),
 }
 # overflows that raise inside the nested entry point, not in the caller's own arithmetic
 _NESTED_OVERFLOWS = {
@@ -592,20 +618,43 @@ _NESTED_OVERFLOWS = {
 _RAISES = {**_OVERFLOWS, **_NESTED_OVERFLOWS}
 
 
-@pytest.mark.parametrize("outer", [{}, {"all": "ignore"}], ids=["default", "ignore"])
+def _bits(value):
+    """``value`` as nested tuples of bytes: two results compare bit for bit, NaN and -0.0 too."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    arr = np.asarray(value)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+_OUTER_STATES = {
+    "default": {}, "ignore": {"all": "ignore"}, "raise": {"all": "raise"},
+    "under": {"under": "raise"}, "divide": {"divide": "raise"},
+}
+
+
+@pytest.mark.parametrize("outer", _OUTER_STATES.values(), ids=_OUTER_STATES)
 @_table({
     **{f"{name}/returns": (call, False) for name, call in _RETURNS.items()},
     **{f"{name}/raises": (call, True) for name, call in _RAISES.items()},
 })
-def test_entry_points_restore_the_error_state(call, outer):
+def test_entry_points_restore_the_error_state(call, outer, monkeypatch):
     """The caller's error state holds again once an entry point returns or raises.
 
-    Under a caller that ignores every floating-point error, an overflow
-    still raises: the policy is the entry point's, not the caller's.
+    Whatever the caller's state, an entry point returns the bits it returns
+    under numpy's default state, and an overflow still raises: the policy
+    is the entry point's, not the caller's.  Each call starts from an empty
+    position-table memo, so ``attend`` builds its tables under that state.
     """
     call, raises = call
+    monkeypatch.setattr(attention, "_tables", {})
     with np.errstate(**outer):
         before = np.geterr()
-        with pytest.raises(FloatingPointError) if raises else contextlib.nullcontext():
-            call()
+        if raises:
+            with pytest.raises(FloatingPointError):
+                call()
+        else:
+            got = _bits(call())
         assert np.geterr() == before
+    if not raises:
+        attention._tables.clear()
+        assert got == _bits(call())

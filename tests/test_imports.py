@@ -14,9 +14,11 @@ helper a refactor left behind, fails here.
 
 The floating-point policy is guarded here too: ``np.errstate`` is named
 only by ``roll_core._raising``, the policy, and by
-``attention._softmax_rows_shifted``, its one exception; and every public
+``attention._softmax_rows_shifted``, its one exception; every public
 function is decorated with ``@_raising()`` unless it is one of the named
-exemptions, which do no arithmetic on values the caller supplies.
+exemptions; and an exemption holds only while the function raises no
+floating-point flag on any input it accepts, which a table of edge inputs
+run under ``np.errstate(all="raise")`` checks.
 """
 
 import ast
@@ -24,9 +26,21 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rollpe
+from rollpe import (
+    SpectralBranch,
+    branch_angles,
+    classic_schedule,
+    dft_matrix,
+    equivariance_violation_witness,
+    log_shift_generator,
+    realified_fourier_basis,
+    roll_discrete,
+    shift_matrix,
+)
 
 MODULES = sorted(p for p in Path(rollpe.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -130,8 +144,9 @@ def test_errstate_is_named_only_by_the_policy_and_its_exception():
     assert owners == {("roll_core", "_raising"), ("attention", "_softmax_rows_shifted")}
 
 
-# public functions that run without the policy: a permutation, constants built
-# from n alone, a table of finite positions, and a search that draws its own inputs
+# public functions that run without the policy, since they raise no floating-point
+# flag on any input they accept: a permutation, constants built from n alone, and
+# a search that draws its own inputs
 _UNRAISING = {
     "roll_discrete",
     "shift_matrix",
@@ -140,7 +155,6 @@ _UNRAISING = {
     "log_shift_generator",
     "classic_schedule",
     "realified_fourier_basis",
-    "sinusoidal_ape",
     "equivariance_violation_witness",
 }
 
@@ -162,3 +176,51 @@ def test_every_public_function_runs_under_the_policy_or_is_exempt():
     assert sorted(functions - raising) == sorted(_UNRAISING)
     # the private cores stay bare, so attend enters the error state once a call
     assert raising <= functions
+
+
+_NAN, _INF = float("nan"), float("inf")
+# a stack of non-finite rows, which a permutation moves like any other
+_NON_FINITE = np.array([[_NAN, 1.0, -_INF], [_INF, -0.0, 5e-324]])
+# lengths of one, of both parities and past 256, on both branches
+_LENGTHS = (1, 2, 3, 256, 257)
+_BRANCHED = [(n, branch) for n in _LENGTHS for branch in SpectralBranch]
+
+# edge inputs of every exempt function, each of which it accepts
+_EDGES = {
+    "roll_discrete": [
+        lambda: roll_discrete([_NAN, 1.0, -_INF, _INF], 2**70 + 1),
+        lambda: roll_discrete(_NON_FINITE, [2**70 + 1, -(2**70)]),
+        lambda: roll_discrete(_NON_FINITE, np.array([2.0**60, -3.0])),
+        lambda: roll_discrete(np.asfortranarray(_NON_FINITE), np.array([7, -8], dtype=np.int8)),
+        lambda: roll_discrete(np.stack([_NON_FINITE] * 2)[..., ::-1], [-1, 1]),
+    ],
+    "shift_matrix": [lambda n=n: shift_matrix(n, 2**70 + 1) for n in _LENGTHS],
+    "dft_matrix": [lambda n=n: dft_matrix(n) for n in _LENGTHS],
+    "branch_angles": [lambda n=n, b=b: branch_angles(n, b) for n, b in _BRANCHED],
+    "log_shift_generator": [lambda n=n, b=b: log_shift_generator(n, b) for n, b in _BRANCHED],
+    "classic_schedule": [lambda n=n: classic_schedule(n) for n in (2, 256)],
+    "realified_fourier_basis": [lambda n=n: realified_fourier_basis(n) for n in _LENGTHS],
+    "equivariance_violation_witness": [
+        lambda: equivariance_violation_witness(3, 1, seed=0, budget=40),
+        lambda: equivariance_violation_witness(257, 2, seed=7, budget=40),
+    ],
+}
+
+
+def test_every_exempt_function_has_edge_inputs():
+    assert sorted(_EDGES) == sorted(_UNRAISING)
+
+
+@pytest.mark.parametrize("name", sorted(_EDGES))
+def test_exempt_functions_raise_no_flag_on_edge_inputs(name, monkeypatch):
+    """Under a caller that raises on every flag, an exempt function still returns.
+
+    The package's caches are bypassed, so each table is built under that state.
+    """
+    for module in map(importlib.import_module, [f"rollpe.{p.stem}" for p in MODULES]):
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_clear"):
+                monkeypatch.setattr(module, attr, value.__wrapped__)
+    with np.errstate(all="raise"):
+        for call in _EDGES[name]:
+            call()
