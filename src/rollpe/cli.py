@@ -32,6 +32,7 @@ from .roll_core import (
     _as_count,
     _blocks,
     _check_positive,
+    _raising,
     _score_scale,
     relative_form_score,
     roll_discrete,
@@ -249,6 +250,8 @@ def _cmd_bench(cfg: RunConfig):
     p_int, p_frac = 3, 0.37
     centered = SpectralBranch.CENTERED
 
+    # the policy roll_continuous runs under, so an overflow raises on both timed paths
+    @_raising()
     def dense_roll(x, p):
         """Fractional roll through dense DFT matrices: the oracle for the FFT path."""
         fmat = dft_matrix(n)
@@ -369,7 +372,7 @@ def main(argv=None) -> int:
     config = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
         report = run(config)
-    except (ValueError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.output_path:

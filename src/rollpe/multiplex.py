@@ -88,7 +88,6 @@ def mproll_score(bank_q, bank_k, p_q, p_k, d: float | None = None) -> float | np
     """
     enc_q, enc_k = _as_pair(mproll(bank_q, p_q), mproll(bank_k, p_k))
     scores = (enc_q * enc_k).sum(axis=-1) / _score_scale(enc_q.shape[-1], d)
-    _check_finite(scores, "score")
     return float(scores) if enc_q.ndim == 1 else scores
 
 

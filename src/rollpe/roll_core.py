@@ -110,7 +110,7 @@ def _holds_bool(p: list | tuple) -> bool:
     ))
 
 
-def _as_positions(p) -> np.ndarray:
+def _as_positions(p, name: str = "positions") -> np.ndarray:
     """``p`` as a new float64 array; ``ValueError`` unless it holds real numbers float64 can hold.
 
     Strings and bytes, which a float conversion would parse, bools, which
@@ -118,7 +118,8 @@ def _as_positions(p) -> np.ndarray:
     inside a list or tuple, where a bool among numbers would read as 0 or 1;
     an object array, such as Python ints beyond int64, is checked entry by
     entry, and a Python int beyond the float64 range is refused too, where
-    the conversion would raise ``OverflowError``.
+    the conversion would raise ``OverflowError``.  The errors call the
+    values ``name``: positions, or a schedule's frequencies.
     """
     arr = np.asarray(p)
     kind = arr.dtype.kind
@@ -127,15 +128,15 @@ def _as_positions(p) -> np.ndarray:
     # of numbers is searched for one
     listed = arr is not p and isinstance(p, (list, tuple))
     if kind in "iufO" and listed and _holds_bool(p):
-        raise ValueError(f"positions must be real numbers, got a bool in the {type(p).__name__}")
+        raise ValueError(f"{name} must be real numbers, got a bool in the {type(p).__name__}")
     if kind not in "iufO" or (kind == "O" and not all(
         isinstance(v, _REALS) and not isinstance(v, _BOOLS) for v in arr.flat
     )):
-        raise ValueError(f"positions must be real numbers, got dtype {arr.dtype}")
+        raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
     try:
         return arr.astype(float)
     except OverflowError:
-        raise ValueError("positions must lie within the float64 range") from None
+        raise ValueError(f"{name} must lie within the float64 range") from None
 
 
 def _as_rows(x, p, name: str = "q") -> tuple[np.ndarray, np.ndarray, tuple]:

@@ -14,13 +14,20 @@ or for a (T, n) stack of T pairs in one kernel call per path.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .roll_core import _as_count, _as_pair, _as_rows, _check_finite, _check_positive, _raising
+from .roll_core import (
+    _as_count,
+    _as_pair,
+    _as_positions,
+    _as_rows,
+    _check_finite,
+    _check_positive,
+    _raising,
+)
 from .spectral import SpectralBranch, _phases, dft_matrix, roll_continuous
 
 __all__ = [
@@ -35,21 +42,25 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FrequencySchedule:
-    """Per-plane rotation frequencies omega_k (one entry per 2-D plane)."""
+    """Per-plane rotation frequencies omega_k (one entry per 2-D plane).
+
+    ``omegas`` is a read-only float64 copy of the frequencies given, so
+    the caller's array stays theirs.  They are read as positions are
+    (``roll_core._as_positions``): a string, bytes, a bool, a complex
+    number or a Python int beyond the float64 range raises ``ValueError``,
+    as do a non-finite frequency and any shape but a scalar or a vector.
+    """
 
     omegas: np.ndarray
-    # max |omega_k|, so that rope_apply bounds every angle with one product
-    _peak: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        omegas = np.atleast_1d(np.asarray(self.omegas, dtype=float))
+        omegas = np.atleast_1d(_as_positions(self.omegas, "frequencies"))
         if omegas.ndim != 1:
             raise ValueError("omegas must be a 1-D vector")
         if omegas.size and not np.all(np.isfinite(omegas)):
             raise ValueError("all frequencies must be finite")
         omegas.setflags(write=False)
         object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "_peak", float(np.abs(omegas).max()) if omegas.size else 0.0)
 
     @property
     def planes(self) -> int:
@@ -65,9 +76,9 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
     row-sets sharing those positions; a vector is the one-row case.  Pair
     k, read as v[2k] + 1j*v[2k+1], is multiplied by exp(1j*p*omega_k) from
     one (t, m) phase table.  The schedule needs one plane per pair.  A
-    non-finite or misshapen position raises ``ValueError``, as does a
-    position and frequency whose product p * omega_k overflows; a NaN or
-    +-inf in ``v``, and finite pairs whose rotation overflows, raise
+    non-finite or misshapen position raises ``ValueError``; a NaN or +-inf
+    in ``v``, a position and frequency whose product p * omega_k
+    overflows, and finite pairs whose rotation overflows raise
     ``FloatingPointError``.
     """
     rows, pos, shape = _as_rows(v, p, "v")
@@ -76,27 +87,12 @@ def rope_apply(v, p, sched: FrequencySchedule) -> np.ndarray:
         raise ValueError(
             f"schedule has {sched.planes} planes but v has length {rows.shape[-1]}"
         )
-    return _rotate_pairs(rows, _rope_table(pos, sched)).reshape(shape)
-
-
-def _rope_table(pos: np.ndarray, sched: FrequencySchedule) -> np.ndarray:
-    """The (t, m) phases exp(1j * pos[i] * omega_k) at the (t,) finite ``pos``.
-
-    Raises ``ValueError``, on every call, when an angle p * omega_k overflows.
-    """
-    # max |p| * max |omega| bounds every angle, since rounding is monotone
-    reach = float(np.abs(pos).max())
-    if not math.isfinite(reach * sched._peak):
-        raise ValueError(
-            f"position * frequency overflows: largest |position| {reach!r}, "
-            f"largest |frequency| {sched._peak!r}"
-        )
-    return _phases(pos, sched.omegas)
+    return _rotate_pairs(rows, _phases(pos, sched.omegas)).reshape(shape)
 
 
 def _classic_table(pos: np.ndarray, n: int) -> np.ndarray:
-    """``_rope_table`` of ``classic_schedule(n)``, the rotary table attention encodes with."""
-    return _rope_table(pos, classic_schedule(n))
+    """The (t, n/2) phases of ``classic_schedule(n)``, the rotary table attention encodes with."""
+    return _phases(pos, classic_schedule(n).omegas)
 
 
 def _sinusoid_table(pos: np.ndarray, n: int) -> np.ndarray:
@@ -175,9 +171,9 @@ def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray
     a float.  Either way each path makes one kernel call on the (2T, n)
     stack [Q; K] at the concatenated positions, and the basis and the
     schedule are built once.  A non-finite or misshapen position raises
-    ``ValueError``, as does a ``lam`` so small that pi * max(1, |p|) / lam
-    overflows; a NaN or +-inf in ``q`` or ``k`` raises ``FloatingPointError``,
-    as do finite scores that overflow.
+    ``ValueError``; a NaN or +-inf in ``q`` or ``k`` raises
+    ``FloatingPointError``, as do a ``lam`` so small that a frequency or
+    an angle p * omega_k overflows and finite scores that overflow.
     """
     q, k = _as_pair(q, k)
     q_rows, pos_q, _ = _as_rows(q, p_q, "q")
@@ -186,13 +182,6 @@ def equivalence_residual(q, k, p_q, p_k, lam: float = 1.0) -> float | np.ndarray
     rows = np.concatenate([q_rows, k_rows])
     positions = np.concatenate([pos_q, pos_k])
     _check_positive(lam, "lambda")
-    # each omega_k is below pi/lam, so this bounds every angle and frequency of both paths
-    reach = float(np.abs(positions).max())
-    if not math.isfinite(math.pi * max(1.0, reach) / float(lam)):
-        raise ValueError(
-            f"pi * max(1, |p|) / lambda overflows at lambda = {float(lam)!r}, "
-            f"largest |position| {reach!r}"
-        )
 
     rolled = roll_continuous(rows, positions, lam, SpectralBranch.CENTERED)
     score_a = (rolled[:t] * rolled[t:]).sum(axis=-1)

@@ -81,14 +81,26 @@ class ShiftGenerator:
 
     ``matrix`` is n-by-n complex, circulant and skew-Hermitian, with
     exp(matrix) equal to the one-step shift.  Immutable after
-    construction, with a read-only ``matrix``; build via
-    :func:`log_shift_generator`, which returns one shared instance per
-    (n, branch).
+    construction: ``matrix`` is a read-only complex copy of the array it
+    was given, so the caller's array stays theirs.  An ``n`` that is not
+    a positive integer, and a matrix of any shape but (n, n), raise
+    ``ValueError``.  Build via :func:`log_shift_generator`, which returns
+    one shared instance per (n, branch); a hand-built generator is for
+    checking :func:`generator_residuals`.
     """
 
     n: int
     branch: SpectralBranch
     matrix: np.ndarray
+
+    def __post_init__(self):
+        n = _as_count(self.n)
+        matrix = np.array(self.matrix, dtype=complex)
+        if matrix.shape != (n, n):
+            raise ValueError(f"matrix must be {n}-by-{n}, got shape {matrix.shape}")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "matrix", matrix)
 
 
 @dataclass(frozen=True)
@@ -164,7 +176,6 @@ def _log_shift_generator(n: int, branch: SpectralBranch) -> ShiftGenerator:
     fmat = dft_matrix(n)
     theta = branch_angles(n, branch)
     matrix = fmat.conj().T @ (1j * theta[:, None] * fmat)
-    matrix.setflags(write=False)
     return ShiftGenerator(n=n, branch=branch, matrix=matrix)
 
 
@@ -242,7 +253,7 @@ def generator_residuals(gen: ShiftGenerator) -> GeneratorResiduals:
     whose entries overflow a residual raises ``FloatingPointError``.
     """
     a = gen.matrix
-    n = _as_count(gen.n)
+    n = gen.n
     skew = _frobenius(a + a.conj().T)
 
     exp_col = np.fft.ifft(np.exp(np.fft.fft(a[:, 0])))

@@ -30,8 +30,6 @@ from rollpe.multiplex import mproll
 from rollpe.roll_core import roll_discrete, shift_matrix
 from rollpe import multiplex, roll_core, rope, spectral
 from rollpe.rope import (
-    FrequencySchedule,
-    _rope_table,
     classic_schedule,
     realified_fourier_basis,
     roll_induced_schedule,
@@ -1310,14 +1308,16 @@ def test_an_odd_length_raises_on_every_call(kind, empty_memo):
 
 def test_an_overflowing_rope_angle_raises_on_every_call(empty_memo):
     """Attention's positions stay below 2**53 and its frequencies at most 1, so the
-    overflow is reached through the memo with a schedule of a huge frequency."""
+    overflow is reached through the memo with a phase table of a huge frequency,
+    built under the floating-point policy as ``attend`` builds its tables."""
 
+    @roll_core._raising()
     def huge(pos, omega):
-        return _rope_table(pos, FrequencySchedule([omega]))
+        return spectral._phases(pos, np.array([omega]))
 
     pos = np.array([0.0, 1e10])
     for _ in range(2):
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(FloatingPointError, match="overflow"):
             attention._table(huge, pos, 1e300)
     assert empty_memo == {}
     assert attention._table(huge, pos, 1.0).shape == (2, 1)

@@ -11,7 +11,9 @@ all but ``roll_discrete``, a permutation, one more for non-finite rows.
 that are not real where a positive real belongs, Python ints beyond the
 float range there and as positions, positions that are not real numbers,
 bools where a count, a positive real, a shift or positions belong, and the
-even length that rope and the APE need get one table each as well.  The
+even length that rope and the APE need get one table each as well, and
+so do the arrays ``FrequencySchedule`` and ``ShiftGenerator`` cannot
+hold, while the arrays they can are copied, not shared.  The
 score functions, ``rollpe_score``, ``relative_form_score`` and
 ``equivalence_residual``, get one table for query and key shapes that
 differ or that no score takes, for misshapen and for non-finite stack
@@ -518,8 +520,54 @@ def test_frequency_schedule_of_a_matrix_raises():
         FrequencySchedule(np.ones((2, 2)))
 
 
+# each value type that holds a caller's array, built from that array, and the array it keeps
+_ARRAY_OWNERS = {
+    "FrequencySchedule": (lambda: np.array([0.5, 0.25]), FrequencySchedule, "omegas"),
+    "ShiftGenerator": (
+        lambda: log_shift_generator(4).matrix.copy(),
+        lambda a: ShiftGenerator(4, SpectralBranch.CENTERED, a),
+        "matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, build, field", _ARRAY_OWNERS.values(), ids=_ARRAY_OWNERS)
+def test_value_types_copy_the_callers_array(make, build, field):
+    """The caller's array stays writeable and unshared; the kept copy is read-only."""
+    given = make()
+    kept = getattr(build(given), field)
+    assert not np.shares_memory(kept, given) and not kept.flags.writeable
+    before = kept.copy()
+    given[0] = 1.0
+    np.testing.assert_array_equal(kept, before)
+
+
+@_table({
+    "FrequencySchedule/str": lambda: FrequencySchedule("1.0"),
+    "FrequencySchedule/bytes": lambda: FrequencySchedule(b"3"),
+    "FrequencySchedule/bool-in-list": lambda: FrequencySchedule([True, 2.0]),
+    "FrequencySchedule/complex-array": lambda: FrequencySchedule(np.array([1 + 1j])),
+    "FrequencySchedule/complex-list": lambda: FrequencySchedule([1 + 1j]),
+    "FrequencySchedule/int-beyond-float": lambda: FrequencySchedule([_HUGE]),
+    "ShiftGenerator/smaller": lambda: ShiftGenerator(4, SpectralBranch.RAW, np.zeros((3, 3))),
+    "ShiftGenerator/larger": lambda: ShiftGenerator(3, SpectralBranch.RAW, np.zeros((4, 4))),
+    "ShiftGenerator/vector": lambda: ShiftGenerator(4, SpectralBranch.RAW, np.zeros(4)),
+    "ShiftGenerator/nested-list": lambda: ShiftGenerator(2, SpectralBranch.RAW, [[0.0] * 3] * 2),
+})
+def test_value_types_refuse_what_they_cannot_hold(call):
+    """Frequencies follow the positions' dtype rule; a generator's matrix must be (n, n)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="frequencies must|matrix must be"):
+            call()
+
+
 # finite entries whose products overflow: 1e200 * 1e200 is inf, and +inf meets -inf in a sum
 _BIG, _BIG_MIXED = [1e200, 1e200], [1e200, -1e200]
+# 20 pairs of length 8 at positions in [-24, 24], whose roll-induced angles overflow at tiny lambda
+_rng5 = np.random.default_rng(5)
+_QK20 = _rng5.standard_normal((2, 20, 8))
+_P20 = _rng5.uniform(-24.0, 24.0, size=(2, 20))
 
 
 # one call per entry point under roll_core._raising whose finite inputs overflow
@@ -538,6 +586,21 @@ _OVERFLOWS = {
     "roll_continuous": lambda: roll_continuous(np.full(8, 1.7e308), 0.5),
     "roll_continuous/stack": lambda: roll_continuous(np.full((2, 8), 1.7e308), [0.5, -2.0]),
     "rope_apply": lambda: rope_apply(np.full(8, 1.7e308), 0.7, classic_schedule(8)),
+    # a position times a frequency overflows the angle p * omega_k
+    "rope_apply/angle": lambda: rope_apply(np.ones(2), 1e10, FrequencySchedule([1e300])),
+    "rope_apply/angle/rows-negative-frequency":
+        lambda: rope_apply(np.ones((3, 2)), [0.5, -1e10, 2.0], FrequencySchedule([-1e300])),
+    "rope_apply/angle/roll-induced-tiny-lambda":
+        lambda: rope_apply(np.ones((2, 3, 6)), [1e10, 3.0, -2.0], roll_induced_schedule(8, 1e-300)),
+    **{
+        f"equivalence_residual/angle/{name}": (
+            lambda lam=lam: equivalence_residual(*_QK20, *_P20, lam)
+        )
+        for name, lam in {
+            "lambda-1e-307": 1e-307, "numpy-lambda-1e-307": np.float64(1e-307),
+            "lambda-1e-320": 1e-320,
+        }.items()
+    },
     "circular_laplacian_loss": lambda: circular_laplacian_loss([1e300, -1e300, 0.0]),
     "generator_residuals": lambda: generator_residuals(
         ShiftGenerator(4, SpectralBranch.CENTERED, np.full((4, 4), 1e308 + 0j))
@@ -582,6 +645,9 @@ _RETURNS = {
     "rope_apply": lambda: rope_apply(np.ones(4), 0.7, _SCHED4),
     "roll_induced_schedule": lambda: roll_induced_schedule(8, 0.5),
     "equivalence_residual": lambda: equivalence_residual(Q, Q[::-1], 0.3, 1.2),
+    # frequencies up to 1.6e308 and no angle but 0, which overflow nowhere
+    "equivalence_residual/tiny-lambda":
+        lambda: equivalence_residual(_QKV8[0, 0], _QKV8[1, 0], 0.0, 0.0, 1.5e-308),
     "mproll": lambda: mproll([Q, Q], 2),
     "mproll_score": lambda: mproll_score([Q, Q], [Q, -Q], 1, 2),
     "attend": lambda: attend(AttentionBatch(*_QKV, np.arange(4.0)), PEConfig(kind=PEKind.ROPE)),

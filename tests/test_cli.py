@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import warnings
 from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
@@ -298,11 +299,25 @@ class TestMain:
         assert code == 2
         assert "seed must be an integer of at least 0" in capsys.readouterr().err
 
-    def test_exit_two_when_rope_equivalence_angles_overflow(self, capsys):
-        """At this lambda the roll-induced angles overflow; the report must not hold NaN rows."""
-        code = main(["--command", "rope-equivalence", "--lambda", "1e-307", "--trials", "20"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--command", "rope-equivalence", "--lambda", "1e-307", "--trials", "20"],
+             "overflow encountered in multiply"),
+            # the dense oracle's phases meet 0 * inf before its FFT path is timed
+            (["--command", "bench", "--n", "8", "--lambda", "1e-310"],
+             "invalid value encountered in multiply"),
+        ],
+        ids=["rope-equivalence", "bench"],
+    )
+    def test_exit_two_when_arithmetic_overflows(self, capsys, argv, message):
+        """A flag whose arithmetic overflows exits 2 with numpy's error, not a NaN report."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
         assert code == 2
-        assert "overflows at lambda = 1e-307" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_exit_two_on_unwritable_path(self, tmp_path):
         code = main(

@@ -14,7 +14,8 @@ helper a refactor left behind, fails here.
 
 The floating-point policy is guarded here too: ``np.errstate`` is named
 only by ``roll_core._raising``, the policy, and by
-``attention._softmax_rows_shifted``, its one exception; every public
+``attention._softmax_rows_shifted``, its one exception; no ``ValueError``
+reports an overflow, which is the policy's to raise; every public
 function is decorated with ``@_raising()`` unless it is one of the named
 exemptions; and an exemption holds only while the function raises no
 floating-point flag on any input it accepts, which a table of edge inputs
@@ -142,6 +143,40 @@ def _errstate_owners(path: Path) -> set:
 def test_errstate_is_named_only_by_the_policy_and_its_exception():
     owners = set().union(*map(_errstate_owners, MODULES))
     assert owners == {("roll_core", "_raising"), ("attention", "_softmax_rows_shifted")}
+
+
+def _overflow_value_errors(source: str) -> list:
+    """Line numbers of ``raise ValueError(...)`` whose message mentions an overflow."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        call = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ValueError":
+            # a plain string, or the literal parts of an f-string
+            text = " ".join(
+                sub.value for arg in call.args for sub in ast.walk(arg)
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            )
+            if "overflow" in text.lower():
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_value_error_reports_an_overflow(path):
+    """An overflow from accepted arguments is the policy's ``FloatingPointError``;
+    a ``ValueError`` is for a bad argument, so none may be a hand-written overflow bound."""
+    assert _overflow_value_errors(path.read_text()) == []
+
+
+def test_an_overflow_value_error_is_caught():
+    source = (
+        "def f(x, y):\n"
+        "    if x > 1:\n        raise ValueError('x must be at most 1')\n"
+        "    if not isfinite(x * y):\n"
+        "        raise ValueError(f'{x!r} * {y!r} overflows')\n"
+        "    raise FloatingPointError('overflow')\n"
+    )
+    assert _overflow_value_errors(source) == [5]
 
 
 # public functions that run without the policy, since they raise no floating-point
