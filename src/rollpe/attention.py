@@ -30,6 +30,17 @@ parameters, so positions that repeat, such as one grid, build it once.
 The multiplexed roll's speed-1 component is a copy of the rows; only the
 W - 1 seeded maps are multiplied.
 
+The relative configs (``_relative``: rope, roll-discrete, one wave, and
+roll-continuous centered at an odd length) encode each row-set at its
+positions less its first, per coordinate, so their logits depend on
+position differences alone: a common offset changes no bit of the
+discrete rolls' and leaves rope's angles rounded to eps * |p - p0|, not
+eps * |p|.  ``_from_origin`` builds those tables, keyed by the raw
+positions, and fetches the table at the origin-relative ones from the
+same memo, so row-sets a common offset apart share one build and a
+repeat of the raw positions hits with no NumPy call.  The other configs
+keep their tables at absolute positions.
+
 Each ``attend`` call writes one (2, ..., t, t) block: the logits in its
 first half, with the 1/sqrt(d) scale folded into the query side, and the
 scores in its second, built from them by an exponential with no shift
@@ -63,6 +74,7 @@ from .roll_core import (
     _check_positive,
     _float_shifts,
     _raising,
+    _reduced_steps,
     _roll_rows,
     _score_scale,
 )
@@ -115,6 +127,12 @@ class PEConfig:
         _check_positive(self.lam, "lambda")
         object.__setattr__(self, "lam", float(self.lam))
 
+
+# The members the per-call dispatch compares against, as module names: PEKind's
+# metaclass defines __getattr__, so an attribute lookup on the class costs about
+# 0.1 us, several times per call, where the fixed cost is most of an attend at t = 8.
+_NONE, _APE, _DISCRETE, _CONTINUOUS, _ROPE, _MULTIPLEXED = PEKind
+_CENTERED = SpectralBranch.CENTERED
 
 # float64 represents every integer of smaller magnitude exactly
 _POSITION_LIMIT = 2.0**53
@@ -223,13 +241,30 @@ def _multiplex_table(pos: np.ndarray, n: int, waves: int) -> np.ndarray:
     return _wave_table(_float_shifts(pos, n), waves, n)
 
 
+def _relative(pe: PEConfig, n: int) -> bool:
+    """Whether ``attend``'s logits under ``pe`` at (sub-)length ``n`` depend on positions
+    only through their differences: rope, roll-discrete, the multiplexed roll with one
+    wave, and roll-continuous on the centered branch at an odd length.
+
+    ``_encode`` builds these configs' tables at origin-relative positions.  The sinusoidal
+    APE, two or more waves, and roll-continuous at an even length or on the raw branch
+    are absolute; ``none`` encodes no position.
+    """
+    kind = pe.kind
+    if kind is _CONTINUOUS:
+        return pe.branch is _CENTERED and n % 2 == 1
+    return kind is _ROPE or kind is _DISCRETE or (kind is _MULTIPLEXED and pe.waves == 1)
+
+
 # Position tables kept from call to call: a table depends on the positions
 # and its kind's parameters only, never on Q or K.  An entry is kept only
 # when its table and key bytes come to at most _TABLE_BYTES, and the memo
 # is emptied when it holds _TABLES_KEPT entries, so it never holds more than
 # 1 MiB of tables and keys (about 1.1 MiB with the Python objects around
-# them).  Every table of attend at t = 16, n = 32, axial, is kept (the
-# largest, roll-continuous, comes to 4.9 KiB); none at t = 1024, n = 64.
+# them); a relative config's table is kept under two keys, its raw and its
+# origin-relative positions, and counts once per key.  Every table of attend
+# at t = 16, n = 32, axial, is kept (the largest, roll-continuous, comes to
+# 4.9 KiB); none at t = 1024, n = 64.
 _TABLE_BYTES = 8 * 2**10
 _TABLES_KEPT = 128
 _tables: dict = {}
@@ -253,6 +288,26 @@ def _table(build, pos: np.ndarray, *params) -> np.ndarray:
                 _tables.clear()
             _tables[key] = table
     return table
+
+
+def _from_origin(pos, size, coords, reduce, period, build, *params) -> np.ndarray:
+    """``build``'s table at each row-set's positions less its first, per coordinate.
+
+    ``pos`` holds row-sets of ``size`` positions of ``coords`` coordinates
+    each, flattened.  A roll first reduces them by its ``period`` with
+    ``reduce``: ``_reduced_steps`` at n, which also refuses a fractional
+    position, or ``np.fmod`` at lambda * n.  Both are exact, so an integer
+    difference stays exact even where |p - p0| >= 2**53; rope, with no
+    period, passes None.  The difference is rounded once, to within
+    eps * |p - p0|.  The table comes from ``_table``, so row-sets that differ
+    by a common offset share one build.
+    """
+    if reduce is not None:
+        pos = reduce(pos, period)
+    if pos.size == size:  # one row-set of scalar positions: one subtraction, no views
+        return _table(build, pos - pos[0], *params)
+    rows = pos.reshape(-1, size, coords)
+    return _table(build, (rows - rows[:, :1]).ravel(), *params)
 
 
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
@@ -342,31 +397,45 @@ def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     are read as (s, B*t, n) at the flattened positions, or as (s, 2B*t,
     n/2) half-rows when axial, so each half is encoded at its own
     coordinate.  The kind's table over those positions comes from
-    ``_table`` and its core takes the rows unchecked: the batch has
+    ``_table``, at origin-relative positions for a relative config
+    (``_relative``), and its core takes the rows unchecked: the batch has
     checked them.  The identity returns ``x`` itself.
     """
-    if pe.kind is PEKind.NONE:
+    kind = pe.kind
+    if kind is _NONE:
         return x
     n = x.shape[-1] // 2 if pe.axial else x.shape[-1]
-    p = positions.reshape(-1)
-    rows = x.reshape(-1, p.size, n)
-    if pe.kind is PEKind.SINUSOIDAL_APE:
-        enc = rows + _table(_sinusoid_table, p, n)
-    elif pe.kind is PEKind.ROLL_DISCRETE:
-        enc = _roll_rows(rows, _table(_float_shifts, p, n))
-    elif pe.kind is PEKind.ROLL_CONTINUOUS:
-        enc = _roll_spectra(rows, _table(_roll_table, p, n, pe.lam, pe.branch))
-    elif pe.kind is PEKind.ROPE:
-        enc = _rotate_pairs(rows, _table(_classic_table, p, n))
+    rows = x.reshape(-1, positions.size, n)
+    # the kind's core, which applies its table to the rows, the table's builder and its
+    # parameters, and, for a roll, the reduction by its period
+    reduce = period = None
+    if kind is _APE:
+        core, build, params = np.add, _sinusoid_table, (n,)
+    elif kind is _DISCRETE:
+        core, build, params, reduce, period = _roll_rows, _float_shifts, (n,), _reduced_steps, n
+    elif kind is _CONTINUOUS:
+        core, build, params = _roll_spectra, _roll_table, (n, pe.lam, pe.branch)
+        reduce, period = np.fmod, pe.lam * n
+    elif kind is _ROPE:
+        core, build, params = _rotate_pairs, _classic_table, (n,)
     else:
         # the (W, rows, n) components: the rows, then their products with the seeded maps
         flat = rows.reshape(-1, n)
-        comps = np.empty((pe.waves, len(flat), n))
-        comps[0] = flat
+        rows = np.empty((pe.waves, len(flat), n))
+        rows[0] = flat
         if pe.waves > 1:
-            np.matmul(flat, _multiplex_projections(n, pe.waves).swapaxes(1, 2), out=comps[1:])
-        enc = _superpose(comps, _table(_multiplex_table, p, n, pe.waves))
-    return enc.reshape(x.shape)
+            np.matmul(flat, _multiplex_projections(n, pe.waves).swapaxes(1, 2), out=rows[1:])
+        core, build, params = _superpose, _multiplex_table, (n, pe.waves)
+        reduce, period = _reduced_steps, n
+    p = positions.reshape(-1)
+    if _relative(pe, n):
+        # the row-set length and the coordinates per position key the split into row-sets;
+        # the raw positions key the table, so a repeat of them hits with no NumPy call
+        size = positions.shape[-2] if pe.axial else positions.shape[-1]
+        table = _table(_from_origin, p, size, 1 + pe.axial, reduce, period, build, *params)
+    else:
+        table = _table(build, p, *params)
+    return core(rows, table).reshape(x.shape)
 
 
 @_raising()
@@ -381,7 +450,7 @@ def attend(batch: AttentionBatch, pe: PEConfig, d: float | None = None) -> Atten
     """
     _check_batch(batch, pe)
     scale = _score_scale(batch.dim, d)
-    if pe.kind is PEKind.NONE:  # skipping the call and the unpacking shows at t = 8
+    if pe.kind is _NONE:  # skipping the call and the unpacking shows at t = 8
         enc_q, enc_k = batch.q, batch.k
     else:
         enc_q, enc_k = _encode(batch._qkv[:2], batch.positions, pe)

@@ -83,10 +83,11 @@ class ShiftGenerator:
     exp(matrix) equal to the one-step shift.  Immutable after
     construction: ``matrix`` is a read-only complex copy of the array it
     was given, so the caller's array stays theirs.  An ``n`` that is not
-    a positive integer, and a matrix of any shape but (n, n), raise
-    ``ValueError``.  Build via :func:`log_shift_generator`, which returns
-    one shared instance per (n, branch); a hand-built generator is for
-    checking :func:`generator_residuals`.
+    a positive integer, a ``branch`` that is not a ``SpectralBranch``
+    member, and a matrix of any shape but (n, n) or with a NaN or +-inf
+    entry raise ``ValueError``.  Build via :func:`log_shift_generator`,
+    which returns one shared instance per (n, branch); a hand-built
+    generator is for checking :func:`generator_residuals`.
     """
 
     n: int
@@ -95,9 +96,12 @@ class ShiftGenerator:
 
     def __post_init__(self):
         n = _as_count(self.n)
+        _check_branch(self.branch)
         matrix = np.array(self.matrix, dtype=complex)
         if matrix.shape != (n, n):
             raise ValueError(f"matrix must be {n}-by-{n}, got shape {matrix.shape}")
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix must hold finite entries")
         matrix.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrix", matrix)

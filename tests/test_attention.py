@@ -330,7 +330,8 @@ def _counting(monkeypatch, names):
 
 def _count_kernel_calls(monkeypatch, run, pe, axial, b=None):
     """Table fetches and core calls attention makes in run(batch, pe) on a 64 x 8 batch, or b of
-    them, by name."""
+    them, by name, from an empty memo."""
+    monkeypatch.setattr(attention, "_tables", {})
     calls = _counting(monkeypatch, ["_table", *_CORES])
     rng = np.random.default_rng(26)
     rows = (64,) if b is None else (b, 64)
@@ -347,11 +348,13 @@ class TestPhaseKindsEncodeOncePerBatch:
     @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_kernel_calls_per_attend(self, pe, kernel, axial, monkeypatch):
         """One table fetch and one core call: one per side would be 2, per axial half 4,
-        per row 2t = 128; B row-sets share the one call too."""
+        per row 2t = 128; B row-sets share the one call too.  A relative config's fetch
+        of its raw positions misses and fetches the origin-relative table once more."""
+        fetches = 1 + attention._relative(pe, 4 if axial else 8)
         for b in (None, 1, 4):
             calls = _count_kernel_calls(monkeypatch, _attend, pe, axial, b)
             monkeypatch.undo()
-            assert calls.pop("_table") == 1
+            assert calls.pop("_table") == fetches
             if kernel is not None:
                 assert calls.pop(kernel) == 1
             assert set(calls.values()) == {0}
@@ -359,10 +362,10 @@ class TestPhaseKindsEncodeOncePerBatch:
     @pytest.mark.parametrize("axial", [False, True], ids=["scalar", "axial"])
     @pytest.mark.parametrize("pe, kernel", _KERNEL_CASES, ids=_KERNEL_IDS)
     def test_kernel_calls_per_grad_check(self, pe, kernel, axial, monkeypatch):
-        """One table fetch and one core call on the one stack of direction rows, stepped
-        copies of Q, Q and K."""
+        """One table fetch (two for a relative config, as in ``attend``) and one core call
+        on the one stack of direction rows, stepped copies of Q, Q and K."""
         calls = _count_kernel_calls(monkeypatch, _grad_check, pe, axial)
-        assert calls.pop("_table") == 1
+        assert calls.pop("_table") == 1 + attention._relative(pe, 4 if axial else 8)
         if kernel is not None:
             assert calls.pop(kernel) == 1
         assert set(calls.values()) == {0}
@@ -383,6 +386,26 @@ class TestPhaseKindsEncodeOncePerBatch:
     def test_none_calls_no_kernel(self, run, axial, monkeypatch):
         calls = _count_kernel_calls(monkeypatch, run, _pe(PEKind.NONE), axial)
         assert set(calls.values()) == {0}
+
+
+def _origin_relative(positions, pe, n):
+    """The positions ``attend`` encodes at under ``pe`` at (sub-)length ``n``.
+
+    A relative config (``attention._relative``) encodes each row-set at its
+    positions less its first one, per coordinate when axial: the exact
+    integer differences, as Python ints, for the discrete rolls; the
+    differences of the positions reduced modulo lambda * n for
+    roll-continuous; the rounded differences for rope.  Any other config
+    encodes at ``positions`` themselves.
+    """
+    if not attention._relative(pe, n):
+        return positions
+    p = np.asarray(positions, dtype=float)
+    if pe.kind is PEKind.ROLL_CONTINUOUS:
+        p = np.fmod(p, pe.lam * n)
+    elif pe.kind is not PEKind.ROPE:
+        p = np.array([int(v) for v in p.flat], dtype=object).reshape(p.shape)
+    return p - p.take([0], axis=-2 if pe.axial else -1)
 
 
 def _side_encode(x, positions, pe):
@@ -413,7 +436,8 @@ def _side_encode(x, positions, pe):
 
 
 class TestAttendMatchesPerSideKernels:
-    """Encoding [Q, K] in one call changes no bit of what one call per side gave."""
+    """Encoding [Q, K] in one call changes no bit of what one call per side gave, at the
+    positions ``attend`` encodes at (``_origin_relative``)."""
 
     @pytest.mark.parametrize(
         "t, n, axial",
@@ -449,7 +473,8 @@ class TestAttendMatchesPerSideKernels:
         batch = AttentionBatch(*rng.standard_normal((3, t, n)), positions)
         pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, bool(axial))
         got = attend(batch, pe)
-        enc_q, enc_k = (_side_encode(x, positions, pe) for x in (batch.q, batch.k))
+        encoded_at = _origin_relative(positions, pe, n // 2 if axial else n)
+        enc_q, enc_k = (_side_encode(x, encoded_at, pe) for x in (batch.q, batch.k))
         logits, scores = attention._attention_weights(enc_q, enc_k, math.sqrt(n))
         pairs = [(got.logits, logits), (got.scores, scores), (got.output, scores @ batch.v)]
         for have, want in pairs:
@@ -490,7 +515,8 @@ class TestEncodeRowsMatchVectorKernels:
     def test_rows_match_vector_kernels(
         self, kind, branch, lam, waves, half, axial, t, data
     ):
-        """Row i of the batched encoding is the per-vector kernel at positions[i]."""
+        """Row i of the batched encoding is the per-vector kernel at the position ``_encode``
+        encodes row i at: positions[i], or its origin-relative position for a relative config."""
         if kind in (PEKind.ROPE, PEKind.SINUSOIDAL_APE):
             half += half % 2
         if kind in (PEKind.ROLL_DISCRETE, PEKind.MULTIPLEXED_ROLL):
@@ -508,7 +534,7 @@ class TestEncodeRowsMatchVectorKernels:
         flat = PEConfig(kind, lam, branch, waves)
         got = _encode(x, positions, pe)
         assert got.shape == (t, n)
-        for row, pos, out in zip(x, positions, got):
+        for row, pos, out in zip(x, _origin_relative(positions, pe, half), got):
             if axial:
                 want = np.concatenate([
                     _vector_encode(row[:half], pos[0], flat),
@@ -628,7 +654,8 @@ class TestAttentionCore:
         monkeypatch.setattr(attention, "_tables", {})
         batch = _batch(np.random.default_rng(23), 6, 8)
         out = attend(batch, _pe(kind, waves=2))
-        kept = list(attention._tables.values())
+        # a relative config keeps its one table under two keys
+        kept = list({id(table): table for table in attention._tables.values()}.values())
         assert len(kept) == (kind is not PEKind.NONE)
         arrays = [out.output, out.scores, out.logits, batch.q, batch.k, batch.v, batch.positions]
         for i, a in enumerate(arrays[:3]):
@@ -968,11 +995,14 @@ class TestAxialEncode:
             np.testing.assert_allclose(got, x, atol=1e-12)
 
     def test_manual_split_oracle(self):
+        """Each half rolls by its own coordinate's difference from the first row's."""
         rng = np.random.default_rng(15)
-        v = rng.standard_normal(10)
-        got = _encode(v[None], np.array([[3.0, 1.0]]), _pe(PEKind.ROLL_DISCRETE, axial=True))
-        want = np.concatenate([roll_discrete(v[:5], 3), roll_discrete(v[5:], 1)])
-        np.testing.assert_array_equal(got[0], want)
+        v = rng.standard_normal((2, 10))
+        positions = np.array([[3.0, 1.0], [7.0, -4.0]])
+        got = _encode(v, positions, _pe(PEKind.ROLL_DISCRETE, axial=True))
+        np.testing.assert_array_equal(got[0], v[0])
+        want = np.concatenate([roll_discrete(v[1, :5], 7 - 3), roll_discrete(v[1, 5:], -4 - 1)])
+        np.testing.assert_array_equal(got[1], want)
 
     def test_rejects_odd_length(self):
         batch = AttentionBatch(np.ones((2, 5)), np.ones((2, 5)), np.ones((2, 5)), np.zeros((2, 2)))
@@ -1209,9 +1239,10 @@ def _uncached(monkeypatch, run):
     return result
 
 
-def _assert_kept_tables_are_their_builds():
-    for (build, *params, pos), table in attention._tables.items():
-        fresh = build(np.frombuffer(pos), *params)
+def _assert_kept_tables_are_their_builds(monkeypatch):
+    """Each kept table is its builder at its key, built again with a memo that keeps nothing."""
+    for (build, *params, pos), table in list(attention._tables.items()):
+        fresh = _uncached(monkeypatch, lambda: build(np.frombuffer(pos), *params))
         assert table.dtype == fresh.dtype and table.tobytes() == fresh.tobytes()
         assert not table.flags.writeable
 
@@ -1225,27 +1256,38 @@ def empty_memo(monkeypatch):
 @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
 @pytest.mark.parametrize("pe", _TABLE_KINDS, ids=_KERNEL_IDS)
 class TestPositionTables:
-    """Each kind's position table is built once per positions and shared, without a bit changing."""
+    """Each kind's position table is built once per positions and shared, without a bit changing.
+
+    A relative config's table is kept under two keys: its raw positions and its
+    origin-relative ones.
+    """
 
     def test_a_repeat_is_bit_identical_to_the_first_call_and_to_no_memo(
         self, pe, layout, empty_memo, monkeypatch
     ):
         batch, axial = _layout_batch(layout)
         pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+        keys = 1 + attention._relative(pe, 4 if axial else 8)
         first = attend(batch, pe)
-        assert len(empty_memo) == 1
+        assert len(empty_memo) == keys
         again = AttentionBatch(batch.q, batch.k, batch.v, batch.positions.copy())
         _assert_same_bits(attend(again, pe), first)
         _assert_same_bits(_uncached(monkeypatch, lambda: attend(batch, pe)), first)
         gap = grad_check(pe, batch)
         assert gap == grad_check(pe, again) == _uncached(monkeypatch, lambda: grad_check(pe, batch))
-        assert len(empty_memo) == 1
-        _assert_kept_tables_are_their_builds()
+        assert len(empty_memo) == keys
+        _assert_kept_tables_are_their_builds(monkeypatch)
 
     def test_signed_zeros_get_their_own_tables(self, pe, layout, empty_memo, monkeypatch):
-        """0.0 and -0.0 compare and hash equal; a table keyed by value would serve one for both."""
+        """0.0 and -0.0 compare and hash equal; a table keyed by value would serve one for both.
+
+        A relative config keys each by its raw positions, and both share one table at
+        their origin-relative positions: every zero there is p - p0 = 0.0 - 0.0 or
+        -0.0 - -0.0, which is 0.0 either way.
+        """
         batch, axial = _layout_batch(layout)
         pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+        relative = attention._relative(pe, 4 if axial else 8)
         plus = np.zeros(batch.positions.shape)
         plus.reshape(-1)[1::2] = np.arange(1, plus.size // 2 + 1)
         for order in ((0.0, -0.0), (-0.0, 0.0)):
@@ -1255,15 +1297,15 @@ class TestPositionTables:
                 signed = AttentionBatch(batch.q, batch.k, batch.v, positions)
                 want = _uncached(monkeypatch, lambda: attend(signed, pe))
                 _assert_same_bits(attend(signed, pe), want)
-            assert len(empty_memo) == 2
-            _assert_kept_tables_are_their_builds()
+            assert len(empty_memo) == 2 + relative
+            _assert_kept_tables_are_their_builds(monkeypatch)
 
     def test_kept_tables_are_read_only(self, pe, layout, empty_memo):
         batch, axial = _layout_batch(layout)
         attend(batch, PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial))
-        (table,) = empty_memo.values()
-        with pytest.raises(ValueError, match="read-only"):
-            table.reshape(-1)[0] = 1.0
+        for table in empty_memo.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table.reshape(-1)[0] = 1.0
 
     def test_a_repeat_builds_no_table(self, pe, layout, empty_memo, monkeypatch):
         """Neither a second attend at the same positions nor a grad_check there."""
@@ -1325,10 +1367,12 @@ def test_an_overflowing_rope_angle_raises_on_every_call(empty_memo):
 
 
 def test_each_parameter_keys_its_own_table(empty_memo, monkeypatch):
-    """The same positions under another wavelength, branch, wave count or length."""
+    """The same positions under another wavelength, branch, wave count or length; a relative
+    config keeps two keys, its raw and its origin-relative positions."""
     configs = [
         (8, _pe(PEKind.ROLL_CONTINUOUS)), (8, _pe(PEKind.ROLL_CONTINUOUS, lam=0.7)),
         (8, _pe(PEKind.ROLL_CONTINUOUS, branch=SpectralBranch.RAW)),
+        (7, _pe(PEKind.ROLL_CONTINUOUS)), (7, _pe(PEKind.ROLL_CONTINUOUS, lam=0.7)),
         (8, _pe(PEKind.MULTIPLEXED_ROLL, waves=2)), (8, _pe(PEKind.MULTIPLEXED_ROLL, waves=3)),
         (8, _pe(PEKind.ROPE)), (6, _pe(PEKind.ROPE)),
         (8, _pe(PEKind.ROLL_DISCRETE)), (5, _pe(PEKind.ROLL_DISCRETE)),
@@ -1336,7 +1380,27 @@ def test_each_parameter_keys_its_own_table(empty_memo, monkeypatch):
     for n, pe in configs:
         batch, _ = _layout_batch("scalar", n=n)
         _assert_same_bits(attend(batch, pe), _uncached(monkeypatch, lambda: attend(batch, pe)))
-    assert len(empty_memo) == len(configs)
+    assert len(empty_memo) == sum(1 + attention._relative(pe, n) for n, pe in configs)
+    _assert_kept_tables_are_their_builds(monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "pe", [_pe(PEKind.ROPE), _pe(PEKind.ROLL_DISCRETE)], ids=["rope", "roll-discrete"]
+)
+def test_row_sets_of_one_set_of_bytes_do_not_collide(pe, empty_memo, monkeypatch):
+    """(8,), (2, 4) and axial (4, 2) positions with the same bytes split into other row-sets,
+    so each has its own origin-relative table."""
+    flat = np.array([5.0, 1.0, 2.0, 7.0, 3.0, 4.0, 6.0, 0.0])
+    rng = np.random.default_rng(44)
+    for lead, t, n, axial in [((), 8, 8, False), ((2,), 4, 8, False), ((), 4, 16, True)]:
+        q, k, v = rng.standard_normal((3, *lead, t, n))
+        positions = flat.reshape(*lead, t, 2) if axial else flat.reshape(*lead, t)
+        batch = AttentionBatch(q, k, v, positions)
+        config = PEConfig(pe.kind, axial=axial)
+        want = _uncached(monkeypatch, lambda: attend(batch, config))
+        _assert_same_bits(attend(batch, config), want)
+    assert len(empty_memo) == 6
+    _assert_kept_tables_are_their_builds(monkeypatch)
 
 
 def test_a_long_attend_keeps_no_table(empty_memo):
@@ -1347,12 +1411,21 @@ def test_a_long_attend_keeps_no_table(empty_memo):
     assert empty_memo == {}
 
 
-def test_a_full_memo_starts_over(empty_memo, monkeypatch):
+@pytest.mark.parametrize(
+    "pe, sizes",
+    [
+        (_pe(PEKind.SINUSOIDAL_APE), [1, 2, 3, 1, 2, 3, 1]),
+        # every offset shares the one origin-relative table, lost with each fresh start
+        (_pe(PEKind.ROPE), [2, 3, 1, 3, 1, 3, 1]),
+    ],
+    ids=["sinusoidal-ape", "rope"],
+)
+def test_a_full_memo_starts_over(pe, sizes, empty_memo, monkeypatch):
     monkeypatch.setattr(attention, "_TABLES_KEPT", 3)
-    for offset in range(7):
+    for offset, size in enumerate(sizes):
         batch, _ = _layout_batch("scalar", positions=np.arange(6) + offset)
-        attend(batch, _pe(PEKind.ROPE))
-        assert len(empty_memo) == offset % 3 + 1
+        attend(batch, pe)
+        assert len(empty_memo) == size
 
 
 _CHECKS = ("_as_rows", "_check_finite", "_as_shifts")
@@ -1374,3 +1447,187 @@ def test_attend_and_grad_check_check_the_batch_once(pe, layout, monkeypatch):
         attend(batch, pe)
         grad_check(pe, batch)
     assert calls == []
+
+
+# every encoding config at a sub-length of 7 or 8 that attend takes, scalar and axial,
+# split into relative and absolute by the one predicate attention encodes with
+_LAYER_CONFIGS = [
+    (PEConfig(kind, lam, branch, waves, axial), n)
+    for kind, lam, branch, waves in [
+        (PEKind.SINUSOIDAL_APE, 1.0, SpectralBranch.CENTERED, 1),
+        (PEKind.ROPE, 1.0, SpectralBranch.CENTERED, 1),
+        (PEKind.ROLL_DISCRETE, 1.0, SpectralBranch.CENTERED, 1),
+        (PEKind.ROLL_CONTINUOUS, 1.0, SpectralBranch.CENTERED, 1),
+        (PEKind.ROLL_CONTINUOUS, 0.7, SpectralBranch.CENTERED, 1),
+        (PEKind.ROLL_CONTINUOUS, 0.7, SpectralBranch.RAW, 1),
+        (PEKind.MULTIPLEXED_ROLL, 1.0, SpectralBranch.CENTERED, 1),
+        (PEKind.MULTIPLEXED_ROLL, 1.0, SpectralBranch.CENTERED, 3),
+    ]
+    for n in (7, 8)
+    for axial in (False, True)
+    if n % 2 == 0 or kind not in (PEKind.ROPE, PEKind.SINUSOIDAL_APE)
+]
+_RELATIVE = [config for config in _LAYER_CONFIGS if attention._relative(*config)]
+_ABSOLUTE = [config for config in _LAYER_CONFIGS if not attention._relative(*config)]
+# the discrete rolls, whose relative logits are bit for bit the same under a common offset
+_EXACT_KINDS = (PEKind.ROLL_DISCRETE, PEKind.MULTIPLEXED_ROLL)
+
+
+def _config_id(config):
+    pe, n = config
+    return f"{pe.kind.value}/{pe.branch.value}/lam={pe.lam}/W={pe.waves}/n={n}/axial={pe.axial}"
+
+
+def test_the_predicate_splits_as_the_readme_lists():
+    relative = {(pe.kind, pe.branch, pe.lam, pe.waves, n) for pe, n in _RELATIVE}
+    assert relative == {
+        (kind, SpectralBranch.CENTERED, lam, 1, n)
+        for kind, lam, n in [
+            (PEKind.ROPE, 1.0, 8), (PEKind.ROLL_DISCRETE, 1.0, 7), (PEKind.ROLL_DISCRETE, 1.0, 8),
+            (PEKind.ROLL_CONTINUOUS, 1.0, 7), (PEKind.ROLL_CONTINUOUS, 0.7, 7),
+            (PEKind.MULTIPLEXED_ROLL, 1.0, 7), (PEKind.MULTIPLEXED_ROLL, 1.0, 8),
+        ]
+    }
+    assert not attention._relative(_pe(PEKind.NONE), 8)
+
+
+class TestRelativeForm:
+    """Relative configs attend as a function of position differences; absolute ones do not."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(config=st.sampled_from(_RELATIVE), t=st.integers(1, 6), sets=st.integers(0, 2),
+           data=st.data())
+    def test_relative_configs_ignore_a_common_offset(self, config, t, sets, data):
+        """Logits at p + c against those at p, for every c that keeps |p + c| < 2**53.
+
+        The phase kinds' positions are multiples of 2**-f, with |p + c| < 2**(53 - f), so
+        p + c is exact and both batches hold positions a common c apart; the discrete rolls
+        take integers.  Axially each coordinate takes its own offset.
+        """
+        pe, n = config
+        exact = pe.kind in _EXACT_KINDS
+        f = 0 if exact else data.draw(st.integers(0, 4), label="f")
+        lead = (sets,) if sets else ()
+        shape = (*lead, t, 2) if pe.axial else (*lead, t)
+        ints = data.draw(st.lists(st.integers(-(2**10), 2**10), min_size=math.prod(shape),
+                                  max_size=math.prod(shape)), label="p * 2**f")
+        positions = np.reshape(ints, shape) / 2.0**f
+        reach = 2**(53 - f) - 2**10 - 1
+        offset = np.array(data.draw(st.lists(st.integers(-reach, reach), min_size=1 + pe.axial,
+                                             max_size=1 + pe.axial), label="c * 2**f")) / 2.0**f
+        if not pe.axial:
+            offset = offset[0]
+        moved = positions + offset
+        np.testing.assert_array_equal(moved - offset, positions)   # p + c is exact
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        q, k, v = rng.standard_normal((3, *lead, t, 2 * n if pe.axial else n))
+        base = attend(AttentionBatch(q, k, v, positions), pe)
+        shifted = attend(AttentionBatch(q, k, v, moved), pe)
+        if exact:
+            _assert_same_bits(shifted, base)
+        else:
+            gap = np.abs(shifted.logits - base.logits).max()
+            assert gap <= 1e-13 * np.abs(base.logits).max(), gap
+
+    @pytest.mark.parametrize("config", _ABSOLUTE, ids=_config_id)
+    def test_absolute_configs_move_under_a_shift(self, config):
+        """By more than the 1e-3 the multiplexed witness search counts as a violation, under
+        a shift that is no multiple of lambda (nor of n for the multiplexed roll)."""
+        pe, n = config
+        rng = np.random.default_rng(46)
+        t = 6
+        q, k, v = rng.standard_normal((3, t, 2 * n if pe.axial else n))
+        shape = (t, 2) if pe.axial else (t,)
+        if pe.kind is PEKind.MULTIPLEXED_ROLL:
+            positions, shift = rng.integers(-20, 20, size=shape).astype(float), 3.0
+        else:
+            positions, shift = rng.uniform(-20.0, 20.0, size=shape), 2.5 * pe.lam
+        base = attend(AttentionBatch(q, k, v, positions), pe)
+        moved = attend(AttentionBatch(q, k, v, positions + shift), pe)
+        assert np.abs(moved.logits - base.logits).max() > 1e-3
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize(
+        "pe", [_pe(PEKind.ROLL_DISCRETE), _pe(PEKind.MULTIPLEXED_ROLL, waves=1)],
+        ids=["roll-discrete", "multiplexed-roll/W=1"],
+    )
+    def test_rolls_are_exact_at_the_position_limit(self, pe, n):
+        """Mixed-sign positions near +-(2**53 - 1), where p - p0 is odd and at least 2**53,
+        so no float64 holds it: attend equals the dense shift_matrix oracle at the exact
+        differences, bit for bit."""
+        top = 2**53 - 1
+        ints = [-top, top - 1, top - 3, -(top - 4), top, 12345, -top + 2]
+        assert all((p + top) % 2 == 1 and p + top >= 2**53 for p in ints[1:3])
+        rng = np.random.default_rng([47, n])
+        q, k, v = rng.standard_normal((3, len(ints), n))
+        out = attend(AttentionBatch(q, k, v, np.array(ints, dtype=float)), pe)
+        shifts = [p - ints[0] for p in ints]
+        enc_q, enc_k = (
+            np.stack([shift_matrix(n, s) @ row for s, row in zip(shifts, x)]) for x in (q, k)
+        )
+        logits, scores = attention._attention_weights(enc_q, enc_k, math.sqrt(n))
+        np.testing.assert_array_equal(out.logits, logits)
+        np.testing.assert_array_equal(out.scores, scores)
+        np.testing.assert_array_equal(out.output, scores @ v)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12, 1e15])
+    def test_rope_stays_relative_at_large_offsets(self, offset):
+        """Positions rising in steps of 0.1 to 1 from ``offset``, against the same positions
+        less the first one: an exact difference (Sterbenz), so the two batches hold one set
+        of differences.  Absolute rotary angles missed by 5.4e-2 at 1e15."""
+        rng = np.random.default_rng(48)
+        t, n = 16, 64
+        q, k, v = rng.standard_normal((3, t, n))
+        far = offset + np.cumsum(rng.uniform(0.1, 1.0, t))
+        near = far - far[0]
+        np.testing.assert_array_equal(near + far[0], far)
+        pe = _pe(PEKind.ROPE)
+        got = attend(AttentionBatch(q, k, v, far), pe).logits
+        want = attend(AttentionBatch(q, k, v, near), pe).logits
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class _NumpyLookups:
+    """Stands in for attention's ``np``, recording each name attention looks up in it."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        self.names.append(name)
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize(
+    "pe", [_pe(PEKind.ROPE, axial=True), _pe(PEKind.ROLL_DISCRETE, axial=True),
+           _pe(PEKind.MULTIPLEXED_ROLL, waves=1, axial=True)],
+    ids=["rope", "roll-discrete", "multiplexed-roll/W=1"],
+)
+def test_a_repeated_grid_makes_no_extra_numpy_call(pe, empty_memo, monkeypatch):
+    """t = 16, n = 32 on one 4 x 4 grid away from the origin, as attend-short-axial repeats it.
+
+    The repeat finds its table under the raw positions: one fetch, keyed by
+    ``_from_origin``, which is not called (it would fetch again), and the same NumPy
+    calls from attention as on the absolute path's hit.
+    """
+    grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0), indexing="ij"), -1)
+    batch = AttentionBatch(*np.random.default_rng(49).standard_normal((3, 16, 32)),
+                           grid.reshape(-1, 2) + [1234.0, 567.0])
+    table = attention._table
+
+    def repeat():
+        attend(batch, pe)
+        fetched = []
+        with monkeypatch.context() as patch:
+            numpy = _NumpyLookups()
+            patch.setattr(attention, "np", numpy)
+            patch.setattr(attention, "_table", lambda build, *args: (
+                fetched.append(build.__name__), table(build, *args))[1])
+            attend(batch, pe)
+        return fetched, numpy.names
+
+    fetched, names = repeat()
+    assert fetched == ["_from_origin"]
+    monkeypatch.setattr(attention, "_relative", lambda pe, n: False)
+    absolute_fetched, absolute_names = repeat()
+    assert len(absolute_fetched) == 1 and absolute_names == names

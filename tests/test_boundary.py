@@ -553,12 +553,21 @@ def test_value_types_copy_the_callers_array(make, build, field):
     "ShiftGenerator/larger": lambda: ShiftGenerator(3, SpectralBranch.RAW, np.zeros((4, 4))),
     "ShiftGenerator/vector": lambda: ShiftGenerator(4, SpectralBranch.RAW, np.zeros(4)),
     "ShiftGenerator/nested-list": lambda: ShiftGenerator(2, SpectralBranch.RAW, [[0.0] * 3] * 2),
+    "ShiftGenerator/branch-string": lambda: ShiftGenerator(3, "not a branch", np.zeros((3, 3))),
+    "ShiftGenerator/branch-value": lambda: ShiftGenerator(3, "centered", np.zeros((3, 3))),
+    "ShiftGenerator/nan-entry": lambda: ShiftGenerator(
+        3, SpectralBranch.RAW, np.where(np.eye(3, k=1) == 1, np.nan, 0.0)
+    ),
+    "ShiftGenerator/inf-entry": lambda: ShiftGenerator(
+        3, SpectralBranch.CENTERED, np.full((3, 3), complex(0.0, np.inf))
+    ),
 })
 def test_value_types_refuse_what_they_cannot_hold(call):
-    """Frequencies follow the positions' dtype rule; a generator's matrix must be (n, n)."""
+    """Frequencies follow the positions' dtype rule; a generator's branch must be a member
+    and its matrix (n, n) and finite."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="frequencies must|matrix must be"):
+        with pytest.raises(ValueError, match="frequencies must|matrix must|branch must be"):
             call()
 
 
