@@ -21,14 +21,15 @@ encoded together as the (2, B*t, n) stack [Q, K] at the flattened
 Axially the two halves of row i are rows 2i and 2i + 1 of the stack
 reshaped to (2, 2B*t, n/2), at the flattened positions, so both halves
 share that one call too.  Each kind is a position table (phases,
-``sinusoidal_ape`` rows or reduced shifts) and a core that applies it,
-both shared with the kind's public kernel, which checks its input
-first.  ``attend`` and ``grad_check`` call the cores directly, on rows
-the batch has checked, and take the tables from a small memo
-(``_table``): a table depends only on the positions and the kind's
-parameters, so positions that repeat, such as one grid, build it once.
-The multiplexed roll's speed-1 component is a copy of the rows; only the
-W - 1 seeded maps are multiplied.
+``sinusoidal_ape`` rows, flat roll indices or wave shifts) and a core
+that applies it, both shared with the kind's public kernel, which
+checks its input first.  ``attend`` and ``grad_check`` call the cores
+directly, on rows the batch has checked, and take the tables from a
+small memo (``_table``): a table depends only on the positions and the
+kind's parameters, so positions that repeat, such as one grid, build
+it once.
+The multiplexed roll's speed-1 component is the rows themselves; only
+the W - 1 seeded maps are multiplied.
 
 The relative configs (``_relative``: rope, roll-discrete, one wave, and
 roll-continuous centered at an odd length) encode each row-set at its
@@ -75,6 +76,7 @@ from .roll_core import (
     _float_shifts,
     _raising,
     _reduced_steps,
+    _roll_index,
     _roll_rows,
     _score_scale,
 )
@@ -227,13 +229,18 @@ def _multiplex_projections(n: int, waves: int) -> np.ndarray:
     """Fixed deterministic (W - 1, n, n) component maps of speeds 2..W, read-only.
 
     The speed-1 map is the identity, so a single wave reduces exactly to
-    the discrete roll; ``_encode`` copies the rows for it.  Higher speeds
+    the discrete roll; ``_encode`` passes the rows for it.  Higher speeds
     use dense maps seeded by (n, W).
     """
     rng = np.random.default_rng([n, waves, 0x5157])
     mats = rng.standard_normal((waves - 1, n, n)) / math.sqrt(n)
     mats.setflags(write=False)
     return mats
+
+
+def _discrete_table(pos: np.ndarray, n: int) -> np.ndarray:
+    """The (t, n) flat roll index at the (t,) ``pos``; a fractional position raises ``ValueError``."""
+    return _roll_index(_float_shifts(pos, n), n)
 
 
 def _multiplex_table(pos: np.ndarray, n: int, waves: int) -> np.ndarray:
@@ -290,7 +297,7 @@ def _table(build, pos: np.ndarray, *params) -> np.ndarray:
     return table
 
 
-def _from_origin(pos, size, coords, reduce, period, build, *params) -> np.ndarray:
+def _from_origin(pos, size, coords, reduce, period, wrap, build, *params) -> np.ndarray:
     """``build``'s table at each row-set's positions less its first, per coordinate.
 
     ``pos`` holds row-sets of ``size`` positions of ``coords`` coordinates
@@ -299,15 +306,21 @@ def _from_origin(pos, size, coords, reduce, period, build, *params) -> np.ndarra
     position, or ``np.fmod`` at lambda * n.  Both are exact, so an integer
     difference stays exact even where |p - p0| >= 2**53; rope, with no
     period, passes None.  The difference is rounded once, to within
-    eps * |p - p0|.  The table comes from ``_table``, so row-sets that differ
-    by a common offset share one build.
+    eps * |p - p0|.  The discrete rolls (``wrap``) reduce the differences
+    into [0, n) as well, exactly, so every integer offset, not only one
+    a multiple of n, leaves the same key.  The table comes from
+    ``_table``, so row-sets that differ by a common offset share one build.
     """
     if reduce is not None:
         pos = reduce(pos, period)
     if pos.size == size:  # one row-set of scalar positions: one subtraction, no views
-        return _table(build, pos - pos[0], *params)
-    rows = pos.reshape(-1, size, coords)
-    return _table(build, (rows - rows[:, :1]).ravel(), *params)
+        rel = pos - pos[0]
+    else:
+        rows = pos.reshape(-1, size, coords)
+        rel = (rows - rows[:, :1]).ravel()
+    if wrap:
+        rel %= period
+    return _table(build, rel, *params)
 
 
 def _check_batch(batch: AttentionBatch, pe: PEConfig) -> None:
@@ -407,32 +420,34 @@ def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     n = x.shape[-1] // 2 if pe.axial else x.shape[-1]
     rows = x.reshape(-1, positions.size, n)
     # the kind's core, which applies its table to the rows, the table's builder and its
-    # parameters, and, for a roll, the reduction by its period
+    # parameters, and, for a roll, the reduction by its period (see _from_origin)
     reduce = period = None
+    wrap = False
     if kind is _APE:
         core, build, params = np.add, _sinusoid_table, (n,)
     elif kind is _DISCRETE:
-        core, build, params, reduce, period = _roll_rows, _float_shifts, (n,), _reduced_steps, n
+        core, build, params = _roll_rows, _discrete_table, (n,)
+        reduce, period, wrap = _reduced_steps, n, True
     elif kind is _CONTINUOUS:
         core, build, params = _roll_spectra, _roll_table, (n, pe.lam, pe.branch)
         reduce, period = np.fmod, pe.lam * n
     elif kind is _ROPE:
         core, build, params = _rotate_pairs, _classic_table, (n,)
     else:
-        # the (W, rows, n) components: the rows, then their products with the seeded maps
-        flat = rows.reshape(-1, n)
-        rows = np.empty((pe.waves, len(flat), n))
-        rows[0] = flat
+        # the W components: the rows themselves, then their products with the seeded maps
+        waves = [rows]
         if pe.waves > 1:
-            np.matmul(flat, _multiplex_projections(n, pe.waves).swapaxes(1, 2), out=rows[1:])
+            maps = _multiplex_projections(n, pe.waves).swapaxes(1, 2)
+            waves.extend(np.matmul(rows.reshape(-1, n), maps).reshape(len(maps), *rows.shape))
+        rows = waves
         core, build, params = _superpose, _multiplex_table, (n, pe.waves)
-        reduce, period = _reduced_steps, n
+        reduce, period, wrap = _reduced_steps, n, True
     p = positions.reshape(-1)
     if _relative(pe, n):
         # the row-set length and the coordinates per position key the split into row-sets;
         # the raw positions key the table, so a repeat of them hits with no NumPy call
         size = positions.shape[-2] if pe.axial else positions.shape[-1]
-        table = _table(_from_origin, p, size, 1 + pe.axial, reduce, period, build, *params)
+        table = _table(_from_origin, p, size, 1 + pe.axial, reduce, period, wrap, build, *params)
     else:
         table = _table(build, p, *params)
     return core(rows, table).reshape(x.shape)

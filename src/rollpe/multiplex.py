@@ -22,6 +22,7 @@ from .roll_core import (
     _check_finite,
     _check_positive,
     _raising,
+    _roll_index,
     _roll_rows,
     _score_scale,
 )
@@ -42,8 +43,9 @@ def mproll(components, p) -> np.ndarray:
     of every component rolled by w*p[i]; a (W, n) bank with an integer
     ``p`` is the one-row stack.  ``p`` is checked as ``roll_discrete``
     checks it, once, then reduced mod n, so w*p stays an exact integer at
-    any magnitude.  All W*t rows roll in the one gather ``roll_discrete``
-    uses and the waves are summed in order 1..W.  Any other shape raises
+    any magnitude.  Each wave's t rows are taken through the wave's own
+    flat roll index, as ``roll_discrete`` takes a stack's, and the waves
+    are summed in order 1..W.  Any other shape raises
     ``ValueError``.  A NaN or +-inf component, and finite components whose
     sum overflows, raise ``FloatingPointError``.
     """
@@ -51,30 +53,33 @@ def mproll(components, p) -> np.ndarray:
     if comps.ndim not in (2, 3) or comps.size == 0:
         raise ValueError("components must be a non-empty (W, n) bank or (W, t, n) stack")
     _check_finite(comps, "components")
-    return _superpose(comps, _wave_table(_as_shifts(comps[0], p), len(comps), comps.shape[-1]))
+    table = _wave_table(_as_shifts(comps[0], p), len(comps), comps.shape[-1])
+    # a bank is the one-row stack
+    return _superpose(comps.reshape(len(comps), -1, comps.shape[-1]), table).reshape(comps.shape[1:])
 
 
 def _wave_table(steps, waves: int, n: int) -> np.ndarray:
     """The (W, t) shifts w * steps mod n of waves w = 1..W, from (t,) steps reduced mod n.
 
-    w * (p mod n) is reduced again, so the gather takes it unchecked.
+    w * (p mod n) is reduced again, into [0, n), so ``_roll_index`` can read it.
     """
     return np.arange(1, waves + 1)[:, None] * steps % n
 
 
-def _superpose(comps: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Sum over w of comps[w] rolled row by row by the (W, t) ``table[w]``, unchecked.
+def _superpose(waves, table: np.ndarray) -> np.ndarray:
+    """Sum over w of waves[w] rolled row by row by the (W, t) ``table[w]``, unchecked.
 
-    ``comps`` is (W, ..., n) with its rows in row-sets of t, each row-set
-    at the table's t positions.  All rows roll in one gather and the
-    waves are summed in order 1..W.
+    ``waves`` holds W float arrays of (..., t, n) rows, a (W, ..., t, n)
+    stack or a sequence of them, each row-set at the table's t
+    positions.  Each wave's rows are rolled by ``_roll_rows`` through the
+    wave's own (t, n) flat roll index, and the waves are added in order
+    1..W, so the scratch memory is the index and one wave's rolled rows.
     """
-    n = comps.shape[-1]
-    rows = comps.reshape(-1, n)
-    reps = len(rows) // table.size
-    # row i of every row-set of wave w takes table[w, i]
-    shifts = table if reps == 1 else table[:, None].repeat(reps, axis=1)
-    return _roll_rows(rows, shifts.reshape(-1)).reshape(comps.shape).sum(axis=0)
+    index = _roll_index(table, waves[0].shape[-1])
+    total = _roll_rows(waves[0], index[0])
+    for wave, wave_index in zip(waves[1:], index[1:]):
+        total += _roll_rows(wave, wave_index)
+    return total
 
 
 @_raising()

@@ -260,9 +260,9 @@ def roll_discrete(q, p) -> np.ndarray:
     ``q`` is one vector with an integer ``p``; a (t, n) stack of rows
     with (t,) integer positions, row i rolled by p[i]; or an (s, t, n)
     stack of s row-sets sharing those positions (see ``_as_shifts`` for
-    how positions are read).  Row i is the window doubled[i, s:s + n] of
-    its row doubled, s = p[i]: a stack reads every window in one gather,
-    and a vector, the one-row case, reads its window as a slice.  Pure
+    how positions are read).  A stack is rolled by one ``take`` through
+    the (t, n) flat index ``_roll_index`` builds from its shifts, and a
+    vector, the one-row case, is one slice of its doubled copy.  Pure
     index permutation, exact in floating point, so NaN and +-inf entries
     move like any other.  A fractional, non-finite or misshapen position
     raises ``ValueError``.  Always returns a fresh array.
@@ -270,28 +270,52 @@ def roll_discrete(q, p) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     shifts = _as_shifts(q, p)
     if q.ndim > 1:
-        return _roll_rows(q, shifts)
-    # one slice, not the one-row gather, whose window view and index double a vector's time
+        return _roll_rows(q, _roll_index(shifts, q.shape[-1]))
+    # one slice: the one-row take and its index build take a vector five times as long
     return np.concatenate((q, q))[shifts[0] : shifts[0] + q.size]
 
 
-def _roll_rows(q: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Row i of the (t, n) or (s, t, n) float stack ``q`` rolled by shifts[i], in one gather.
+@functools.lru_cache(maxsize=32)
+def _windows(n: int) -> np.ndarray:
+    """The read-only (n, n) view whose row s is (arange(n) + s) % n, over 2n integers."""
+    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) % n, n)[:n]
 
-    ``shifts`` holds (t,) integers already reduced into [-n, n), and
-    nothing is checked here: this is the core of ``roll_discrete`` and
-    ``mproll``, which check their positions once, before they reduce
-    them, and of attention's rolls, on rows its batch has checked.
+
+def _roll_index(shifts: np.ndarray, n: int) -> np.ndarray:
+    """The (..., t, n) flat roll index of the (..., t) integer ``shifts``, each in [-n, n).
+
+    Row i is i*n + (arange(n) + shifts[..., i]) % n: the positions, in a
+    row-set's rows flattened to t*n entries, that row i rolled by
+    shifts[..., i] reads.  Its rows come from ``_windows``, so no modulo
+    runs over the t*n entries.  Nothing is checked here.
     """
-    n = q.shape[-1]
-    # windows[..., i, k] is doubled[..., i, k:k + n], row i rolled by k,
-    # so the gather needs no (t, n) index table and no integer modulo
-    doubled = np.concatenate([q, q], axis=-1)
-    if not doubled.flags.c_contiguous:
-        # concatenate keeps a Fortran or permuted layout, but the windows step one entry at a time
-        doubled = np.ascontiguousarray(doubled)
-    windows = np.ndarray((*q.shape, n), float, doubled, 0, (*doubled.strides, doubled.itemsize))
-    return windows[..., np.arange(len(shifts)), shifts, :]
+    index = _windows(n)[shifts]
+    index += _row_starts(shifts.shape[-1], n)
+    return index
+
+
+@functools.lru_cache(maxsize=32)
+def _row_starts(t: int, n: int) -> np.ndarray:
+    """The read-only (t, 1) column of row starts i*n.
+
+    Kept, as the windows are: at t <= 32 building it costs about half of
+    the add it feeds.
+    """
+    starts = np.arange(0, t * n, n)[:, None]
+    starts.setflags(write=False)
+    return starts
+
+
+def _roll_rows(q: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The (t, n) or (s, t, n) float stack ``q`` rolled through its (t, n) ``_roll_index``.
+
+    One ``take`` over each row-set's rows flattened to t*n entries, from
+    any memory layout: the reshape copies one that cannot be flattened
+    in place.  Nothing is checked here: this is the core of
+    ``roll_discrete``, which checks its positions once, before it
+    reduces them, and of attention's roll, on rows its batch has checked.
+    """
+    return np.take(q.reshape(*q.shape[:-2], -1), index, axis=-1)
 
 
 def shift_matrix(n: int, p: int = 1) -> np.ndarray:

@@ -1428,6 +1428,24 @@ def test_a_full_memo_starts_over(pe, sizes, empty_memo, monkeypatch):
         assert len(empty_memo) == size
 
 
+@pytest.mark.parametrize(
+    "pe", [_pe(PEKind.ROLL_DISCRETE), _pe(PEKind.MULTIPLEXED_ROLL, waves=1)],
+    ids=["roll-discrete", "multiplexed-roll/W=1"],
+)
+def test_every_integer_offset_shares_one_roll_table(pe, empty_memo, monkeypatch):
+    """Offsets 0..15 of one (8,) row-set, two periods of n = 8, keep one origin-relative
+    table beside their 16 raw keys, and every offset attends to the same bits."""
+    batch, _ = _layout_batch("scalar", t=8, n=8, positions=np.arange(8))
+    first = attend(batch, pe)
+    empty_memo.clear()
+    for offset in range(16):
+        shifted = AttentionBatch(batch.q, batch.k, batch.v, np.arange(8.0) + offset)
+        _assert_same_bits(attend(shifted, pe), first)
+    relative = [key for key in empty_memo if key[0] is not attention._from_origin]
+    assert len(relative) == 1 and len(empty_memo) == 17
+    _assert_kept_tables_are_their_builds(monkeypatch)
+
+
 _CHECKS = ("_as_rows", "_check_finite", "_as_shifts")
 
 

@@ -21,6 +21,27 @@ def _summed_rolls(bank, p):
     return sum(roll_discrete(c, w * p) for w, c in enumerate(bank, start=1))
 
 
+class TestSuperpose:
+    """``_superpose`` is its waves rolled row by row and added in order 1..W, bit for bit."""
+
+    @pytest.mark.parametrize("waves", [1, 2, 3, 4])
+    @pytest.mark.parametrize("row_sets", [1, 3])
+    def test_waves_summed_in_order(self, waves, row_sets):
+        t, n = 5, 6
+        rng = np.random.default_rng([waves, row_sets])
+        comps = rng.standard_normal((waves, row_sets, t, n)) * 10.0 ** rng.integers(-8, 8)
+        table = multiplex._wave_table(rng.integers(-n, n, size=t), waves, n)
+        want = None
+        for comp, shifts in zip(comps, table):
+            rolled = np.empty(comp.shape)
+            for row_set, i in np.ndindex(row_sets, t):
+                rolled[row_set, i] = np.roll(comp[row_set, i], -int(shifts[i]))
+            want = rolled if want is None else want + rolled
+        got = multiplex._superpose(comps, table)
+        assert got.shape == comps.shape[1:]
+        assert got.tobytes() == want.tobytes()
+
+
 class TestMproll:
     def test_single_wave_reduces_to_plain_roll(self):
         rng = np.random.default_rng(0)

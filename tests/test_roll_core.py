@@ -1,5 +1,7 @@
 """Tests for the discrete roll operator and the rolled score."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,14 @@ from hypothesis import strategies as st
 
 from rollpe import roll_core
 from rollpe.roll_core import (
+    _roll_index,
+    _roll_rows,
     relative_form_score,
     roll_discrete,
     rollpe_score,
     shift_matrix,
 )
+from test_memory_layouts import _LAYOUTS
 
 
 def _unit_vectors(n_max=32):
@@ -167,6 +172,51 @@ class TestRollDiscreteStack:
     def test_returns_a_fresh_array(self):
         q = np.ones((2, 3))
         assert not np.shares_memory(roll_discrete(q, [0, 0]), q)
+
+
+def _np_rolled(q, shifts):
+    """Oracle: row i of each row-set of ``q`` rolled by shifts[i] with ``np.roll``, one by one."""
+    out = np.empty(q.shape)
+    for index in np.ndindex(q.shape[:-1]):
+        out[index] = np.roll(q[index], -int(shifts[index[-1]]))
+    return out
+
+
+class TestFlatRollIndex:
+    """``_roll_rows`` through a ``_roll_index`` is np.roll(row, -s) row by row, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_boundary_shifts(self, n):
+        """Shifts -n, -1, 0 and n - 1, the ends of the range the index reads; n = 1 too."""
+        shifts = np.array([-n, -1, 0, n - 1])
+        q = np.random.default_rng(n).standard_normal((2, len(shifts), n))
+        for rows in (q[0], q):
+            got = _roll_rows(rows, _roll_index(shifts, n))
+            assert got.shape == rows.shape
+            assert got.tobytes() == _np_rolled(rows, shifts).tobytes()
+
+    @pytest.mark.parametrize("layout", _LAYOUTS.values(), ids=_LAYOUTS)
+    @pytest.mark.parametrize("shape", [(5, 7), (7, 1), (3, 5, 7), (2, 4, 6)])
+    def test_every_layout(self, layout, shape):
+        n = shape[-1]
+        q = np.random.default_rng(list(shape)).standard_normal(shape)
+        shifts = np.arange(shape[-2]) * 3 % (2 * n) - n  # runs over [-n, n)
+        got = _roll_rows(layout(q), _roll_index(shifts, n))
+        assert got.tobytes() == _np_rolled(q, shifts).tobytes()
+
+    def test_a_stack_rolls_with_no_row_doubled_copy(self):
+        """A (2, 1024, 64) stack peaks below twice its output: its flat index is half of
+        the output, where a copy of every row doubled would be twice it alone."""
+        q = np.random.default_rng(9).standard_normal((2, 1024, 64))
+        positions = 3 * np.arange(1024) - 5
+        tracemalloc.start()
+        try:
+            got = roll_discrete(q, positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == _np_rolled(q, positions % 64).tobytes()
+        assert peak < 2 * got.nbytes
 
 
 class TestShiftMatrix:
