@@ -23,15 +23,14 @@ reshaped to (2, 2B*t, n/2), at the flattened positions, so both halves
 share that one call too.  Each kind is a position table (phases,
 ``sinusoidal_ape`` rows, flat roll indices or wave shifts) and a core
 that applies it, both shared with the kind's public kernel, which
-checks its input first.  ``attend`` and ``grad_check`` call the cores
-directly, on rows the batch has checked, and take the tables from a
-small memo (``_table``): a table depends only on the positions and the
-kind's parameters, so positions that repeat, such as one grid, build
-it once.
-The multiplexed roll's speed-1 component is the rows themselves; only
-the W - 1 seeded maps are multiplied.
+checks its input first; one lookup, ``_kind``, states them, with the
+rest of what ``_encode`` reads of a kind.  ``attend`` and
+``grad_check`` call the cores directly, on rows the batch has checked,
+and take the tables from a small memo (``_table``): a table depends
+only on the positions and the kind's parameters, so positions that
+repeat, such as one grid, build it once.
 
-The relative configs (``_relative``: rope, roll-discrete, one wave, and
+The relative configs (per ``_kind``: rope, roll-discrete, one wave, and
 roll-continuous centered at an odd length) encode each row-set at its
 positions less its first, per coordinate, so their logits depend on
 position differences alone: a common offset changes no bit of the
@@ -229,7 +228,7 @@ def _multiplex_projections(n: int, waves: int) -> np.ndarray:
     """Fixed deterministic (W - 1, n, n) component maps of speeds 2..W, read-only.
 
     The speed-1 map is the identity, so a single wave reduces exactly to
-    the discrete roll; ``_encode`` passes the rows for it.  Higher speeds
+    the discrete roll; ``_multiplexed`` passes the rows for it.  Higher speeds
     use dense maps seeded by (n, W).
     """
     rng = np.random.default_rng([n, waves, 0x5157])
@@ -248,19 +247,18 @@ def _multiplex_table(pos: np.ndarray, n: int, waves: int) -> np.ndarray:
     return _wave_table(_float_shifts(pos, n), waves, n)
 
 
-def _relative(pe: PEConfig, n: int) -> bool:
-    """Whether ``attend``'s logits under ``pe`` at (sub-)length ``n`` depend on positions
-    only through their differences: rope, roll-discrete, the multiplexed roll with one
-    wave, and roll-continuous on the centered branch at an odd length.
+def _multiplexed(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The multiplexed roll's core: the (..., t, n) ``rows`` as W waves superposed by the (W, t)
+    ``table``, unchecked.
 
-    ``_encode`` builds these configs' tables at origin-relative positions.  The sinusoidal
-    APE, two or more waves, and roll-continuous at an even length or on the raw branch
-    are absolute; ``none`` encodes no position.
+    The speed-1 wave is the rows themselves; only the W - 1 seeded maps are multiplied.
     """
-    kind = pe.kind
-    if kind is _CONTINUOUS:
-        return pe.branch is _CENTERED and n % 2 == 1
-    return kind is _ROPE or kind is _DISCRETE or (kind is _MULTIPLEXED and pe.waves == 1)
+    waves = [rows]
+    if len(table) > 1:
+        n = rows.shape[-1]
+        maps = _multiplex_projections(n, len(table)).swapaxes(1, 2)
+        waves.extend(np.matmul(rows.reshape(-1, n), maps).reshape(len(maps), *rows.shape))
+    return _superpose(waves, table)
 
 
 # Position tables kept from call to call: a table depends on the positions
@@ -297,28 +295,29 @@ def _table(build, pos: np.ndarray, *params) -> np.ndarray:
     return table
 
 
-def _from_origin(pos, size, coords, reduce, period, wrap, build, *params) -> np.ndarray:
+def _from_origin(pos, size, coords, period, discrete, build, *params) -> np.ndarray:
     """``build``'s table at each row-set's positions less its first, per coordinate.
 
     ``pos`` holds row-sets of ``size`` positions of ``coords`` coordinates
-    each, flattened.  A roll first reduces them by its ``period`` with
-    ``reduce``: ``_reduced_steps`` at n, which also refuses a fractional
-    position, or ``np.fmod`` at lambda * n.  Both are exact, so an integer
-    difference stays exact even where |p - p0| >= 2**53; rope, with no
-    period, passes None.  The difference is rounded once, to within
-    eps * |p - p0|.  The discrete rolls (``wrap``) reduce the differences
-    into [0, n) as well, exactly, so every integer offset, not only one
-    a multiple of n, leaves the same key.  The table comes from
-    ``_table``, so row-sets that differ by a common offset share one build.
+    each, flattened.  A roll first reduces them by its ``period``: a
+    ``discrete`` one with ``_reduced_steps`` at n, which also refuses a
+    fractional position, the continuous one with ``np.fmod`` at
+    lambda * n.  Both are exact, so an integer difference stays exact even
+    where |p - p0| >= 2**53; rope, with no period, passes None.  The
+    difference is rounded once, to within eps * |p - p0|.  The discrete
+    rolls reduce the differences into [0, n) as well, exactly, so every
+    integer offset, not only one a multiple of n, leaves the same key.
+    The table comes from ``_table``, so row-sets that differ by a common
+    offset share one build.
     """
-    if reduce is not None:
-        pos = reduce(pos, period)
+    if period is not None:
+        pos = _reduced_steps(pos, period) if discrete else np.fmod(pos, period)
     if pos.size == size:  # one row-set of scalar positions: one subtraction, no views
         rel = pos - pos[0]
     else:
         rows = pos.reshape(-1, size, coords)
         rel = (rows - rows[:, :1]).ravel()
-    if wrap:
+    if discrete:
         rel %= period
     return _table(build, rel, *params)
 
@@ -401,6 +400,34 @@ def _attention_weights(enc_q: np.ndarray, enc_k: np.ndarray, scale: float):
     return logits, _softmax_rows(logits, block[1])
 
 
+def _kind(pe: PEConfig, n: int) -> tuple | None:
+    """What ``_encode`` needs of an encoding config ``pe`` at (sub-)length ``n``, each fact once.
+
+    Returns (core, build, params, period, discrete, relative): the core
+    that applies a table to the rows; the table's builder and its
+    parameters; the roll's period (None for rope and the sinusoidal APE);
+    whether that roll is discrete, so that ``_from_origin`` reduces by it
+    exactly and wraps into [0, n); and whether the config is relative, its
+    logits depending on positions only through their differences: rope,
+    roll-discrete, the multiplexed roll with one wave, and roll-continuous
+    on the centered branch at an odd length.  ``none``, which encodes no
+    position, has none of these: it gives None.
+    """
+    kind = pe.kind
+    if kind is _APE:
+        return np.add, _sinusoid_table, (n,), None, False, False
+    if kind is _DISCRETE:
+        return _roll_rows, _discrete_table, (n,), n, True, True
+    if kind is _CONTINUOUS:
+        relative = pe.branch is _CENTERED and n % 2 == 1
+        return _roll_spectra, _roll_table, (n, pe.lam, pe.branch), pe.lam * n, False, relative
+    if kind is _ROPE:
+        return _rotate_pairs, _classic_table, (n,), None, False, True
+    if kind is _MULTIPLEXED:
+        return _multiplexed, _multiplex_table, (n, pe.waves), n, True, pe.waves == 1
+    return None
+
+
 def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     """Each row of ``x`` (of each row-set of a stack) encoded at its position, in one core call.
 
@@ -411,46 +438,22 @@ def _encode(x: np.ndarray, positions: np.ndarray, pe: PEConfig) -> np.ndarray:
     n/2) half-rows when axial, so each half is encoded at its own
     coordinate.  The kind's table over those positions comes from
     ``_table``, at origin-relative positions for a relative config
-    (``_relative``), and its core takes the rows unchecked: the batch has
+    (``_kind``), and its core takes the rows unchecked: the batch has
     checked them.  The identity returns ``x`` itself.
     """
-    kind = pe.kind
-    if kind is _NONE:
+    if pe.kind is _NONE:
         return x
     n = x.shape[-1] // 2 if pe.axial else x.shape[-1]
-    rows = x.reshape(-1, positions.size, n)
-    # the kind's core, which applies its table to the rows, the table's builder and its
-    # parameters, and, for a roll, the reduction by its period (see _from_origin)
-    reduce = period = None
-    wrap = False
-    if kind is _APE:
-        core, build, params = np.add, _sinusoid_table, (n,)
-    elif kind is _DISCRETE:
-        core, build, params = _roll_rows, _discrete_table, (n,)
-        reduce, period, wrap = _reduced_steps, n, True
-    elif kind is _CONTINUOUS:
-        core, build, params = _roll_spectra, _roll_table, (n, pe.lam, pe.branch)
-        reduce, period = np.fmod, pe.lam * n
-    elif kind is _ROPE:
-        core, build, params = _rotate_pairs, _classic_table, (n,)
-    else:
-        # the W components: the rows themselves, then their products with the seeded maps
-        waves = [rows]
-        if pe.waves > 1:
-            maps = _multiplex_projections(n, pe.waves).swapaxes(1, 2)
-            waves.extend(np.matmul(rows.reshape(-1, n), maps).reshape(len(maps), *rows.shape))
-        rows = waves
-        core, build, params = _superpose, _multiplex_table, (n, pe.waves)
-        reduce, period, wrap = _reduced_steps, n, True
+    core, build, params, period, discrete, relative = _kind(pe, n)
     p = positions.reshape(-1)
-    if _relative(pe, n):
+    if relative:
         # the row-set length and the coordinates per position key the split into row-sets;
         # the raw positions key the table, so a repeat of them hits with no NumPy call
         size = positions.shape[-2] if pe.axial else positions.shape[-1]
-        table = _table(_from_origin, p, size, 1 + pe.axial, reduce, period, wrap, build, *params)
+        table = _table(_from_origin, p, size, 1 + pe.axial, period, discrete, build, *params)
     else:
         table = _table(build, p, *params)
-    return core(rows, table).reshape(x.shape)
+    return core(x.reshape(-1, positions.size, n), table).reshape(x.shape)
 
 
 @_raising()
@@ -535,7 +538,8 @@ def _loss_grads(batch: AttentionBatch, pe: PEConfig, eps: float) -> tuple[np.nda
         np.broadcast_to(u, (k, *batch.q.shape)), np.zeros((1, *batch.q.shape)),
         batch.q + eps * u, batch.q - eps * u, batch.q[None], batch.k[None],
     ])
-    enc = _encode(stack, batch.positions, pe)
+    # one memory order whatever layout the core returns, so the reductions below round alike
+    enc = np.ascontiguousarray(_encode(stack, batch.positions, pe))
     enc_k = enc[-1]
     _, scores = _attention_weights(enc[k + 1:-1], enc_k, scale)
 

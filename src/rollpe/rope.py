@@ -97,7 +97,7 @@ def _classic_table(pos: np.ndarray, n: int) -> np.ndarray:
 
 def _sinusoid_table(pos: np.ndarray, n: int) -> np.ndarray:
     """The (t, n) sinusoidal APE rows: sin at even dims, cos at odd, of the classic phases."""
-    phases = _phases(pos, classic_schedule(n).omegas)
+    phases = _classic_table(pos, n)
     table = np.empty((pos.size, 2 * phases.shape[1]))
     table[:, 0::2] = phases.imag
     table[:, 1::2] = phases.real

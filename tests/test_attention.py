@@ -56,6 +56,13 @@ def _pe(kind, **kwargs):
     return PEConfig(kind=kind, **kwargs)
 
 
+def _relative(pe, n):
+    """Whether ``attend`` encodes ``pe`` at (sub-)length ``n`` at origin-relative positions, as the
+    per-kind lookup ``attention._kind`` says; ``none`` encodes no position and has no entry."""
+    record = attention._kind(pe, n)
+    return record is not None and record[-1]
+
+
 class TestAttend:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_single_token_scores_one(self, kind):
@@ -350,7 +357,7 @@ class TestPhaseKindsEncodeOncePerBatch:
         """One table fetch and one core call: one per side would be 2, per axial half 4,
         per row 2t = 128; B row-sets share the one call too.  A relative config's fetch
         of its raw positions misses and fetches the origin-relative table once more."""
-        fetches = 1 + attention._relative(pe, 4 if axial else 8)
+        fetches = 1 + _relative(pe, 4 if axial else 8)
         for b in (None, 1, 4):
             calls = _count_kernel_calls(monkeypatch, _attend, pe, axial, b)
             monkeypatch.undo()
@@ -365,7 +372,7 @@ class TestPhaseKindsEncodeOncePerBatch:
         """One table fetch (two for a relative config, as in ``attend``) and one core call
         on the one stack of direction rows, stepped copies of Q, Q and K."""
         calls = _count_kernel_calls(monkeypatch, _grad_check, pe, axial)
-        assert calls.pop("_table") == 1 + attention._relative(pe, 4 if axial else 8)
+        assert calls.pop("_table") == 1 + _relative(pe, 4 if axial else 8)
         if kernel is not None:
             assert calls.pop(kernel) == 1
         assert set(calls.values()) == {0}
@@ -391,14 +398,14 @@ class TestPhaseKindsEncodeOncePerBatch:
 def _origin_relative(positions, pe, n):
     """The positions ``attend`` encodes at under ``pe`` at (sub-)length ``n``.
 
-    A relative config (``attention._relative``) encodes each row-set at its
+    A relative config (``attention._kind``) encodes each row-set at its
     positions less its first one, per coordinate when axial: the exact
     integer differences, as Python ints, for the discrete rolls; the
     differences of the positions reduced modulo lambda * n for
     roll-continuous; the rounded differences for rope.  Any other config
     encodes at ``positions`` themselves.
     """
-    if not attention._relative(pe, n):
+    if not _relative(pe, n):
         return positions
     p = np.asarray(positions, dtype=float)
     if pe.kind is PEKind.ROLL_CONTINUOUS:
@@ -1267,7 +1274,7 @@ class TestPositionTables:
     ):
         batch, axial = _layout_batch(layout)
         pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
-        keys = 1 + attention._relative(pe, 4 if axial else 8)
+        keys = 1 + _relative(pe, 4 if axial else 8)
         first = attend(batch, pe)
         assert len(empty_memo) == keys
         again = AttentionBatch(batch.q, batch.k, batch.v, batch.positions.copy())
@@ -1287,7 +1294,7 @@ class TestPositionTables:
         """
         batch, axial = _layout_batch(layout)
         pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
-        relative = attention._relative(pe, 4 if axial else 8)
+        relative = _relative(pe, 4 if axial else 8)
         plus = np.zeros(batch.positions.shape)
         plus.reshape(-1)[1::2] = np.arange(1, plus.size // 2 + 1)
         for order in ((0.0, -0.0), (-0.0, 0.0)):
@@ -1380,7 +1387,7 @@ def test_each_parameter_keys_its_own_table(empty_memo, monkeypatch):
     for n, pe in configs:
         batch, _ = _layout_batch("scalar", n=n)
         _assert_same_bits(attend(batch, pe), _uncached(monkeypatch, lambda: attend(batch, pe)))
-    assert len(empty_memo) == sum(1 + attention._relative(pe, n) for n, pe in configs)
+    assert len(empty_memo) == sum(1 + _relative(pe, n) for n, pe in configs)
     _assert_kept_tables_are_their_builds(monkeypatch)
 
 
@@ -1446,6 +1453,36 @@ def test_every_integer_offset_shares_one_roll_table(pe, empty_memo, monkeypatch)
     _assert_kept_tables_are_their_builds(monkeypatch)
 
 
+@pytest.mark.parametrize("n", [7, 8, 10])
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_one_wave_attends_as_the_discrete_roll(layout, n, empty_memo):
+    """The multiplexed roll with W = 1 is roll-discrete bit for bit, in attend and grad_check,
+    at positions up to 2**40: its one wave is the rows themselves, rolled by p mod n."""
+    lead, axial = _LAYOUTS[layout]
+    n += axial and n % 2  # an axial head splits in two
+    rng = np.random.default_rng([51, n])
+    positions = rng.integers(-(2**40), 2**40, size=(*lead, 6, 2) if axial else (*lead, 6))
+    batch, _ = _layout_batch(layout, n=n, positions=positions)
+    one_wave = _pe(PEKind.MULTIPLEXED_ROLL, waves=1, axial=axial)
+    discrete = _pe(PEKind.ROLL_DISCRETE, axial=axial)
+    _assert_same_bits(attend(batch, one_wave), attend(batch, discrete))
+    for eps in (1e-5, 1e-3):
+        assert grad_check(one_wave, batch, eps) == grad_check(discrete, batch, eps)
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@pytest.mark.parametrize("pe", [_pe(PEKind.NONE)] + _TABLE_KINDS, ids=["none"] + _KERNEL_IDS)
+def test_grad_check_bits_do_not_follow_the_encoded_layout(pe, layout, monkeypatch):
+    """grad_check reduces the encoded stack in one memory order, whatever layout a core
+    returns: a Fortran-ordered encoding changes no bit of its value."""
+    batch, axial = _layout_batch(layout)
+    pe = PEConfig(pe.kind, pe.lam, pe.branch, pe.waves, axial)
+    want = [grad_check(pe, batch, eps) for eps in (1e-5, 1e-3)]
+    forward = attention._encode
+    monkeypatch.setattr(attention, "_encode", lambda *args: np.asfortranarray(forward(*args)))
+    assert [grad_check(pe, batch, eps) for eps in (1e-5, 1e-3)] == want
+
+
 _CHECKS = ("_as_rows", "_check_finite", "_as_shifts")
 
 
@@ -1485,8 +1522,8 @@ _LAYER_CONFIGS = [
     for axial in (False, True)
     if n % 2 == 0 or kind not in (PEKind.ROPE, PEKind.SINUSOIDAL_APE)
 ]
-_RELATIVE = [config for config in _LAYER_CONFIGS if attention._relative(*config)]
-_ABSOLUTE = [config for config in _LAYER_CONFIGS if not attention._relative(*config)]
+_RELATIVE = [config for config in _LAYER_CONFIGS if _relative(*config)]
+_ABSOLUTE = [config for config in _LAYER_CONFIGS if not _relative(*config)]
 # the discrete rolls, whose relative logits are bit for bit the same under a common offset
 _EXACT_KINDS = (PEKind.ROLL_DISCRETE, PEKind.MULTIPLEXED_ROLL)
 
@@ -1506,7 +1543,7 @@ def test_the_predicate_splits_as_the_readme_lists():
             (PEKind.MULTIPLEXED_ROLL, 1.0, 7), (PEKind.MULTIPLEXED_ROLL, 1.0, 8),
         ]
     }
-    assert not attention._relative(_pe(PEKind.NONE), 8)
+    assert attention._kind(_pe(PEKind.NONE), 8) is None
 
 
 class TestRelativeForm:
@@ -1646,6 +1683,7 @@ def test_a_repeated_grid_makes_no_extra_numpy_call(pe, empty_memo, monkeypatch):
 
     fetched, names = repeat()
     assert fetched == ["_from_origin"]
-    monkeypatch.setattr(attention, "_relative", lambda pe, n: False)
+    kind = attention._kind
+    monkeypatch.setattr(attention, "_kind", lambda pe, n: (*kind(pe, n)[:-1], False))
     absolute_fetched, absolute_names = repeat()
     assert len(absolute_fetched) == 1 and absolute_names == names
